@@ -18,7 +18,7 @@ import threading
 from fractions import Fraction
 
 from .pfseries import harmonic, operator_order, pi_coefficient, upper_block_specs
-from .symfield import SymNumber, i_power, zeta_value
+from .symfield import SymNumber, zeta_value
 
 
 class DivergentSum(ArithmeticError):
@@ -31,7 +31,7 @@ class DivergentSum(ArithmeticError):
 # For p != 0, integrating by parts against x^p gives
 #   I_j(p) = (-1)^p (pi i)^(j-1) [j odd] / p  -  (j/p) I_(j-1)(p),
 # so I_j(p) = (-1)^p * J_j(1/p) for a polynomial J_j with coefficients in
-# Q[pi^2].  J_j is cached; its 1/p^r coefficients also drive the tail
+# Q[P^2], P = pi i.  J_j is cached; its 1/p^r coefficients also drive the tail
 # reduction in basis_moment.
 
 _moment_polys: list[tuple[SymNumber, ...]] = [(SymNumber.zero(),)]
@@ -58,7 +58,7 @@ def log_moment_poly(j: int) -> tuple[SymNumber, ...]:
                 if r - 1 < len(prev) and not prev[r - 1].is_zero():
                     row[r] = row[r] + prev[r - 1] * (-d)
             if d % 2 == 1:  # boundary term, nonzero for odd log powers only
-                row[1] = row[1] + SymNumber.pi_power(d - 1, i_power(d - 1))
+                row[1] = row[1] + SymNumber.p_power(d - 1)
             grown.append(tuple(row))
         _moment_polys = grown
         return grown[j]
@@ -71,7 +71,7 @@ def log_moment(p: int, j: int) -> SymNumber:
     if p == 0:
         if j % 2 == 1:
             return SymNumber.zero()
-        return SymNumber.pi_power(j, i_power(j) * Fraction(1, j + 1))
+        return SymNumber.p_power(j, Fraction(1, j + 1))
     coeffs = log_moment_poly(j)
     sign = -1 if p % 2 else 1
     total = SymNumber.zero()

@@ -2,7 +2,8 @@
 basis checks, numeric certification.
 
 Exit codes: 0 ok, 1 numeric verification failure, 2 singular system,
-3 inconsistent identity, 4 bad configuration.  All JSON artifacts are written
+3 inconsistent identity, 4 bad configuration, 5 numeric precision
+unreachable within the oracle's term budget.  All JSON artifacts are written
 atomically and are byte-identical across reruns except for the timestamp
 field.
 """
@@ -25,6 +26,7 @@ EXIT_NUMERIC_FAILURE = 1
 EXIT_SINGULAR = 2
 EXIT_INCONSISTENT = 3
 EXIT_BAD_CONFIG = 4
+EXIT_PRECISION_UNREACHABLE = 5
 
 
 @dataclass
@@ -114,12 +116,12 @@ def cmd_toy(cfg: RunConfig, corrupt: bool = False) -> int:
                Fraction(1, 2)]
     report = numverify.fourier_spot_check(samples, cfg.digits, 1e-10,
                                           identity=fourier)
+    payload = {
+        "tau": [to_json_dict(v) for v in tau],
+        "fourier": report.to_json_dict(),
+        "timestamp": _stamp(),
+    }
     if cfg.fmt == "json":
-        payload = {
-            "tau": [to_json_dict(v) for v in tau],
-            "fourier": report.to_json_dict(),
-            "timestamp": _stamp(),
-        }
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         texts = ", ".join(render(v, "plain", "pi-power") for v in tau)
@@ -128,16 +130,11 @@ def cmd_toy(cfg: RunConfig, corrupt: bool = False) -> int:
         print(f"fourier identity at t in {{0, 1/8, 1/4, 3/8, 1/2}}: {status} "
               f"(max abs error {report.abs_error:.3e})")
     if cfg.out_dir:
-        _write_json(_out_path(cfg, "toy.json"), {
-            "tau": [to_json_dict(v) for v in tau],
-            "fourier": report.to_json_dict(),
-            "timestamp": _stamp(),
-        })
+        _write_json(_out_path(cfg, "toy.json"), payload)
     return EXIT_OK if report.passed else EXIT_NUMERIC_FAILURE
 
 
 def cmd_tau(cfg: RunConfig, verify: bool = False) -> int:
-    exit_code = EXIT_OK
     for m in cfg.m_set:
         for k in cfg.k_range():
             try:
@@ -163,7 +160,7 @@ def cmd_tau(cfg: RunConfig, verify: bool = False) -> int:
             if cfg.out_dir:
                 _write_json(_out_path(cfg, f"tau_{k}_{m}.json"),
                             _tau_payload(tau, cfg))
-    return exit_code
+    return EXIT_OK
 
 
 def _derive_records(cfg: RunConfig):
@@ -209,6 +206,9 @@ def cmd_derive(cfg: RunConfig, do_verify: bool = True) -> int:
     except tausolver.SingularSystem as exc:
         print(f"singular system: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
+    except numverify.PrecisionUnreachable as exc:
+        print(f"precision unreachable: {exc}", file=sys.stderr)
+        return EXIT_PRECISION_UNREACHABLE
     if cfg.out_dir:
         _write_json(_out_path(cfg, "report.json"), {
             "identities": [identities.identity_to_json_dict(r, v)
@@ -242,6 +242,7 @@ def cmd_check_conjecture(cfg: RunConfig) -> int:
                 "k_max": k_max,
                 "all_pass": report.all_pass,
                 "checks": [{"k": c.k, "matches": c.matches,
+                            "direct_cached": c.direct_cached,
                             "direct_seconds": round(c.direct_seconds, 6),
                             "fast_seconds": round(c.fast_seconds, 6)}
                            for c in report.checks],

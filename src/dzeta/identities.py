@@ -17,8 +17,7 @@ from typing import Optional
 from . import circle, tausolver
 from .pfseries import (HarmonicTailSeries, PureAltSeries, bottom_block_rewritten,
                        operator_order, upper_block_specs)
-from .symfield import (SymNumber, Unknown, i_power, render, to_json_dict,
-                       zeta_value)
+from .symfield import SymNumber, Unknown, render, to_json_dict, zeta_value
 
 
 class Divergent(ArithmeticError):
@@ -76,12 +75,12 @@ def _series_at_point(spec, point: int) -> SymNumber:
 
 
 def _log_power_at(point: int, d: int) -> SymNumber:
-    """log(point)^d with log(-1) = pi*i on the chosen branch."""
+    """log(point)^d with log(-1) = P = pi*i on the chosen branch."""
     if d == 0:
         return SymNumber.from_rational(1)
     if point == 1:
         return SymNumber.zero()
-    return SymNumber.pi_power(d, i_power(d))
+    return SymNumber.p_power(d)
 
 
 def eval_basis_at(k: int, m: int, i: int, point: int) -> SymNumber:
@@ -193,7 +192,6 @@ def render_identity(rec: IdentityRecord, fmt: str = "plain",
         return "0 = 0 (no information at phi=±1)"
     rhs = render(rec.value, fmt, style)
     if fmt == "latex":
-        name = "zeta" if rec.kind == "dzv" else "altsum"
         lhs = (rf"\zeta({rec.k},{rec.m})" if rec.kind == "dzv"
                else rf"\mathrm{{altsum}}({rec.k},{rec.m})")
         return f"{lhs} = {rhs}"
@@ -235,7 +233,7 @@ def toy_example() -> tuple[tuple[SymNumber, SymNumber, SymNumber], FourierIdenti
     # the matched expansion gives the identity coefficients.
     identity = FourierIdentity(
         constant=t0 * Fraction(1, 2),
-        linear=t1 * SymNumber.pi_power(1, i_power(1)),
+        linear=t1 * SymNumber.p_power(1),
         quadratic=t2 * SymNumber.pi_power(2, Fraction(-2)),
     )
     return (t0, t1, t2), identity

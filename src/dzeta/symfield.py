@@ -1,12 +1,24 @@
-"""Exact arithmetic in the coefficient field Q(i)[pi, zeta(3), zeta(5), ...].
+"""Exact arithmetic in the ring Q[P, zeta(3), zeta(5), ...] with P = i*pi.
 
-Values are sparse sums of monomials ``pi^e * zeta(s1)^e1 * ...`` with Gaussian
-rational coefficients.  Even zeta values never appear as generators: they are
-normalized into pi powers through Bernoulli numbers, so structural equality of
-two values is decidable by comparing their term maps.  A monomial may carry at
-most one formal unknown of degree one (a double-zeta symbol or an alternating
+Values are sparse sums of monomials ``P^e * zeta(s1)^e1 * ...`` with plain
+`Fraction` coefficients.  Every value the pipeline builds has the form
+rational * i^e * pi^e (the log-moment boundary terms are (i pi)^(d-1),
+log(-1)^d = (i pi)^d, and even zeta values are rational multiples of
+P^(2n)), so no coefficient ever needs Q(i): a value is real exactly when all
+its P exponents are even, and complex conjugation negates the odd-P terms.
+
+Even zeta values never appear as generators: they are normalized into P
+powers through Bernoulli numbers, so structural equality of two values is
+decidable by comparing their term maps.  A monomial may carry at most one
+formal unknown of degree one (a double-zeta symbol or an alternating
 harmonic sum symbol); the linear-equation solving in `identities` never needs
 more.
+
+Conversion to the Gaussian coefficient of pi^e happens only at the boundary:
+`terms`, `sorted_terms`, `coeff_of` and `scalar` hand out `GaussianRational`
+values, rendering prints pi powers, and the JSON schema stores ``re``/``im``
+strings of the pi^e coefficient.  `from_term` and `pi_power` take such a
+coefficient and reject one that is not a rational multiple of i^e.
 
 Monomials are treated as formally independent generators; no algebraic
 relations between pi and the odd zeta values are assumed anywhere.
@@ -83,7 +95,9 @@ class Unknown(NamedTuple):
 
 
 class ZetaMonomial(NamedTuple):
-    """pi^pi_exp times a product of odd zeta values, optionally one unknown."""
+    """P^pi_exp times a product of odd zeta values, optionally one unknown.
+
+    The exponent of P = i*pi is also the exponent of pi in the value."""
 
     pi_exp: int = 0
     zetas: tuple[tuple[int, int], ...] = ()  # ((s, exp), ...), s odd >= 3, ascending
@@ -152,7 +166,8 @@ def _mono_divide(num: ZetaMonomial, den: ZetaMonomial) -> Optional[ZetaMonomial]
 
 
 class GaussianRational:
-    """Exact element of Q(i)."""
+    """Exact element of Q(i): the coefficient of pi^e handed across the
+    boundary of the field (`terms`, `coeff_of`, `scalar`, `from_term`)."""
 
     __slots__ = ("re", "im")
 
@@ -160,42 +175,15 @@ class GaussianRational:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
-    def __add__(self, other) -> "GaussianRational":
-        other = _coerce_gaussian(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "GaussianRational":
-        other = _coerce_gaussian(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
     def __mul__(self, other) -> "GaussianRational":
-        other = _coerce_gaussian(other)
+        if isinstance(other, (int, Fraction)):
+            other = GaussianRational(other)
+        elif not isinstance(other, GaussianRational):
+            return NotImplemented
         return GaussianRational(self.re * other.re - self.im * other.im,
                                 self.re * other.im + self.im * other.re)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "GaussianRational":
-        other = _coerce_gaussian(other)
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational((self.re * other.re + self.im * other.im) / norm,
-                                (self.im * other.re - self.re * other.im) / norm)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    def is_real(self) -> bool:
-        return not self.im
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianRational):
@@ -215,7 +203,6 @@ class GaussianRational:
 
 
 GR_ZERO = GaussianRational(0)
-GR_ONE = GaussianRational(1)
 
 # i^r for r mod 4
 _I_POWERS = (GaussianRational(1), GaussianRational(0, 1),
@@ -226,16 +213,12 @@ def i_power(r: int) -> GaussianRational:
     return _I_POWERS[r % 4]
 
 
-def _coerce_gaussian(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
-    raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
-
-
 class SymNumber:
-    """Sparse map from ZetaMonomial to GaussianRational; zero terms dropped."""
+    """Sparse map from ZetaMonomial to the Fraction coefficient of its P power.
+
+    Zero terms are dropped.  A monomial's `pi_exp` counts powers of P = i*pi,
+    so the term c * P^e stands for (c * i^e) * pi^e.
+    """
 
     __slots__ = ("_terms",)
 
@@ -250,17 +233,31 @@ class SymNumber:
 
     @classmethod
     def from_rational(cls, value) -> "SymNumber":
-        g = _coerce_gaussian(value)
-        return cls({} if g.is_zero() else {ONE_MONO: g})
+        return cls.from_term(ONE_MONO, value)
 
     @classmethod
     def from_term(cls, mono: ZetaMonomial, coeff=1) -> "SymNumber":
-        g = _coerce_gaussian(coeff)
-        return cls({} if g.is_zero() else {mono: g})
+        """coeff * mono, with coeff the (Gaussian) coefficient of pi^e.
+
+        Raises ValueError unless coeff = c * i^e for a rational c: any other
+        term lies outside the field and is never coerced into it.
+        """
+        c = i_power(-mono.pi_exp) * coeff
+        if c.im:
+            raise ValueError(f"coefficient {coeff!r} of pi^{mono.pi_exp} is not "
+                             f"a rational multiple of i^{mono.pi_exp}")
+        return cls({mono: c.re} if c.re else {})
 
     @classmethod
     def pi_power(cls, exp: int, coeff=1) -> "SymNumber":
+        """coeff * pi^exp; coeff must be a rational multiple of i^exp."""
         return cls.from_term(ZetaMonomial(pi_exp=exp), coeff)
+
+    @classmethod
+    def p_power(cls, exp: int, coeff=1) -> "SymNumber":
+        """coeff * P^exp = coeff * (i pi)^exp for a rational coeff."""
+        c = Fraction(coeff)
+        return cls({ZetaMonomial(pi_exp=exp): c} if c else {})
 
     @classmethod
     def unknown_dzv(cls, k: int, m: int, coeff=1) -> "SymNumber":
@@ -272,42 +269,46 @@ class SymNumber:
 
     # -- inspection ---------------------------------------------------------
 
-    def terms(self):
-        return self._terms.items()
+    def terms(self) -> list:
+        """(monomial, Gaussian coefficient of its pi power) pairs."""
+        return [(m, i_power(m.pi_exp) * c) for m, c in self._terms.items()]
+
+    def __len__(self) -> int:
+        """Number of monomials."""
+        return len(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_scalar(self) -> bool:
-        """True when the value lies in Q(i) (no pi, zeta or unknown factors)."""
+        """True when the value is rational (no pi, zeta or unknown factors)."""
         return not self._terms or (len(self._terms) == 1 and ONE_MONO in self._terms)
 
     def scalar(self) -> GaussianRational:
         if not self._terms:
             return GR_ZERO
         if self.is_scalar():
-            return self._terms[ONE_MONO]
-        raise ValueError("value is not a pure Gaussian rational")
+            return GaussianRational(self._terms[ONE_MONO])
+        raise ValueError("value is not a pure rational")
 
     def is_real(self) -> bool:
-        return all(c.is_real() for c in self._terms.values())
+        return all(m.pi_exp % 2 == 0 for m in self._terms)
 
     def has_unknown(self) -> bool:
         return any(mono.unknown is not None for mono in self._terms)
 
     def coeff_of(self, mono: ZetaMonomial) -> GaussianRational:
-        return self._terms.get(mono, GR_ZERO)
-
-    def real_part(self) -> "SymNumber":
-        out = {m: GaussianRational(c.re) for m, c in self._terms.items() if c.re}
-        return SymNumber(out)
+        c = self._terms.get(mono)
+        return GR_ZERO if c is None else i_power(mono.pi_exp) * c
 
     def imag_part(self) -> "SymNumber":
-        out = {m: GaussianRational(c.im) for m, c in self._terms.items() if c.im}
-        return SymNumber(out)
+        """The odd-P terms: i times the imaginary part, which itself has
+        real odd pi powers and so lies outside the field."""
+        return SymNumber({m: c for m, c in self._terms.items() if m.pi_exp % 2})
 
     def conjugate(self) -> "SymNumber":
-        return SymNumber({m: c.conjugate() for m, c in self._terms.items()})
+        return SymNumber({m: -c if m.pi_exp % 2 else c
+                          for m, c in self._terms.items()})
 
     def is_homogeneous(self, weight: int) -> bool:
         """All terms of the given weight (the zero value is homogeneous)."""
@@ -337,7 +338,7 @@ class SymNumber:
                 out[mono] = coeff
             else:
                 s = cur + coeff
-                if s.is_zero():
+                if not s:
                     del out[mono]
                 else:
                     out[mono] = s
@@ -355,11 +356,10 @@ class SymNumber:
         return _coerce_sym(other) + (-self)
 
     def __mul__(self, other) -> "SymNumber":
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            g = _coerce_gaussian(other)
-            if g.is_zero():
+        if isinstance(other, (int, Fraction)):
+            if not other:
                 return SymNumber()
-            return SymNumber({m: c * g for m, c in self._terms.items()})
+            return SymNumber({m: c * other for m, c in self._terms.items()})
         other = _coerce_sym(other)
         out: dict = {}
         for m1, c1 in self._terms.items():
@@ -371,7 +371,7 @@ class SymNumber:
                     out[mono] = coeff
                 else:
                     s = cur + coeff
-                    if s.is_zero():
+                    if not s:
                         del out[mono]
                     else:
                         out[mono] = s
@@ -380,13 +380,15 @@ class SymNumber:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "SymNumber":
-        """Division by a nonzero pure Gaussian-rational value only."""
-        if isinstance(other, SymNumber):
-            other = other.scalar()
-        g = _coerce_gaussian(other)
-        if g.is_zero():
+        """Division by a nonzero rational value only."""
+        if not isinstance(other, (int, Fraction)):
+            other = _coerce_sym(other)
+            if not other.is_scalar():
+                raise ValueError("value is not a pure rational")
+            other = other._terms.get(ONE_MONO, 0)
+        if not other:
             raise ZeroDivisionError("division by zero")
-        inv = GR_ONE / g
+        inv = 1 / Fraction(other)
         return SymNumber({m: c * inv for m, c in self._terms.items()})
 
     def exact_div(self, other: "SymNumber") -> "SymNumber":
@@ -405,19 +407,19 @@ class SymNumber:
             if q_mono is None:
                 raise ExactDivisionError(f"{rmono} not divisible by {lead}")
             q_coeff = rem[rmono] / lead_coeff
-            out[q_mono] = out.get(q_mono, GR_ZERO) + q_coeff
+            out[q_mono] = out.get(q_mono, 0) + q_coeff
             for mono, coeff in other._terms.items():
                 target = mono.mul(q_mono)
-                cur = rem.get(target, GR_ZERO) - coeff * q_coeff
-                if cur.is_zero():
+                cur = rem.get(target, 0) - coeff * q_coeff
+                if not cur:
                     rem.pop(target, None)
                 else:
                     rem[target] = cur
-        return SymNumber({m: c for m, c in out.items() if not c.is_zero()})
+        return SymNumber({m: c for m, c in out.items() if c})
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = _coerce_sym(other)
+        if isinstance(other, (int, Fraction)):
+            other = SymNumber.from_rational(other)
         if not isinstance(other, SymNumber):
             return NotImplemented
         return self._terms == other._terms
@@ -428,7 +430,7 @@ class SymNumber:
         return f"SymNumber({render(self)})"
 
     def sorted_terms(self):
-        return sorted(self._terms.items(), key=lambda kv: _mono_sort_key(kv[0]),
+        return sorted(self.terms(), key=lambda kv: _mono_sort_key(kv[0]),
                       reverse=True)
 
 
@@ -501,26 +503,15 @@ def _term_factors(mono: ZetaMonomial, style: str):
     return factors, multiplier
 
 
-def _term_sign(c: GaussianRational) -> int:
-    if c.re:
-        return -1 if c.re < 0 else 1
-    return -1 if c.im < 0 else 1
-
-
-def _coeff_text(c: GaussianRational, fmt: str) -> str:
-    """|c| as text; empty string when the magnitude is exactly one."""
-    if c.is_real():
-        q = abs(c.re)
-        if q == 1:
-            return ""
-        if fmt == "latex" and q.denominator != 1:
-            return rf"\frac{{{q.numerator}}}{{{q.denominator}}}"
-        return str(q)
-    if not c.re:
-        q = abs(c.im)
+def _coeff_text(q: Fraction, imag: bool, fmt: str) -> str:
+    """q or q*i as text for q > 0; empty string for the real value one."""
+    if imag:
         return "i" if q == 1 else f"{q}*i" if fmt == "plain" else f"{q}i"
-    sign = "+" if c.im > 0 else "-"
-    return f"({c.re}{sign}{abs(c.im)}*i)"
+    if q == 1:
+        return ""
+    if fmt == "latex" and q.denominator != 1:
+        return rf"\frac{{{q.numerator}}}{{{q.denominator}}}"
+    return str(q)
 
 
 def _factor_text(s: int, e: int, fmt: str) -> str:
@@ -553,20 +544,24 @@ def render(x: SymNumber, fmt: str = "plain", style: str = "pi-power") -> str:
         return "0"
 
     rendered = []
-    for mono, coeff in x.terms():
+    for mono, coeff in x._terms.items():
         factors, multiplier = _term_factors(mono, style)
-        c = coeff * GaussianRational(multiplier)
+        # c * P^e = (c * i^e) * pi^e: the pi coefficient is +-c or +-c*i
+        q = coeff * multiplier
+        if mono.pi_exp % 4 >= 2:
+            q = -q
         if mono.unknown is not None:
             factors = factors + [(_UNKNOWN_SENTINEL, 1)]
-        rendered.append((len(factors), tuple(factors), mono.unknown, c))
+        rendered.append((len(factors), tuple(factors), mono.unknown, q,
+                         mono.pi_exp % 2 == 1))
     rendered.sort(key=lambda r: (r[0], r[1]))
 
     pieces = []
-    for _, factors, unknown, coeff in rendered:
-        sign = _term_sign(coeff)
-        mag = -coeff if sign < 0 else coeff
+    for _, factors, unknown, q, imag in rendered:
+        sign = -1 if q < 0 else 1
+        mag = abs(q)
         bits = []
-        text = _coeff_text(mag, fmt)
+        text = _coeff_text(mag, imag, fmt)
         if text:
             bits.append(text)
         for s, e in factors:
@@ -579,7 +574,7 @@ def render(x: SymNumber, fmt: str = "plain", style: str = "pi-power") -> str:
             else:
                 bits.append(_factor_text(s, e, fmt))
         if not bits:  # pure rational term with |coeff| == 1
-            bits = [str(mag.re)]
+            bits = [str(mag)]
         body = ("" if fmt == "latex" else "*").join(bits)
         if not pieces:
             pieces.append(("-" if sign < 0 else "") + body)

@@ -1,8 +1,17 @@
 """Tests for the command-line interface and its artifact files."""
 
 import json
+import re
+from pathlib import Path
+
+import pytest
 
 from dzeta import cli, tausolver
+
+# Outputs recorded before the coefficient field moved from Q(i) to
+# Q[P, zeta(3), ...] with P = i*pi, timestamps blanked.  Rerecord them only
+# for an intended change of the output bytes.
+GOLDEN = Path(__file__).parent / "golden_outputs"
 
 
 def run(capsys, *args):
@@ -155,3 +164,46 @@ def test_tau_out_file_schema(tmp_path, capsys):
     assert data["entries"][0]["text"] == "-zeta(3)"
     assert data["entries"][3]["text"] == "1/6"
     assert data["mode"] == "direct"
+
+
+def test_check_conjecture_labels_cached_solves(tmp_path, capsys):
+    tausolver.solve_tau_direct(3, 1)
+    out_dir = tmp_path / "out"
+    code, out, _ = run(capsys, "check-conjecture", "--k", "2", "--k-max", "3",
+                       "--m", "1", "--out", str(out_dir))
+    assert code == 0
+    assert "k= 3 m=1: pass (direct 0.000s (cached)" in out
+    payload = json.loads((out_dir / "conjecture_m1.json").read_text())
+    assert payload["checks"][0]["direct_cached"] is True
+
+
+def test_unreachable_precision_exit_code(capsys):
+    code, _, err = run(capsys, "verify", "--k", "2", "--m", "1", "--digits", "40")
+    assert code == cli.EXIT_PRECISION_UNREACHABLE == 5
+    assert "Traceback" not in err
+    assert err.startswith("precision unreachable: ")
+    assert err.count("\n") == 1
+
+
+def _blank_timestamp(data: bytes) -> bytes:
+    return re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', data)
+
+
+@pytest.mark.parametrize("name,args", [
+    ("derive", ["derive", "--k", "2", "--k-max", "7", "--m", "1,2",
+                "--no-verify"]),
+    ("tau_12_2", ["tau", "--k", "12", "--m", "2", "--format", "json"]),
+    ("toy", ["toy", "--format", "json"]),
+])
+def test_outputs_byte_identical_to_golden(tmp_path, capsys, name, args):
+    out_dir = tmp_path / name
+    code, out, _ = run(capsys, *args, "--out", str(out_dir))
+    assert code == 0
+    stdout, = GOLDEN.glob(f"{name}_stdout.*")
+    assert _blank_timestamp(out.encode()) == stdout.read_bytes()
+    golden_dir = GOLDEN / name
+    assert sorted(p.name for p in out_dir.iterdir()) \
+        == sorted(p.name for p in golden_dir.iterdir())
+    for file in golden_dir.iterdir():
+        assert _blank_timestamp((out_dir / file.name).read_bytes()) \
+            == file.read_bytes(), file.name

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dzeta import symfield as sf
-from dzeta.symfield import (GaussianRational, SymNumber, UnknownDegreeOverflow,
-                            ZetaMonomial, bernoulli, even_zeta_as_pi_power,
-                            render, sym_arith, zeta_value)
+from dzeta.circle import log_moment
+from dzeta.symfield import (ONE_MONO, GaussianRational, SymNumber,
+                            UnknownDegreeOverflow, ZetaMonomial, bernoulli,
+                            even_zeta_as_pi_power, i_power, render, sym_arith,
+                            zeta_value)
 
 
 # -- Bernoulli numbers -------------------------------------------------------
@@ -135,7 +137,8 @@ def sym_numbers(draw):
         for s, e in zetas:
             merged[s] = merged.get(s, 0) + e
         mono = ZetaMonomial(pi_exp, tuple(sorted(merged.items())), None)
-        coeff = GaussianRational(draw(rationals), draw(rationals))
+        # the field holds c * i^e * pi^e, i.e. c * P^e with P = i*pi
+        coeff = i_power(pi_exp) * draw(rationals)
         total = total + SymNumber.from_term(mono, coeff)
     return total
 
@@ -209,9 +212,9 @@ def test_render_latex():
 
 
 def test_render_odd_pi_power_keeps_one_pi():
-    # pi^3/2 = 3 * pi * zeta(2) after regrouping the even part
-    v = SymNumber.pi_power(3, Fraction(1, 2))
-    assert render(v, "plain", "even-zeta") == "3*pi*zeta(2)"
+    # i*pi^3/2 = 3 * i * pi * zeta(2) after regrouping the even part
+    v = SymNumber.pi_power(3, GaussianRational(0, Fraction(1, 2)))
+    assert render(v, "plain", "even-zeta") == "3*i*pi*zeta(2)"
 
 
 def test_json_schema_shape():
@@ -234,3 +237,53 @@ def test_weight_grading():
     assert SymNumber.unknown_dzv(4, 1).is_homogeneous(5)
     assert x.is_homogeneous(5)
     assert not (x + zeta_value(3)).is_homogeneous(5)
+
+
+# -- The field Q[P, zeta(3), ...] with P = i*pi ------------------------------
+
+def test_coefficients_outside_the_field_raise():
+    # a real coefficient of an odd pi power, and i itself, are not c * i^e
+    with pytest.raises(ValueError):
+        SymNumber.pi_power(3, Fraction(1, 2))
+    with pytest.raises(ValueError):
+        SymNumber.from_term(ONE_MONO, GaussianRational(0, 1))
+
+
+@pytest.mark.parametrize("d,re,im", [
+    (0, "1", "0"), (1, "0", "1"), (2, "-1", "0"),
+    (3, "0", "-1"), (4, "1", "0"), (5, "0", "1"),
+])
+def test_json_of_i_pi_powers(d, re, im):
+    x = SymNumber.p_power(d)
+    assert x == SymNumber.pi_power(d, i_power(d))
+    (term,) = sf.to_json_dict(x)["terms"]
+    assert term["coeff"] == {"re": re, "im": im}
+    assert term["pi"] == d
+    assert sf.from_json_dict(sf.to_json_dict(x)) == x
+
+
+@settings(max_examples=40)
+@given(sym_numbers())
+def test_json_roundtrip_with_odd_p_powers(a):
+    x = a + SymNumber.p_power(3, Fraction(-5, 7)) * zeta_value(3)
+    assert sf.from_json_dict(sf.to_json_dict(x)) == x
+
+
+def _gaussian_terms(x):
+    return {mono: (c.re, c.im) for mono, c in x.terms()}
+
+
+@pytest.mark.parametrize("p", [-3, -1, 0, 1, 2, 5])
+@pytest.mark.parametrize("j", range(0, 8))
+@pytest.mark.parametrize("twist", [0, 1])
+def test_parity_checks_match_gaussian_meaning(p, j, twist):
+    # the moments are real; times 1 + i*pi they mix both parities
+    x = log_moment(p, j) * (SymNumber.p_power(1, twist) + 1)
+    gauss = _gaussian_terms(x)
+    assert x.is_real() == all(im == 0 for _, im in gauss.values())
+    # imag_part() keeps i * Im(x): exactly the terms with a nonzero im part
+    assert {m: im for m, (_, im) in _gaussian_terms(x.imag_part()).items()} \
+        == {m: im for m, (_, im) in gauss.items() if im}
+    assert x.imag_part().is_zero() == x.is_real()
+    assert _gaussian_terms(x.conjugate()) \
+        == {m: (re, -im) for m, (re, im) in gauss.items()}

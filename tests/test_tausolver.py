@@ -148,3 +148,25 @@ def test_conjecture_vacuous():
     report = ts.check_conjecture(2, 1)
     assert report.all_pass
     assert report.checks == ()
+
+
+def test_conjecture_flags_memoized_direct_solves():
+    ts.solve_tau_direct.cache_clear()
+    cold = ts.check_conjecture(4, 1)
+    warm = ts.check_conjecture(4, 1)
+    assert [c.direct_cached for c in cold.checks] == [False, False]
+    assert [c.direct_cached for c in warm.checks] == [True, True]
+    assert all("(cached)" not in line for line in cold.lines())
+    assert all("(cached), fast" in line for line in warm.lines())
+
+
+def test_conjecture_cache_label_survives_a_wrapper(monkeypatch):
+    original = ts.solve_tau_direct
+
+    def wrapper(k, m):
+        return original(k, m)
+
+    wrapper.__wrapped__ = original
+    monkeypatch.setattr(ts, "solve_tau_direct", wrapper)
+    ts.check_conjecture(3, 1)
+    assert ts.check_conjecture(3, 1).checks[0].direct_cached
