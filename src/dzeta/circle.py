@@ -91,10 +91,6 @@ _s_sum_cache: dict[tuple[int, int, int], SymNumber] = {}
 _s_sum_lock = threading.Lock()
 
 
-def _power_harmonic(m: int, t: int) -> Fraction:
-    return sum((Fraction(1, j ** t) for j in range(1, m + 1)), Fraction(0))
-
-
 def s_sum(m: int, k1: int, k2: int) -> SymNumber:
     """Reduce the shifted double sum to zeta values and harmonic numbers.
 
@@ -117,7 +113,7 @@ def s_sum(m: int, k1: int, k2: int) -> SymNumber:
     if k2 == 0:
         value = zeta_value(k1)
     elif k1 == 0:
-        value = zeta_value(k2) - SymNumber.from_rational(_power_harmonic(m, k2))
+        value = zeta_value(k2) - SymNumber.from_rational(harmonic(m, k2))
     elif (k1, k2) == (1, 1):
         value = SymNumber.from_rational(harmonic(m, 1) / m)
     else:

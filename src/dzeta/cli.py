@@ -3,9 +3,10 @@ basis checks, numeric certification.
 
 Exit codes: 0 ok, 1 numeric verification failure, 2 singular system,
 3 inconsistent identity, 4 bad configuration, 5 numeric precision
-unreachable within the oracle's term budget.  All JSON artifacts are written
-atomically and are byte-identical across reruns except for the timestamp
-field.
+unreachable within the oracle's term budget (`derive`, `verify` and `toy`
+print one `precision unreachable:` line on stderr).  All JSON artifacts are
+written atomically and are byte-identical across reruns except for the
+timestamp field.
 """
 
 from __future__ import annotations
@@ -114,8 +115,12 @@ def cmd_toy(cfg: RunConfig, corrupt: bool = False) -> int:
             fourier.linear, fourier.quadratic)
     samples = [Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8),
                Fraction(1, 2)]
-    report = numverify.fourier_spot_check(samples, cfg.digits, 1e-10,
-                                          identity=fourier)
+    try:
+        report = numverify.fourier_spot_check(samples, cfg.digits, 1e-10,
+                                              identity=fourier)
+    except numverify.PrecisionUnreachable as exc:
+        print(f"precision unreachable: {exc}", file=sys.stderr)
+        return EXIT_PRECISION_UNREACHABLE
     payload = {
         "tau": [to_json_dict(v) for v in tau],
         "fourier": report.to_json_dict(),
@@ -259,7 +264,8 @@ def cmd_basis_check(cfg: RunConfig) -> int:
         for k in cfg.k_range():
             local = pfseries.recursion_closure_violations(k, m, trunc)
             op = pfseries.pf_operator(k, m, pfseries.CHART_INV)
-            for i, element in enumerate(pfseries.canonical_basis(k, m, trunc)):
+            direct = pfseries.canonical_basis(k, m, trunc)
+            for i, element in enumerate(direct):
                 image = pfseries.apply_operator(op, element)
                 if not image.is_zero_through(image.valid_order):
                     local.append(f"basis ({k},{m}) element {i} not annihilated")
@@ -267,7 +273,6 @@ def cmd_basis_check(cfg: RunConfig) -> int:
             image = pfseries.apply_operator(op_phi, pfseries.pi_series(k, m, trunc))
             if not image.is_zero_through(image.valid_order):
                 local.append(f"series ({k},{m}) not annihilated")
-            direct = pfseries.canonical_basis(k, m, trunc, form="direct")
             rewritten = pfseries.canonical_basis(k, m, trunc, form="rewritten")
             if direct != rewritten:
                 local.append(f"basis forms disagree for ({k},{m})")

@@ -343,7 +343,8 @@ def fourier_spot_check(samples, digits: int = 12, tolerance: float = 1e-10,
 
     Samples must be rational; the summand is then periodic in n over residue
     classes, and each class tail is a closed-form power tail, so the
-    summation error bound is explicit.
+    summation error bound is explicit.  Raises PrecisionUnreachable when that
+    bound exceeds 10^-digits.
     """
     ts = [Fraction(t) for t in samples]
     with _workprec(digits):
@@ -382,6 +383,11 @@ def fourier_spot_check(samples, digits: int = 12, tolerance: float = 1e-10,
             worst_bound = max(worst_bound, bound)
             lhs_texts.append(mpmath.nstr(lhs, digits))
             rhs_texts.append(mpmath.nstr(rhs, digits))
+        if worst_bound > mpf(10) ** (-digits):
+            raise PrecisionUnreachable(
+                f"fourier spot check tail bound {mpmath.nstr(worst_bound, 3)} "
+                f"exceeds 10^-{digits} within the term budget",
+                achieved_digits=int(-mpmath.log10(worst_bound)))
         passed = bool(worst_abs <= tolerance and worst_bound <= tolerance / 10)
         return NumericReport(
             identity="fourier-alternating-weight2",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import NamedTuple
 
 
@@ -36,22 +36,22 @@ def _trim(poly: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Harmonic numbers H_{n,t} = sum_{j<=n} j^-t for t in {1, 2}.
+# Harmonic numbers H_{n,t} = sum_{j<=n} j^-t for t >= 1.
 
-_harmonic_tables: dict[int, list[Fraction]] = {1: [Fraction(0)], 2: [Fraction(0)]}
+_harmonic_tables: dict[int, list[Fraction]] = {}
 _harmonic_lock = threading.Lock()
 
 
 def harmonic(n: int, t: int) -> Fraction:
-    if t not in (1, 2):
-        raise ValueError("t must be 1 or 2")
+    if t < 1:
+        raise ValueError("t must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    table = _harmonic_tables[t]
+    table = _harmonic_tables.get(t, ())
     if n < len(table):
         return table[n]
     with _harmonic_lock:
-        table = _harmonic_tables[t]
+        table = _harmonic_tables.get(t, [Fraction(0)])
         if n < len(table):
             return table[n]
         grown = list(table)
@@ -278,22 +278,6 @@ class LogSeries:
             nblocks.pop()
         return LogSeries(self.chart, tuple(nblocks), self.valid_order)
 
-    def mul_poly(self, poly: tuple[int, ...]) -> "LogSeries":
-        trunc = self.trunc
-        deg = max((d for d, c in enumerate(poly) if c), default=0)
-        nblocks = []
-        for block in self.blocks:
-            row = [Fraction(0)] * (trunc + 1)
-            for d, c in enumerate(poly):
-                if not c:
-                    continue
-                for n in range(trunc + 1 - d):
-                    if block[n]:
-                        row[n + d] += c * block[n]
-            nblocks.append(tuple(row))
-        return LogSeries(self.chart, tuple(nblocks),
-                         min(self.valid_order, trunc - deg))
-
     def __add__(self, other: "LogSeries") -> "LogSeries":
         if self.chart != other.chart:
             raise ChartMismatch("cannot add series from different charts")
@@ -372,18 +356,39 @@ def canonical_basis(k: int, m: int, trunc: int, form: str = "direct") -> list[Lo
 
 
 def apply_operator(op: PFOperator, s: LogSeries) -> LogSeries:
-    """Exact image of a truncated log series under the operator."""
+    """Exact image of a truncated log series under the operator.
+
+    The work runs on integer rows: every coefficient is scaled once by the
+    common denominator of the input, and the image is divided by it at the end.
+    """
     if op.chart != s.chart:
         raise ChartMismatch(f"operator chart {op.chart!r} vs series {s.chart!r}")
-    acc = LogSeries.zero(s.chart, s.trunc)
-    acc = LogSeries(acc.chart, acc.blocks, s.valid_order - op.max_coeff_degree())
-    power = s
+    trunc = s.trunc
+    denom = lcm(*{c.denominator for block in s.blocks for c in block})
+    power = [[c.numerator * (denom // c.denominator) for c in block]
+             for block in s.blocks]
+    acc = [[0] * (trunc + 1)]
+    deg = op.max_coeff_degree()
+    valid_order = s.valid_order - deg
     for j, poly in enumerate(op.coeffs):
-        if j > 0:
-            power = power.theta()
-        if any(poly):
-            acc = acc + power.mul_poly(poly)
-    return acc
+        if j > 0:  # theta: row d becomes n*row_d[n] + (d+1)*row_{d+1}[n]
+            power = [[n * c + (d + 1) * x for n, (c, x) in enumerate(zip(row, nxt))]
+                     for d, (row, nxt) in enumerate(zip(power, power[1:]))] \
+                + [[n * c for n, c in enumerate(power[-1])]]
+            while len(power) > 1 and not any(power[-1]):
+                power.pop()
+        if not any(poly):
+            continue
+        valid_order = min(valid_order, trunc - deg)
+        acc.extend([0] * (trunc + 1) for _ in range(len(power) - len(acc)))
+        for row, target in zip(power, acc):
+            if not any(row):
+                continue
+            for e, c in enumerate(poly):
+                if c:
+                    target[e:] = [a + c * x for a, x in zip(target[e:], row)]
+    blocks = tuple(tuple(Fraction(c, denom) for c in row) for row in acc)
+    return LogSeries(s.chart, blocks, valid_order)
 
 
 def recursion_closure_violations(k: int, m: int, trunc: int) -> list[str]:

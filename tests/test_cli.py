@@ -185,6 +185,15 @@ def test_unreachable_precision_exit_code(capsys):
     assert err.count("\n") == 1
 
 
+def test_toy_unreachable_precision_exit_code(capsys):
+    code, out, err = run(capsys, "toy", "--digits", "60")
+    assert code == cli.EXIT_PRECISION_UNREACHABLE == 5
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("precision unreachable: ")
+    assert err.count("\n") == 1
+
+
 def _blank_timestamp(data: bytes) -> bytes:
     return re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', data)
 

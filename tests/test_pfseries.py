@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dzeta.pfseries import (CHART_INV, CHART_PHI, ChartMismatch, LevelOutOfRange,
-                            LogSeries, apply_operator, basis_coefficient,
-                            canonical_basis, harmonic, pf_operator,
-                            pi_coefficient, pi_series)
+                            LogSeries, PFOperator, apply_operator,
+                            basis_coefficient, canonical_basis, harmonic,
+                            pf_operator, pi_coefficient, pi_series)
 
 
 # -- Harmonic numbers --------------------------------------------------------
@@ -20,14 +20,21 @@ from dzeta.pfseries import (CHART_INV, CHART_PHI, ChartMismatch, LevelOutOfRange
     (3, 1, Fraction(11, 6)),
     (2, 2, Fraction(5, 4)),
     (1, 2, Fraction(1)),
+    (2, 3, Fraction(9, 8)),
+    (3, 5, Fraction(1) + Fraction(1, 32) + Fraction(1, 243)),
 ])
 def test_harmonic_values(n, t, expected):
     assert harmonic(n, t) == expected
 
 
-@given(st.integers(1, 300), st.sampled_from([1, 2]))
+@given(st.integers(1, 300), st.sampled_from([1, 2, 3, 7]))
 def test_harmonic_recurrence(n, t):
     assert harmonic(n, t) == harmonic(n - 1, t) + Fraction(1, n ** t)
+
+
+def test_harmonic_rejects_bad_order():
+    with pytest.raises(ValueError):
+        harmonic(3, 0)
 
 
 # -- Operators ---------------------------------------------------------------
@@ -250,3 +257,81 @@ def test_linearity_of_operator(k, m, i):
     doubled = apply_operator(op, element + element)
     single = apply_operator(op, element)
     assert doubled == single + single
+
+
+def _apply_reference(op, s):
+    """The operator on Fraction rows: theta() powers, each multiplied by its
+    coefficient polynomial and added, truncated at the series' order."""
+    trunc = s.trunc
+    blocks = [[Fraction(0)] * (trunc + 1)]
+    valid_order = s.valid_order - op.max_coeff_degree()
+    power = s
+    for j, poly in enumerate(op.coeffs):
+        if j > 0:
+            power = power.theta()
+        if not any(poly):
+            continue
+        deg = max(e for e, c in enumerate(poly) if c)
+        valid_order = min(valid_order, trunc - deg)
+        while len(blocks) < len(power.blocks):
+            blocks.append([Fraction(0)] * (trunc + 1))
+        for d, block in enumerate(power.blocks):
+            for e, c in enumerate(poly):
+                for n in range(trunc + 1 - e):
+                    blocks[d][n + e] += c * block[n]
+    return LogSeries(s.chart, tuple(tuple(b) for b in blocks), valid_order)
+
+
+@st.composite
+def _operator_and_series(draw):
+    chart = draw(st.sampled_from([CHART_PHI, CHART_INV]))
+    if draw(st.booleans()):
+        op = pf_operator(draw(st.integers(2, 5)), draw(st.sampled_from([1, 2])),
+                         chart)
+    else:
+        polys = st.lists(st.integers(-4, 4), max_size=4).map(tuple)
+        coeffs = tuple(draw(st.lists(polys, min_size=1, max_size=5)))
+        op = PFOperator(len(coeffs) - 1, chart, coeffs)
+    trunc = draw(st.integers(4, 10))
+    log_degree = draw(st.integers(0, 3))
+    # one denominator per block; the numerators reduce it to mixed ones
+    numerators = st.lists(st.integers(-50, 50), min_size=trunc + 1,
+                          max_size=trunc + 1)
+    blocks = tuple(tuple(Fraction(a, q) for a in draw(numerators))
+                   for q in draw(st.lists(st.integers(1, 60),
+                                          min_size=log_degree + 1,
+                                          max_size=log_degree + 1)))
+    valid_order = draw(st.integers(trunc - 3, trunc + 2))
+    return op, LogSeries(chart, blocks, valid_order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_operator_and_series())
+def test_apply_operator_matches_fraction_reference(case):
+    op, s = case
+    image = apply_operator(op, s)
+    expected = _apply_reference(op, s)
+    assert image == expected
+    assert all(isinstance(c, Fraction) for b in image.blocks for c in b)
+
+
+def test_apply_operator_keeps_cancelled_top_block():
+    # (theta - 1)(x log x) = x + x log x - x log x = x: the log^1 block of
+    # the image cancels to zero but stays, as the theta power had it
+    s = LogSeries.from_blocks(CHART_PHI, [(0,) * 6, (0, 1, 0, 0, 0, 0)])
+    op = PFOperator(1, CHART_PHI, ((-1,), (1,)))
+    image = apply_operator(op, s)
+    assert image.blocks == ((0, 1, 0, 0, 0, 0), (0,) * 6)
+    assert image == _apply_reference(op, s)
+
+
+@pytest.mark.parametrize("coeffs,blocks", [
+    (((1,), (0, 1)), 3),   # p_0 != 0 keeps every block of the zero input
+    (((), (0, 1)), 1),     # theta drops the trailing zero blocks
+])
+def test_apply_operator_zero_series_block_count(coeffs, blocks):
+    zero = LogSeries.zero(CHART_INV, 8, log_degree=2)
+    op = PFOperator(1, CHART_INV, coeffs)
+    image = apply_operator(op, zero)
+    assert len(image.blocks) == blocks
+    assert image == _apply_reference(op, zero)
