@@ -14,7 +14,7 @@ extraction, so pi_moment returns a bare rational.
 
 from __future__ import annotations
 
-import threading
+import functools
 from fractions import Fraction
 
 from .pfseries import harmonic, operator_order, pi_coefficient, upper_block_specs
@@ -34,34 +34,21 @@ class DivergentSum(ArithmeticError):
 # Q[P^2], P = pi i.  J_j is cached; its 1/p^r coefficients also drive the tail
 # reduction in basis_moment.
 
-_moment_polys: list[tuple[SymNumber, ...]] = [(SymNumber.zero(),)]
-_moment_lock = threading.Lock()
-
-
+@functools.cache
 def log_moment_poly(j: int) -> tuple[SymNumber, ...]:
     """Coefficients (by power of 1/p) of the p != 0 log-power moment."""
-    global _moment_polys
     if j < 0:
         raise ValueError("log power must be >= 0")
-    polys = _moment_polys
-    if j < len(polys):
-        return polys[j]
-    with _moment_lock:
-        polys = _moment_polys
-        if j < len(polys):
-            return polys[j]
-        grown = list(polys)
-        for d in range(len(grown), j + 1):
-            prev = grown[d - 1]
-            row = [SymNumber.zero() for _ in range(d + 1)]
-            for r in range(1, d + 1):  # shift by -d * (1/p) * J_{d-1}
-                if r - 1 < len(prev) and not prev[r - 1].is_zero():
-                    row[r] = row[r] + prev[r - 1] * (-d)
-            if d % 2 == 1:  # boundary term, nonzero for odd log powers only
-                row[1] = row[1] + SymNumber.p_power(d - 1)
-            grown.append(tuple(row))
-        _moment_polys = grown
-        return grown[j]
+    if j == 0:
+        return (SymNumber.zero(),)
+    prev = log_moment_poly(j - 1)
+    row = [SymNumber.zero() for _ in range(j + 1)]
+    for r in range(1, j + 1):  # shift by -j * (1/p) * J_{j-1}
+        if r - 1 < len(prev) and not prev[r - 1].is_zero():
+            row[r] = row[r] + prev[r - 1] * (-j)
+    if j % 2 == 1:  # boundary term, nonzero for odd log powers only
+        row[1] = row[1] + SymNumber.p_power(j - 1)
+    return tuple(row)
 
 
 def log_moment(p: int, j: int) -> SymNumber:
@@ -87,10 +74,7 @@ def log_moment(p: int, j: int) -> SymNumber:
 # ---------------------------------------------------------------------------
 # Shifted double sums  S(m, k1, k2) = sum_{n>=1} n^-k1 (n+m)^-k2.
 
-_s_sum_cache: dict[tuple[int, int, int], SymNumber] = {}
-_s_sum_lock = threading.Lock()
-
-
+@functools.cache
 def s_sum(m: int, k1: int, k2: int) -> SymNumber:
     """Reduce the shifted double sum to zeta values and harmonic numbers.
 
@@ -103,25 +87,15 @@ def s_sum(m: int, k1: int, k2: int) -> SymNumber:
         raise ValueError("shift m must be >= 1")
     if k1 < 0 or k2 < 0:
         raise ValueError("exponents must be >= 0")
-    key = (m, k1, k2)
-    cached = _s_sum_cache.get(key)
-    if cached is not None:
-        return cached
-
     if k1 + k2 < 2 or (k2 == 0 and k1 < 2) or (k1 == 0 and k2 < 2):
         raise DivergentSum(f"S({m},{k1},{k2}) diverges")
     if k2 == 0:
-        value = zeta_value(k1)
-    elif k1 == 0:
-        value = zeta_value(k2) - SymNumber.from_rational(harmonic(m, k2))
-    elif (k1, k2) == (1, 1):
-        value = SymNumber.from_rational(harmonic(m, 1) / m)
-    else:
-        value = (s_sum(m, k1, k2 - 1) - s_sum(m, k1 - 1, k2)) / Fraction(m)
-
-    with _s_sum_lock:
-        _s_sum_cache[key] = value
-    return value
+        return zeta_value(k1)
+    if k1 == 0:
+        return zeta_value(k2) - SymNumber.from_rational(harmonic(m, k2))
+    if (k1, k2) == (1, 1):
+        return SymNumber.from_rational(harmonic(m, 1) / m)
+    return (s_sum(m, k1, k2 - 1) - s_sum(m, k1 - 1, k2)) / Fraction(m)
 
 
 # ---------------------------------------------------------------------------

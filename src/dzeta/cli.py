@@ -2,10 +2,10 @@
 basis checks, numeric certification.
 
 Exit codes: 0 ok, 1 numeric verification failure, 2 singular system,
-3 inconsistent identity, 4 bad configuration, 5 numeric precision
-unreachable within the oracle's term budget (`derive`, `verify` and `toy`
-print one `precision unreachable:` line on stderr).  All JSON artifacts are
-written atomically and are byte-identical across reruns except for the
+3 inconsistent identity, 4 bad configuration or usage error, 5 numeric
+precision unreachable within the oracle's term budget (`derive`, `verify` and
+`toy` print one `precision unreachable:` line on stderr).  All JSON artifacts
+are written atomically and are byte-identical across reruns except for the
 timestamp field.
 """
 
@@ -344,7 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is EXIT_SINGULAR here
+        return EXIT_OK if not exc.code else EXIT_BAD_CONFIG
     cfg = RunConfig(
         k=args.k, k_max=args.k_max, m_set=args.m, trunc=args.trunc,
         digits=args.digits, tolerance=args.tol, out_dir=args.out_dir,

@@ -26,8 +26,6 @@ from mpmath import mpf
 from .identities import FourierIdentity, IdentityRecord
 from .symfield import SymNumber, bernoulli
 
-BigReal = mpf
-
 _GUARD_BITS = 48
 
 
@@ -46,11 +44,6 @@ class PrecisionUnreachable(ArithmeticError):
 
 def _workprec(digits: int):
     return mpmath.workprec(int(digits * 3.33) + _GUARD_BITS)
-
-
-def pi_num(digits: int) -> BigReal:
-    with _workprec(digits):
-        return +mpmath.pi
 
 
 class _TailResult(NamedTuple):
@@ -98,13 +91,13 @@ def _powerlog_tail(c_log, c_const, r: int, x0, step: int = 1,
     return _TailResult(total, abs(bound))
 
 
-def zeta_num(s: int, digits: int) -> BigReal:
+def zeta_num(s: int, digits: int) -> mpf:
     """zeta(s) for integer s >= 2 by partial sum plus Euler-Maclaurin tail."""
     value, _ = _zeta_with_bound(s, digits)
     return value
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _zeta_with_bound(s: int, digits: int) -> _TailResult:
     if s < 2:
         raise ValueError("s must be >= 2")
@@ -118,8 +111,7 @@ def _zeta_with_bound(s: int, digits: int) -> _TailResult:
     raise PrecisionUnreachable(f"zeta({s}) to {digits} digits")
 
 
-def _dzv_with_bound(k: int, m: int, digits: int,
-                    max_terms: Optional[int] = None) -> _TailResult:
+def _dzv_with_bound(k: int, m: int, digits: int) -> _TailResult:
     """Weighted harmonic sum  sum_{n>=1} H_{n,m} / (n+1)^k.
 
     Shifted to u = n+1 the summand is (psi(u) + euler)/u^k for m = 1 and
@@ -132,11 +124,8 @@ def _dzv_with_bound(k: int, m: int, digits: int,
     target = mpf(10) ** (-digits)
     corrections = 6
     with _workprec(digits):
-        options = [64, 128, 256]
-        if max_terms is not None:
-            options = [min(o, max_terms) for o in options]
         best_bound = None
-        for cutoff in options:
+        for cutoff in (64, 128, 256):
             partial = mpf(0)
             h = mpf(0)
             for n in range(1, cutoff):
@@ -184,12 +173,11 @@ def _dzv_with_bound(k: int, m: int, digits: int,
         f"10^-{digits} within the term budget", achieved_digits=achieved)
 
 
-def dzv_num(k: int, m: int, digits: int, max_terms: Optional[int] = None) -> BigReal:
-    return _dzv_with_bound(k, m, digits, max_terms).value
+def dzv_num(k: int, m: int, digits: int) -> mpf:
+    return _dzv_with_bound(k, m, digits).value
 
 
-def _alt_with_bound(k: int, m: int, digits: int,
-                    max_terms: Optional[int] = None) -> _TailResult:
+def _alt_with_bound(k: int, m: int, digits: int) -> _TailResult:
     """Alternating sum  sum_{n>=1} (-1)^n H_{n,m} / (n+1)^k.
 
     Repeated pair averaging of the partial sums.  At every level consecutive
@@ -231,13 +219,9 @@ def _alt_with_bound(k: int, m: int, digits: int,
         # which the log-growth factor only guarantees for ln(start) above the
         # harmonic number of the depth.  Successive estimates cross-check each
         # other and their spread is folded into the reported bound.
-        options = [(240, 40), (480, 80), (960, 160)]
-        if max_terms is not None:
-            options = [(min(n, max_terms), max(2, min(w, max_terms // 4)))
-                       for n, w in options]
         best = None
         previous = None
-        for n_terms, window in options:
+        for n_terms, window in ((240, 40), (480, 80), (960, 160)):
             est = averaged(n_terms, window)
             if previous is not None:
                 bound = max(est.bound, abs(est.value - previous.value))
@@ -246,23 +230,20 @@ def _alt_with_bound(k: int, m: int, digits: int,
                 if best.bound < target:
                     return best
             previous = est
-        if best is None:
-            best = _TailResult(+previous.value, +previous.bound)
     achieved = int(-mpmath.log10(best.bound)) if best.bound > 0 else digits
     raise PrecisionUnreachable(
         f"alternating sum ({k},{m}) reached only ~{achieved} digits",
         achieved_digits=achieved)
 
 
-def alt_sum_num(k: int, m: int, digits: int,
-                max_terms: Optional[int] = None) -> BigReal:
-    return _alt_with_bound(k, m, digits, max_terms).value
+def alt_sum_num(k: int, m: int, digits: int) -> mpf:
+    return _alt_with_bound(k, m, digits).value
 
 
 # ---------------------------------------------------------------------------
 # Symbolic-to-numeric substitution.
 
-def sym_to_mpf(x: SymNumber, digits: int) -> BigReal:
+def sym_to_mpf(x: SymNumber, digits: int) -> mpf:
     """Evaluate an unknown-free symbolic number with oracle zeta values."""
     with _workprec(digits + 8):
         total = mpf(0)

@@ -37,6 +37,11 @@ def _trim(poly: tuple[int, ...]) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # Harmonic numbers H_{n,t} = sum_{j<=n} j^-t for t >= 1.
+#
+# The one memo that is not `functools.cache`: H_{n,t} is a running sum indexed
+# up to the caller's truncation order (`--trunc`), so a recursive cache would
+# be n frames deep and overflow the stack; a prefix table grown under a lock
+# fills it iteratively instead.
 
 _harmonic_tables: dict[int, list[Fraction]] = {}
 _harmonic_lock = threading.Lock()
@@ -292,12 +297,6 @@ class LogSeries:
             nblocks.append(tuple(x + y for x, y in zip(a, b)))
         return LogSeries(self.chart, tuple(nblocks),
                          min(self.valid_order, other.valid_order))
-
-    def scale(self, factor) -> "LogSeries":
-        factor = Fraction(factor)
-        return LogSeries(self.chart,
-                         tuple(tuple(factor * c for c in b) for b in self.blocks),
-                         self.valid_order)
 
     def is_zero_through(self, order: int) -> bool:
         order = min(order, self.trunc)

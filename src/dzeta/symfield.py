@@ -15,10 +15,10 @@ harmonic sum symbol); the linear-equation solving in `identities` never needs
 more.
 
 Conversion to the Gaussian coefficient of pi^e happens only at the boundary:
-`terms`, `sorted_terms`, `coeff_of` and `scalar` hand out `GaussianRational`
-values, rendering prints pi powers, and the JSON schema stores ``re``/``im``
-strings of the pi^e coefficient.  `from_term` and `pi_power` take such a
-coefficient and reject one that is not a rational multiple of i^e.
+`terms` and `sorted_terms` hand out `GaussianRational` values, rendering
+prints pi powers, and the JSON schema stores ``re``/``im`` strings of the pi^e
+coefficient.  `from_term` and `pi_power` take such a coefficient and reject
+one that is not a rational multiple of i^e.
 
 Monomials are treated as formally independent generators; no algebraic
 relations between pi and the odd zeta values are assumed anywhere.
@@ -26,13 +26,10 @@ relations between pi and the odd zeta values are assumed anywhere.
 
 from __future__ import annotations
 
-import threading
+import functools
 from fractions import Fraction
 from math import factorial
 from typing import NamedTuple, Optional
-
-# Exact rationals.  Fraction already keeps gcd(|num|, den) = 1 and den > 0.
-Rational = Fraction
 
 
 class UnknownDegreeOverflow(ArithmeticError):
@@ -44,38 +41,28 @@ class ExactDivisionError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers (convention B_1 = -1/2), shared memo table.
-# Reads are lock-free; the table only grows under the lock.
+# Bernoulli numbers (convention B_1 = -1/2).
 
-_bernoulli_table: list[Fraction] = [Fraction(1)]
-_bernoulli_lock = threading.Lock()
-
-
+@functools.cache
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n via sum_{j<=n} binom(n+1, j) B_j = 0."""
-    global _bernoulli_table
+    """Bernoulli number B_n via sum_{j<=n} binom(n+1, j) B_j = 0.
+
+    The sum asks for B_0, B_1, ... in ascending order, so on a cold memo each
+    inner call finds its own predecessors cached and the recursion stays two
+    frames deep.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    table = _bernoulli_table
-    if n < len(table):
-        return table[n]
-    with _bernoulli_lock:
-        table = _bernoulli_table
-        if n < len(table):
-            return table[n]
-        grown = list(table)
-        for m in range(len(grown), n + 1):
-            if m > 2 and m % 2 == 1:
-                grown.append(Fraction(0))
-                continue
-            acc = Fraction(0)
-            binom = 1  # binom(m+1, j), updated incrementally
-            for j in range(m):
-                acc += binom * grown[j]
-                binom = binom * (m + 1 - j) // (j + 1)
-            grown.append(-acc / (m + 1))
-        _bernoulli_table = grown
-        return grown[n]
+    if n == 0:
+        return Fraction(1)
+    if n > 2 and n % 2 == 1:
+        return Fraction(0)
+    acc = Fraction(0)
+    binom = 1  # binom(n+1, j), updated incrementally
+    for j in range(n):
+        acc += binom * bernoulli(j)
+        binom = binom * (n + 1 - j) // (j + 1)
+    return -acc / (n + 1)
 
 
 class Unknown(NamedTuple):
@@ -167,7 +154,7 @@ def _mono_divide(num: ZetaMonomial, den: ZetaMonomial) -> Optional[ZetaMonomial]
 
 class GaussianRational:
     """Exact element of Q(i): the coefficient of pi^e handed across the
-    boundary of the field (`terms`, `coeff_of`, `scalar`, `from_term`)."""
+    boundary of the field (`terms`, `from_term`)."""
 
     __slots__ = ("re", "im")
 
@@ -201,8 +188,6 @@ class GaussianRational:
         sign = "+" if self.im > 0 else "-"
         return f"({self.re}{sign}{abs(self.im)}*i)"
 
-
-GR_ZERO = GaussianRational(0)
 
 # i^r for r mod 4
 _I_POWERS = (GaussianRational(1), GaussianRational(0, 1),
@@ -284,22 +269,11 @@ class SymNumber:
         """True when the value is rational (no pi, zeta or unknown factors)."""
         return not self._terms or (len(self._terms) == 1 and ONE_MONO in self._terms)
 
-    def scalar(self) -> GaussianRational:
-        if not self._terms:
-            return GR_ZERO
-        if self.is_scalar():
-            return GaussianRational(self._terms[ONE_MONO])
-        raise ValueError("value is not a pure rational")
-
     def is_real(self) -> bool:
         return all(m.pi_exp % 2 == 0 for m in self._terms)
 
     def has_unknown(self) -> bool:
         return any(mono.unknown is not None for mono in self._terms)
-
-    def coeff_of(self, mono: ZetaMonomial) -> GaussianRational:
-        c = self._terms.get(mono)
-        return GR_ZERO if c is None else i_power(mono.pi_exp) * c
 
     def imag_part(self) -> "SymNumber":
         """The odd-P terms: i times the imaginary part, which itself has
@@ -440,21 +414,6 @@ def _coerce_sym(value) -> SymNumber:
     return SymNumber.from_rational(value)
 
 
-SYM_ZERO = SymNumber.zero()
-SYM_ONE = SymNumber.from_rational(1)
-
-
-def sym_arith(a: SymNumber, b: SymNumber, op: str) -> SymNumber:
-    """Functional entry point for +, -, * (kept for symmetry with `render`)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unsupported operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Zeta values as field elements.
 
@@ -462,14 +421,13 @@ def even_zeta_as_pi_power(n: int) -> SymNumber:
     """zeta(2n) = (-1)^(n+1) B_{2n} (2 pi)^(2n) / (2 (2n)!) as a pi-power."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    coeff = Fraction((-1) ** (n + 1)) * bernoulli(2 * n) * (2 ** (2 * n)) \
-        / (2 * factorial(2 * n))
-    return SymNumber.pi_power(2 * n, coeff)
+    return SymNumber.pi_power(2 * n, _even_zeta_pi_coeff(2 * n))
 
 
 def _even_zeta_pi_coeff(s: int) -> Fraction:
-    value = even_zeta_as_pi_power(s // 2)
-    return value.coeff_of(ZetaMonomial(pi_exp=s)).re
+    """The rational coefficient of pi^s in zeta(s) for even s >= 2."""
+    n = s // 2
+    return Fraction((-1) ** (n + 1)) * bernoulli(s) * (2 ** s) / (2 * factorial(s))
 
 
 def zeta_value(s: int) -> SymNumber:
@@ -532,10 +490,6 @@ def render(x: SymNumber, fmt: str = "plain", style: str = "pi-power") -> str:
     matching the tables this library reproduces; `pi-power` prints the
     canonical internal form.
     """
-    if fmt == "json":
-        import json
-
-        return json.dumps(to_json_dict(x), sort_keys=True)
     if fmt not in ("plain", "latex"):
         raise ValueError(f"unknown format {fmt!r}")
     if style not in ("pi-power", "even-zeta"):

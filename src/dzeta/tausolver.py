@@ -142,7 +142,7 @@ def fraction_free_solve(system: MomentSystem) -> TauVector:
 _MAX_EXTRA_INDICES = 6
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def solve_tau_direct(k: int, m: int) -> TauVector:
     """Solve the moment system for indices 0..order-1, widening on singularity."""
     if k < 2:
@@ -158,7 +158,7 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
     raise AssertionError("unreachable")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def solve_tau_fast(k: int, m: int) -> TauVector:
     """Recursive coefficient rule plus the zero-mode formula.
 
@@ -171,6 +171,9 @@ def solve_tau_fast(k: int, m: int) -> TauVector:
         raise ValueError("k must be >= 2")
     if k == 2:
         return solve_tau_direct(2, m)
+    # fill the memo upward so the recursion stays two frames deep at any k
+    for j in range(3, k):
+        solve_tau_fast(j, m)
     prev = solve_tau_fast(k - 1, m)
     order = operator_order(k, m)
     entries = [SymNumber.zero()] * order

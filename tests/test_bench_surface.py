@@ -1,0 +1,51 @@
+"""The package surface the benchmark under `bench/` relies on.
+
+`bench/tracer.py` wraps named entry points from outside the program and
+`bench/reference.py` renders the frozen identities; deleting a name either of
+them uses breaks the benchmark, so these tests fail first.  They only read
+`bench/`.
+"""
+
+import importlib
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from dzeta import tausolver
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_entry_points_resolve():
+    missing = []
+    for layer, entries in _tracer_module().ENTRY_POINTS.items():
+        module = importlib.import_module(f"dzeta.{layer}")
+        for entry in entries:
+            # looked up the way Tracer.install does: methods in the class dict
+            owner_name, _, attr = entry.rpartition(".")
+            if owner_name:
+                found = getattr(module, owner_name, None)
+                found = None if found is None else found.__dict__.get(attr)
+            else:
+                found = getattr(module, attr, None)
+            if not callable(found):
+                missing.append(f"{layer}.{entry}")
+    assert missing == []
+    # the tracer reads the direct solver's memo counters
+    assert hasattr(tausolver.solve_tau_direct, "cache_info")
+
+
+def test_reference_script_runs():
+    proc = subprocess.run([sys.executable, str(BENCH / "reference.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["identities"]

@@ -1,6 +1,8 @@
 """Tests for the exact circle moments and shifted double sums."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
@@ -10,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dzeta import numverify
-from dzeta.circle import DivergentSum, basis_moment, log_moment, pi_moment, s_sum
+from dzeta.circle import (DivergentSum, basis_moment, log_moment,
+                          log_moment_poly, pi_moment, s_sum)
 from dzeta.pfseries import harmonic, operator_order
 from dzeta.symfield import SymNumber, i_power, zeta_value
 
@@ -98,6 +101,62 @@ def test_s_sum_spot_values():
 def test_s_sum_divergent(k1, k2):
     with pytest.raises(DivergentSum):
         s_sum(3, k1, k2)
+
+
+# -- Memo tables under concurrency --------------------------------------------
+
+def _call_from_threads(fn, calls):
+    """Run fn(*args) for every args in calls, one thread each, with a short
+    switch interval; return the (args, result) pairs."""
+    results = []
+
+    def worker(args):
+        results.append((args, fn(*args)))
+
+    threads = [threading.Thread(target=worker, args=(args,)) for args in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == len(calls)
+    return results
+
+
+def test_s_sum_concurrent_fill():
+    calls = [(m, k1, k2) for m in (3, 8) for k1, k2 in ((6, 5), (2, 9), (7, 7))] * 3
+    expected = {args: s_sum(*args) for args in calls}
+    s_sum.cache_clear()
+    for args, value in _call_from_threads(s_sum, calls):
+        assert value == expected[args]
+
+
+def test_log_moment_poly_concurrent_fill():
+    calls = [(j,) for j in (20, 35, 50, 65)] * 4
+    expected = {args: log_moment_poly(*args) for args in calls}
+    log_moment_poly.cache_clear()
+    for args, value in _call_from_threads(log_moment_poly, calls):
+        assert value == expected[args]
+
+
+def test_harmonic_concurrent_growth():
+    # t = 5 is an order no other test asks for, so the threads grow its table
+    calls = [(n, 5) for n in (60, 120, 180, 240)] * 4
+    for (n, t), value in _call_from_threads(harmonic, calls):
+        assert value == sum(Fraction(1, j ** t) for j in range(1, n + 1))
+
+
+@pytest.mark.parametrize("fn,args", [(s_sum, (4, 3, 5)), (log_moment_poly, (9,))])
+def test_repeated_call_is_a_memo_hit(fn, args):
+    fn(*args)
+    hits = fn.cache_info().hits
+    fn(*args)
+    assert fn.cache_info().hits == hits + 1
 
 
 def test_s_sum_reachability_exhaustive():

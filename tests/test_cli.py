@@ -194,6 +194,21 @@ def test_toy_unreachable_precision_exit_code(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [["tau", "--k", "x"], ["tau", "--bogus"], []])
+def test_usage_error_exit_code(capsys, args):
+    # argparse's own exit status 2 would read as a singular moment system
+    code, out, err = run(capsys, *args)
+    assert code == cli.EXIT_BAD_CONFIG == 4
+    assert out == ""
+    assert "usage: dzeta" in err
+
+
+def test_help_exit_code(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == cli.EXIT_OK == 0
+    assert out.startswith("usage: dzeta")
+
+
 def _blank_timestamp(data: bytes) -> bytes:
     return re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', data)
 

@@ -12,8 +12,7 @@ from dzeta import symfield as sf
 from dzeta.circle import log_moment
 from dzeta.symfield import (ONE_MONO, GaussianRational, SymNumber,
                             UnknownDegreeOverflow, ZetaMonomial, bernoulli,
-                            even_zeta_as_pi_power, i_power, render, sym_arith,
-                            zeta_value)
+                            even_zeta_as_pi_power, i_power, render, zeta_value)
 
 
 # -- Bernoulli numbers -------------------------------------------------------
@@ -96,8 +95,8 @@ def test_even_zeta_render_roundtrip(n):
 
 def test_sym_arith_examples():
     z3 = zeta_value(3)
-    assert sym_arith(z3, -z3, "add").is_zero()
-    prod = sym_arith(zeta_value(2), z3, "mul")
+    assert (z3 + -z3).is_zero()
+    prod = zeta_value(2) * z3
     assert render(prod) == "1/6*pi^2*zeta(3)"
     assert prod == zeta_value(2) * zeta_value(3)
 
@@ -105,7 +104,7 @@ def test_sym_arith_examples():
 def test_unknown_degree_overflow():
     u = SymNumber.unknown_dzv(2, 1)
     with pytest.raises(UnknownDegreeOverflow):
-        sym_arith(u, u, "mul")
+        u * u
     # unknown times ordinary monomials is fine
     assert not (u * zeta_value(3)).is_zero()
 

@@ -1,7 +1,11 @@
 """Tests for the moment systems and both solving paths."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -170,3 +174,16 @@ def test_conjecture_cache_label_survives_a_wrapper(monkeypatch):
     monkeypatch.setattr(ts, "solve_tau_direct", wrapper)
     ts.check_conjecture(3, 1)
     assert ts.check_conjecture(3, 1).checks[0].direct_cached
+
+
+def test_fast_path_depth_does_not_grow_with_k():
+    # a fresh interpreter starts from a cold memo; with the default limit the
+    # same call at k = 500 used to end in RecursionError
+    code = ("import sys; sys.setrecursionlimit(120)\n"
+            "from dzeta import tausolver\n"
+            "print(tausolver.solve_tau_fast(150, 1).order)")
+    env = dict(os.environ, PYTHONPATH=str(Path(ts.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(operator_order(150, 1))]
