@@ -1,9 +1,12 @@
 """Assemble the circle-moment linear systems and solve them exactly.
 
-The direct path builds one equation per Fourier index and eliminates
-fraction-free (Bareiss cross-multiplication with exact ring divisions) over
-symbolic numbers; every row of a solved system has a structurally zero
-residual.  The fast path applies the observed coefficient recursion plus the
+The direct path builds one equation per Fourier index, clears each row once
+to integer coefficients and eliminates fraction-free (Bareiss
+cross-multiplication with exact divisions) in Z[P, zeta(3), ...]; the
+elimination works on the monomial-to-coefficient maps of `SymNumber` and
+hands back `SymNumber` values only in the solution.  Every row of a solved
+system has a structurally zero residual, computed as one integer dot
+product.  The fast path applies the observed coefficient recursion plus the
 zero-mode formula; it is marked conjectural until cross-checked against the
 direct solver.
 """
@@ -15,12 +18,13 @@ import inspect
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import NamedTuple
 
 from . import circle
 from .pfseries import operator_order
-from .symfield import SymNumber
+from .symfield import (ONE_MONO, ExactDivisionError, SymNumber, _mono_divide,
+                       _mono_sort_key)
 
 
 class SingularSystem(Exception):
@@ -80,26 +84,93 @@ def assemble_system(k: int, m: int, moment_indices) -> MomentSystem:
     return MomentSystem(k, m, tuple(rows))
 
 
-def fraction_free_solve(system: MomentSystem) -> TauVector:
-    """Bareiss elimination over symbolic numbers with exact back substitution.
+def _negated(x: dict) -> dict:
+    return {mono: -c for mono, c in x.items()}
 
-    Pivots are chosen fewest-monomials-first to limit intermediate swell.
-    Rows beyond the width act as consistency checks; a residual is recomputed
-    for every original row at the end.
+
+def _dot(pairs) -> dict:
+    """Sum of the products x*y over (x, y) pairs of integer maps, gathered in
+    one accumulator and stripped of zeros once at the end."""
+    acc: dict = {}
+    for x, y in pairs:
+        for m1, c1 in x.items():
+            for m2, c2 in y.items():
+                mono = m1.mul(m2)
+                acc[mono] = acc.get(mono, 0) + c1 * c2
+    return {mono: c for mono, c in acc.items() if c}
+
+
+def _exact_div(num: dict, den: dict) -> dict:
+    """num / den in Z[P, zeta(3), ...]; ExactDivisionError unless the quotient
+    has integer coefficients."""
+    if len(den) == 1:
+        ((lead, lead_c),) = den.items()
+        scalar = lead == ONE_MONO
+        out = {}
+        for mono, c in num.items():
+            q_mono = mono if scalar else _mono_divide(mono, lead)
+            q, r = divmod(c, lead_c)
+            if q_mono is None or r:
+                raise ExactDivisionError(f"{c}*{mono} not divisible by {lead_c}*{lead}")
+            out[q_mono] = q
+        return out
+    lead = max(den, key=_mono_sort_key)
+    lead_c = den[lead]
+    rem = dict(num)
+    out = {}
+    while rem:
+        rmono = max(rem, key=_mono_sort_key)
+        q_mono = _mono_divide(rmono, lead)
+        q, r = divmod(rem[rmono], lead_c)
+        if q_mono is None or r:
+            raise ExactDivisionError(f"{rem[rmono]}*{rmono} not divisible by "
+                                     f"{lead_c}*{lead}")
+        out[q_mono] = q
+        for mono, c in den.items():
+            target = mono.mul(q_mono)
+            cur = rem.get(target, 0) - c * q
+            if cur:
+                rem[target] = cur
+            else:
+                rem.pop(target, None)
+    return out
+
+
+def fraction_free_solve(system: MomentSystem) -> TauVector:
+    """Bareiss elimination over Z[P, zeta(3), ...] with exact back substitution.
+
+    Each row, rhs included, is scaled once by the lcm of its coefficient
+    denominators, so every entry is a map from monomial to int; scaling a row
+    changes neither the solution nor any entry's monomial count.  Pivots are
+    chosen fewest-monomials-first to limit intermediate swell.  Each step
+    forms pivot*a - lead*b in one accumulator and divides it exactly by the
+    previous pivot (Bareiss, Math. Comp. 22, 1968).  Back substitution
+    computes the Cramer numerators det*tau_i, again by exact divisions in Z;
+    dividing them by the primitive part of det puts tau over one common
+    denominator, the content of det.  Rows beyond the width act as
+    consistency checks, and every original row's residual is recomputed as
+    one integer dot product.
     """
     width = system.width
     nrows = len(system.rows)
     if nrows < width:
         raise ValueError("system is underdetermined")
-    mat = [list(row.coeffs) + [row.rhs] for row in system.rows]
+    cleared = []
+    for row in system.rows:
+        values = [v._terms for v in (*row.coeffs, row.rhs)]
+        denom = lcm(*(c.denominator for v in values for c in v.values()))
+        cleared.append([{mono: c.numerator * (denom // c.denominator)
+                         for mono, c in v.items()} for v in values])
+    mat = [list(row) for row in cleared]
     indices = [row.n for row in system.rows]
+    labels = list(indices)  # row labels, swapped with the rows
 
-    prev = SymNumber.from_rational(1)
+    prev = {ONE_MONO: 1}
     for col in range(width):
         pivot_row = None
         pivot_size = None
         for r in range(col, nrows):
-            if not mat[r][col].is_zero():
+            if mat[r][col]:
                 size = len(mat[r][col])
                 if pivot_size is None or size < pivot_size:
                     pivot_row, pivot_size = r, size
@@ -107,36 +178,49 @@ def fraction_free_solve(system: MomentSystem) -> TauVector:
             raise SingularSystem(indices)
         if pivot_row != col:
             mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
-        pivot = mat[col][col]
+            labels[col], labels[pivot_row] = labels[pivot_row], labels[col]
+        top = mat[col]
+        pivot = top[col]
         for r in range(col + 1, nrows):
-            lead = mat[r][col]
+            row = mat[r]
+            lead = _negated(row[col])
             # rows with a zero leading entry still rescale, keeping every
             # entry an exact minor (the Bareiss divisibility invariant)
             for c in range(col + 1, width + 1):
-                mat[r][c] = (pivot * mat[r][c] - lead * mat[col][c]).exact_div(prev)
-            mat[r][col] = SymNumber.zero()
+                row[c] = _exact_div(_dot(((pivot, row[c]), (lead, top[c]))), prev)
+            row[col] = {}
         prev = pivot
 
     for r in range(width, nrows):
-        if not mat[r][width].is_zero():
+        if mat[r][width]:
             raise InconsistentSystem(
-                f"extra moment row n={indices[r]} has nonzero residual")
+                f"extra moment row n={labels[r]} has nonzero residual")
 
-    entries: list[SymNumber] = [SymNumber.zero()] * width
-    for col in range(width - 1, -1, -1):
-        acc = mat[col][width]
-        for c in range(col + 1, width):
-            acc = acc - mat[col][c] * entries[c]
-        entries[col] = acc.exact_div(mat[col][col])
+    # the Cramer numerators y_i = det * tau_i from
+    # U[i][i] y_i = det * b_i - sum_{c > i} U[i][c] y_c, kept negated so that
+    # each right-hand side is one _dot
+    det = prev
+    neg_y: list[dict] = [{}] * width
+    for i in range(width - 1, -1, -1):
+        row = mat[i]
+        pairs = [(det, row[width])]
+        pairs.extend((row[c], neg_y[c]) for c in range(i + 1, width))
+        neg_y[i] = _negated(_exact_div(_dot(pairs), row[i]))
+    # det = content * primitive part, and tau_i = (y_i / primitive) / content
+    content = gcd(*det.values())
+    primitive = {mono: c // content for mono, c in det.items()}
+    neg_num = [_exact_div(y, primitive) for y in neg_y]
 
-    for row in system.rows:
-        residual = row.rhs
-        for coeff, value in zip(row.coeffs, entries):
-            residual = residual - coeff * value
-        if not residual.is_zero():
-            raise InconsistentSystem(f"row n={row.n} residual is nonzero")
+    scale = {ONE_MONO: content}
+    for row, label in zip(cleared, indices):
+        pairs = [(scale, row[width])]
+        pairs.extend(zip(row[:width], neg_num))
+        if _dot(pairs):
+            raise InconsistentSystem(f"row n={label} residual is nonzero")
 
-    return TauVector(system.k, system.m, tuple(entries))
+    entries = tuple(SymNumber({mono: Fraction(-c, content) for mono, c in x.items()})
+                    for x in neg_num)
+    return TauVector(system.k, system.m, entries)
 
 
 _MAX_EXTRA_INDICES = 6

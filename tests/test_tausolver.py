@@ -8,10 +8,12 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dzeta import tausolver as ts
 from dzeta.pfseries import operator_order
-from dzeta.symfield import SymNumber
+from dzeta.symfield import ExactDivisionError, SymNumber
 from reference_data import TAU_TABLES, q, z
 
 
@@ -85,6 +87,15 @@ def test_inconsistent_system_detected():
         ts.fraction_free_solve(bad)
 
 
+def test_inconsistent_extra_row_is_named():
+    # the one-monomial row n=1 becomes the pivot, so the extra row is n=0
+    two_terms = q(1) + SymNumber.p_power(2)
+    rows = (ts.MomentRow(0, (two_terms,), two_terms * 5 + q(1)),
+            ts.MomentRow(1, (q(1),), q(5)))
+    with pytest.raises(ts.InconsistentSystem, match="extra moment row n=0 "):
+        ts.fraction_free_solve(ts.MomentSystem(0, 0, rows))
+
+
 def test_singular_system_raises_with_indices():
     rows = []
     for n in (0, 1, 2):
@@ -96,7 +107,9 @@ def test_singular_system_raises_with_indices():
 
 
 def test_residuals_are_structurally_zero():
-    for (k, m) in [(2, 1), (3, 2), (4, 1)]:
+    # recomputed with SymNumber arithmetic, independent of the solver's
+    # integer rows
+    for (k, m) in [(2, 1), (3, 2), (4, 1), (12, 1), (12, 2)]:
         system = ts.assemble_system(k, m, list(range(operator_order(k, m))))
         tau = ts.fraction_free_solve(system)
         for row in system.rows:
@@ -104,6 +117,123 @@ def test_residuals_are_structurally_zero():
             for coeff, value in zip(row.coeffs, tau.entries):
                 residual = residual - coeff * value
             assert residual.is_zero()
+
+
+def _reference_solve(system):
+    """Bareiss elimination and back substitution on SymNumber entries, with
+    Fraction coefficients throughout."""
+    width = system.width
+    nrows = len(system.rows)
+    mat = [list(row.coeffs) + [row.rhs] for row in system.rows]
+    prev = q(1)
+    for col in range(width):
+        nonzero = [r for r in range(col, nrows) if not mat[r][col].is_zero()]
+        if not nonzero:
+            raise ts.SingularSystem([row.n for row in system.rows])
+        pivot_row = min(nonzero, key=lambda r: len(mat[r][col]))
+        mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
+        pivot = mat[col][col]
+        for r in range(col + 1, nrows):
+            lead = mat[r][col]
+            for c in range(col + 1, width + 1):
+                mat[r][c] = (pivot * mat[r][c] - lead * mat[col][c]).exact_div(prev)
+            mat[r][col] = SymNumber.zero()
+        prev = pivot
+    if any(not mat[r][width].is_zero() for r in range(width, nrows)):
+        raise ts.InconsistentSystem("extra row")
+    entries = [SymNumber.zero()] * width
+    for col in range(width - 1, -1, -1):
+        acc = mat[col][width]
+        for c in range(col + 1, width):
+            acc = acc - mat[col][c] * entries[c]
+        entries[col] = acc.exact_div(mat[col][col])
+    return tuple(entries)
+
+
+_rationals = st.sampled_from([Fraction(a, b) for a in (-9, -4, -3, -2, -1, 1, 2, 5, 7)
+                              for b in (1, 2, 3, 4, 5, 6, 9, 12)])
+
+
+def _poly(terms):
+    total = SymNumber.zero()
+    for (a, b), coeff in terms:
+        term = SymNumber.p_power(a, coeff)
+        total = total + (term * z(3) if b else term)
+    return total
+
+
+def _polys(min_terms):
+    """Sums of min_terms to 3 distinct monomials P^a zeta(3)^b, a <= 2, b <= 1."""
+    monos = st.sampled_from([(a, b) for a in range(3) for b in range(2)])
+    return st.lists(st.tuples(monos, _rationals), min_size=min_terms, max_size=3,
+                    unique_by=lambda t: t[0]).map(_poly)
+
+
+# built once: hypothesis re-analyses every new strategy object it is given
+_POLYS = {1: _polys(1), 2: _polys(2)}
+_VALUES = st.just(SymNumber.zero()) | _POLYS[1]
+
+
+@st.composite
+def _systems(draw):
+    """A square or overdetermined system with mixed row denominators, zero
+    entries and rows, and, when min_terms is 2, multi-monomial pivots.  The
+    rhs comes from a drawn solution (consistent) or is drawn itself."""
+    width = draw(st.integers(1, 3))
+    nrows = width + draw(st.integers(0, 2))
+    min_terms = draw(st.sampled_from([1, 2]))
+    coeffs = [[draw(_POLYS[min_terms]) for _ in range(width)] for _ in range(nrows)]
+    for r, c in draw(st.sets(st.tuples(st.integers(0, nrows - 1),
+                                       st.integers(0, width - 1)), max_size=width)):
+        coeffs[r][c] = SymNumber.zero()
+    for r in draw(st.sets(st.integers(0, nrows - 1), max_size=1)):
+        coeffs[r] = [SymNumber.zero()] * width
+    copy = draw(st.none() | st.tuples(st.integers(0, nrows - 1),
+                                      st.integers(0, nrows - 1), _rationals))
+    if copy is not None:  # a dependent row
+        src, dst, factor = copy
+        coeffs[dst] = [value * factor for value in coeffs[src]]
+    solution = draw(st.none() | st.lists(_VALUES, min_size=width, max_size=width))
+    rows = []
+    for n, row in enumerate(coeffs):
+        if solution is None:
+            rhs = draw(_VALUES)
+        else:
+            rhs = SymNumber.zero()
+            for coeff, value in zip(row, solution):
+                rhs = rhs + coeff * value
+        rows.append(ts.MomentRow(n, tuple(row), rhs))
+    return ts.MomentSystem(0, 0, tuple(rows)), solution
+
+
+def _binomial(a, b):
+    return SymNumber.p_power(2, Fraction(a, 3)) + z(3) * Fraction(b, 2)
+
+
+def _binomial_case():
+    """Every pivot has two monomials, so the polynomial exact division runs."""
+    coeffs = ((_binomial(1, 1), _binomial(2, -1)), (_binomial(-1, 3), _binomial(1, 1)))
+    solution = [_binomial(1, 5), q(1, 7)]
+    rows = tuple(ts.MomentRow(n, row, row[0] * solution[0] + row[1] * solution[1])
+                 for n, row in enumerate(coeffs))
+    return ts.MomentSystem(0, 0, rows), solution
+
+
+@settings(max_examples=100, deadline=None)
+@given(_systems())
+@example(_binomial_case())
+def test_solve_matches_fraction_reference(case):
+    # a drawn rhs can put the solution outside the ring: ExactDivisionError
+    system, solution = case
+    try:
+        expected = _reference_solve(system)
+    except (ts.SingularSystem, ts.InconsistentSystem, ExactDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            ts.fraction_free_solve(system)
+        return
+    assert ts.fraction_free_solve(system).entries == expected
+    if solution is not None:
+        assert expected == tuple(solution)
 
 
 def test_fast_base_case_is_direct():
