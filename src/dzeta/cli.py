@@ -59,12 +59,8 @@ class RunConfig:
             problems.append("digits must be >= 10")
         if self.trunc < 50:
             problems.append("truncation must be >= 50")
-        if self.mode not in ("direct", "fast"):
-            problems.append("mode must be direct or fast")
-        if self.style not in ("even-zeta", "pi-power"):
-            problems.append("style must be even-zeta or pi-power")
-        if self.fmt not in ("plain", "json"):
-            problems.append("format must be plain or json")
+        if not 0 < self.tolerance < 1:  # also false for nan
+            problems.append("tol must be a finite number with 0 < tol < 1")
         return problems
 
 

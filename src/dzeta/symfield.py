@@ -14,11 +14,14 @@ formal unknown of degree one (a double-zeta symbol or an alternating
 harmonic sum symbol); the linear-equation solving in `identities` never needs
 more.
 
-Conversion to the Gaussian coefficient of pi^e happens only at the boundary:
-`terms` and `sorted_terms` hand out `GaussianRational` values, rendering
-prints pi powers, and the JSON schema stores ``re``/``im`` strings of the pi^e
-coefficient.  `from_term` and `pi_power` take such a coefficient and reject
-one that is not a rational multiple of i^e.
+Q is the only coefficient field.  The coefficient of pi^e is c * i^e, which
+is +-c or +-c*i; `_i_sign` is the one place that sign is written.  Rendering
+prints pi powers, `terms` hands out the pi^e coefficient as a
+`GaussianRational` record of its ``re``/``im`` parts, and the JSON schema
+stores those parts as strings.  `from_json_dict`, the reader for data from
+outside the program, is the only code that turns such a pair back into a
+rational coefficient, and it rejects one that is not a rational multiple of
+i^e.
 
 Monomials are treated as formally independent generators; no algebraic
 relations between pi and the odd zeta values are assumed anywhere.
@@ -152,50 +155,17 @@ def _mono_divide(num: ZetaMonomial, den: ZetaMonomial) -> Optional[ZetaMonomial]
     return ZetaMonomial(num.pi_exp - den.pi_exp, tuple(sorted(rest.items())), unknown)
 
 
-class GaussianRational:
-    """Exact element of Q(i): the coefficient of pi^e handed across the
-    boundary of the field (`terms`, `from_term`)."""
+class GaussianRational(NamedTuple):
+    """The coefficient re + im*i of pi^e that `terms` hands across the
+    boundary of the field: a record, not a field."""
 
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __mul__(self, other) -> "GaussianRational":
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        elif not isinstance(other, GaussianRational):
-            return NotImplemented
-        return GaussianRational(self.re * other.re - self.im * other.im,
-                                self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}*i)"
+    re: Fraction
+    im: Fraction
 
 
-# i^r for r mod 4
-_I_POWERS = (GaussianRational(1), GaussianRational(0, 1),
-             GaussianRational(-1), GaussianRational(0, -1))
-
-
-def i_power(r: int) -> GaussianRational:
-    return _I_POWERS[r % 4]
+def _i_sign(e: int) -> int:
+    """The sign s with i^e = s or i^e = s*i: -1 when e mod 4 >= 2, else +1."""
+    return -1 if e % 4 >= 2 else 1
 
 
 class SymNumber:
@@ -222,27 +192,26 @@ class SymNumber:
 
     @classmethod
     def from_term(cls, mono: ZetaMonomial, coeff=1) -> "SymNumber":
-        """coeff * mono, with coeff the (Gaussian) coefficient of pi^e.
-
-        Raises ValueError unless coeff = c * i^e for a rational c: any other
-        term lies outside the field and is never coerced into it.
-        """
-        c = i_power(-mono.pi_exp) * coeff
-        if c.im:
-            raise ValueError(f"coefficient {coeff!r} of pi^{mono.pi_exp} is not "
-                             f"a rational multiple of i^{mono.pi_exp}")
-        return cls({mono: c.re} if c.re else {})
+        """coeff * mono for a rational coeff: the coefficient of P^e, not of
+        pi^e."""
+        c = Fraction(coeff)
+        return cls({mono: c} if c else {})
 
     @classmethod
     def pi_power(cls, exp: int, coeff=1) -> "SymNumber":
-        """coeff * pi^exp; coeff must be a rational multiple of i^exp."""
-        return cls.from_term(ZetaMonomial(pi_exp=exp), coeff)
+        """coeff * pi^exp for a rational coeff and an even exp.
+
+        An odd power of pi times a rational is not in the field (i*pi is), so
+        an odd exp raises ValueError; use `p_power` for powers of P.
+        """
+        if exp % 2:
+            raise ValueError(f"pi^{exp} is an odd power of pi, outside the field")
+        return cls.p_power(exp, _i_sign(exp) * Fraction(coeff))
 
     @classmethod
     def p_power(cls, exp: int, coeff=1) -> "SymNumber":
         """coeff * P^exp = coeff * (i pi)^exp for a rational coeff."""
-        c = Fraction(coeff)
-        return cls({ZetaMonomial(pi_exp=exp): c} if c else {})
+        return cls.from_term(ZetaMonomial(pi_exp=exp), coeff)
 
     @classmethod
     def unknown_dzv(cls, k: int, m: int, coeff=1) -> "SymNumber":
@@ -255,8 +224,14 @@ class SymNumber:
     # -- inspection ---------------------------------------------------------
 
     def terms(self) -> list:
-        """(monomial, Gaussian coefficient of its pi power) pairs."""
-        return [(m, i_power(m.pi_exp) * c) for m, c in self._terms.items()]
+        """(monomial, `GaussianRational` coefficient of its pi power) pairs."""
+        zero = Fraction(0)
+        out = []
+        for m, c in self._terms.items():
+            q = _i_sign(m.pi_exp) * c
+            out.append((m, GaussianRational(zero, q) if m.pi_exp % 2
+                        else GaussianRational(q, zero)))
+        return out
 
     def __len__(self) -> int:
         """Number of monomials."""
@@ -403,10 +378,6 @@ class SymNumber:
     def __repr__(self) -> str:
         return f"SymNumber({render(self)})"
 
-    def sorted_terms(self):
-        return sorted(self.terms(), key=lambda kv: _mono_sort_key(kv[0]),
-                      reverse=True)
-
 
 def _coerce_sym(value) -> SymNumber:
     if isinstance(value, SymNumber):
@@ -463,13 +434,15 @@ def _term_factors(mono: ZetaMonomial, style: str):
 
 def _coeff_text(q: Fraction, imag: bool, fmt: str) -> str:
     """q or q*i as text for q > 0; empty string for the real value one."""
-    if imag:
-        return "i" if q == 1 else f"{q}*i" if fmt == "plain" else f"{q}i"
     if q == 1:
-        return ""
+        return "i" if imag else ""
     if fmt == "latex" and q.denominator != 1:
-        return rf"\frac{{{q.numerator}}}{{{q.denominator}}}"
-    return str(q)
+        text = rf"\frac{{{q.numerator}}}{{{q.denominator}}}"
+    else:
+        text = str(q)
+    if imag:
+        text += "*i" if fmt == "plain" else "i"
+    return text
 
 
 def _factor_text(s: int, e: int, fmt: str) -> str:
@@ -501,9 +474,7 @@ def render(x: SymNumber, fmt: str = "plain", style: str = "pi-power") -> str:
     for mono, coeff in x._terms.items():
         factors, multiplier = _term_factors(mono, style)
         # c * P^e = (c * i^e) * pi^e: the pi coefficient is +-c or +-c*i
-        q = coeff * multiplier
-        if mono.pi_exp % 4 >= 2:
-            q = -q
+        q = _i_sign(mono.pi_exp) * coeff * multiplier
         if mono.unknown is not None:
             factors = factors + [(_UNKNOWN_SENTINEL, 1)]
         rendered.append((len(factors), tuple(factors), mono.unknown, q,
@@ -546,7 +517,8 @@ def _fraction_str(q: Fraction) -> str:
 
 def to_json_dict(x: SymNumber) -> dict:
     terms = []
-    for mono, coeff in x.sorted_terms():
+    for mono, coeff in sorted(x.terms(), key=lambda kv: _mono_sort_key(kv[0]),
+                              reverse=True):
         unknown = None
         if mono.unknown is not None:
             unknown = {"kind": mono.unknown.kind, "k": mono.unknown.k,
@@ -561,16 +533,39 @@ def to_json_dict(x: SymNumber) -> dict:
 
 
 def from_json_dict(data: dict) -> SymNumber:
+    """Read back a value written by `to_json_dict`.
+
+    This reads data from outside the program, so it accepts only canonical
+    terms and raises ValueError on any other: a pi exponent that is not an
+    integer >= 0, a zeta key that is not an odd integer >= 3 written in
+    decimal, a zeta exponent below 1, an unknown of a kind other than
+    dzv/alt, or a re/im pair that is not a rational multiple of i^e and so
+    lies outside the field.
+    """
     out = SymNumber.zero()
     for term in data["terms"]:
-        unknown = None
-        if term.get("unknown"):
-            u = term["unknown"]
-            unknown = Unknown(u["kind"], u["k"], u["m"])
-        mono = ZetaMonomial(term.get("pi", 0),
-                            tuple(sorted((int(s), e) for s, e in term["zeta"].items())),
-                            unknown)
-        coeff = GaussianRational(Fraction(term["coeff"]["re"]),
-                                 Fraction(term["coeff"]["im"]))
-        out = out + SymNumber.from_term(mono, coeff)
+        e = term.get("pi", 0)
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"pi exponent {e!r} is not an integer >= 0")
+        zetas = []
+        for key, exp in term["zeta"].items():
+            s = int(key)
+            if key != str(s) or s < 3 or s % 2 == 0:
+                raise ValueError(f"zeta({key}) is not an odd zeta value >= 3")
+            if not isinstance(exp, int) or exp < 1:
+                raise ValueError(f"exponent {exp!r} of zeta({key}) is not >= 1")
+            zetas.append((s, exp))
+        unknown = term.get("unknown") or None
+        if unknown is not None:
+            if unknown["kind"] not in ("dzv", "alt"):
+                raise ValueError(f"unknown kind {unknown['kind']!r}")
+            unknown = Unknown(unknown["kind"], unknown["k"], unknown["m"])
+        re, im = Fraction(term["coeff"]["re"]), Fraction(term["coeff"]["im"])
+        # the pi^e coefficient c * i^e is real for even e, imaginary for odd e
+        c, rest = (im, re) if e % 2 else (re, im)
+        if rest:
+            raise ValueError(f"coefficient {re} + {im}*i of pi^{e} is not a "
+                             f"rational multiple of i^{e}")
+        mono = ZetaMonomial(e, tuple(sorted(zetas)), unknown)
+        out = out + SymNumber.from_term(mono, _i_sign(e) * c)
     return out

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from dzeta import tausolver
+from dzeta.symfield import SymNumber, zeta_value
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -42,6 +43,15 @@ def test_tracer_entry_points_resolve():
     assert missing == []
     # the tracer reads the direct solver's memo counters
     assert hasattr(tausolver.solve_tau_direct, "cache_info")
+
+
+def test_tracer_reads_the_terms_record():
+    # the exact_div observer reads coeff.re/coeff.im of each `terms()` pair
+    tracer = _tracer_module().Tracer()
+    value = SymNumber.p_power(1, 3) * zeta_value(3) + zeta_value(4)
+    tracer._exact_div(None, value, None)
+    assert tracer.peak_terms > 0
+    assert tracer.peak_coeff_bits > 0
 
 
 def test_reference_script_runs():

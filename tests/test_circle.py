@@ -15,7 +15,7 @@ from dzeta import numverify
 from dzeta.circle import (DivergentSum, basis_moment, log_moment,
                           log_moment_poly, pi_moment, s_sum)
 from dzeta.pfseries import harmonic, operator_order
-from dzeta.symfield import SymNumber, i_power, zeta_value
+from dzeta.symfield import SymNumber, zeta_value
 
 
 def q(num, den=1):
@@ -64,7 +64,7 @@ def test_log_moment_zero_mode():
     assert log_moment(0, 1).is_zero()
     assert log_moment(0, 2) == pi_pow(2, Fraction(-1, 3))
     for j in range(0, 12):
-        expected = SymNumber.pi_power(j, i_power(j) * Fraction(1, j + 1)) \
+        expected = SymNumber.p_power(j, Fraction(1, j + 1)) \
             if j % 2 == 0 else SymNumber.zero()
         assert log_moment(0, j) == expected
 
@@ -241,7 +241,7 @@ def test_basis_moment_examples():
 def test_basis_moment_zero_mode_log_powers(k, m):
     # pure log powers i = 1..k: (1 + (-1)^i) (pi i)^i / (2 (1+i))
     for i in range(1, k + 1):
-        expected = SymNumber.pi_power(i, i_power(i) * Fraction(1, i + 1)) \
+        expected = SymNumber.p_power(i, Fraction(1, i + 1)) \
             if i % 2 == 0 else SymNumber.zero()
         assert basis_moment(k, m, i, 0) == expected
 

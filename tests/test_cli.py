@@ -78,6 +78,10 @@ def test_bad_config_exit_code(capsys):
     assert run(capsys, "tau", "--k", "3", "--m", "4")[0] == cli.EXIT_BAD_CONFIG
     assert run(capsys, "tau", "--k", "3", "--trunc", "10")[0] \
         == cli.EXIT_BAD_CONFIG
+    for tol in ("nan", "-1", "0", "1e10"):
+        code, _, err = run(capsys, "derive", "--k", "4", "--m", "1", "--tol", tol)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert "bad configuration:" in err
 
 
 def test_singular_system_exit_code(capsys, monkeypatch):

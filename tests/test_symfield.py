@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from dzeta import symfield as sf
 from dzeta.circle import log_moment
-from dzeta.symfield import (ONE_MONO, GaussianRational, SymNumber,
-                            UnknownDegreeOverflow, ZetaMonomial, bernoulli,
-                            even_zeta_as_pi_power, i_power, render, zeta_value)
+from dzeta.symfield import (SymNumber, UnknownDegreeOverflow, ZetaMonomial,
+                            bernoulli, even_zeta_as_pi_power, render,
+                            zeta_value)
 
 
 # -- Bernoulli numbers -------------------------------------------------------
@@ -137,8 +137,7 @@ def sym_numbers(draw):
             merged[s] = merged.get(s, 0) + e
         mono = ZetaMonomial(pi_exp, tuple(sorted(merged.items())), None)
         # the field holds c * i^e * pi^e, i.e. c * P^e with P = i*pi
-        coeff = i_power(pi_exp) * draw(rationals)
-        total = total + SymNumber.from_term(mono, coeff)
+        total = total + SymNumber.from_term(mono, draw(rationals))
     return total
 
 
@@ -208,11 +207,16 @@ def test_render_multi_term_ordering():
 def test_render_latex():
     assert render(zeta_value(4) * Fraction(-7, 4), "latex", "even-zeta") \
         == r"-\frac{7}{4}\zeta(4)"
+    # imaginary coefficients of pi^e for e = 1 and 3 (mod 4)
+    assert render(SymNumber.p_power(1, Fraction(1, 2)), "latex") \
+        == r"\frac{1}{2}i\pi"
+    assert render(SymNumber.p_power(3, Fraction(1, 2)), "latex") \
+        == r"-\frac{1}{2}i\pi^{3}"
 
 
 def test_render_odd_pi_power_keeps_one_pi():
     # i*pi^3/2 = 3 * i * pi * zeta(2) after regrouping the even part
-    v = SymNumber.pi_power(3, GaussianRational(0, Fraction(1, 2)))
+    v = SymNumber.p_power(3, Fraction(-1, 2))
     assert render(v, "plain", "even-zeta") == "3*i*pi*zeta(2)"
 
 
@@ -240,12 +244,36 @@ def test_weight_grading():
 
 # -- The field Q[P, zeta(3), ...] with P = i*pi ------------------------------
 
+def _json_term(re="1", im="0", pi=0, zeta=None, unknown=None):
+    return {"coeff": {"re": re, "im": im}, "pi": pi, "zeta": zeta or {},
+            "unknown": unknown}
+
+
 def test_coefficients_outside_the_field_raise():
     # a real coefficient of an odd pi power, and i itself, are not c * i^e
     with pytest.raises(ValueError):
         SymNumber.pi_power(3, Fraction(1, 2))
     with pytest.raises(ValueError):
-        SymNumber.from_term(ONE_MONO, GaussianRational(0, 1))
+        sf.from_json_dict({"terms": [_json_term(re="0", im="1")]})
+
+
+@pytest.mark.parametrize("term", [
+    _json_term(pi=-2, re="-1"),
+    _json_term(pi=1.0, im="1"),
+    _json_term(zeta={"2": 1}),  # even zeta values are P powers
+    _json_term(zeta={"1": 1}),
+    _json_term(zeta={"03": 1}),
+    _json_term(zeta={"3": 0}),  # would not equal 1
+    _json_term(zeta={"3": -1}),
+    _json_term(unknown={"kind": "foo", "k": 2, "m": 1}),
+    _json_term(pi=1, re="1"),  # a rational multiple of pi
+    _json_term(pi=2, re="-1", im="1"),
+], ids=["negative-pi", "float-pi", "even-zeta", "zeta-1", "zeta-key-03",
+        "zeta-exp-0", "zeta-exp-negative", "unknown-kind", "real-odd-pi",
+        "complex-even-pi"])
+def test_non_canonical_json_raises(term):
+    with pytest.raises(ValueError):
+        sf.from_json_dict({"terms": [term]})
 
 
 @pytest.mark.parametrize("d,re,im", [
@@ -254,7 +282,11 @@ def test_coefficients_outside_the_field_raise():
 ])
 def test_json_of_i_pi_powers(d, re, im):
     x = SymNumber.p_power(d)
-    assert x == SymNumber.pi_power(d, i_power(d))
+    if d % 2 == 0:
+        assert x == SymNumber.pi_power(d, (-1) ** (d // 2))
+    else:
+        with pytest.raises(ValueError):
+            SymNumber.pi_power(d)
     (term,) = sf.to_json_dict(x)["terms"]
     assert term["coeff"] == {"re": re, "im": im}
     assert term["pi"] == d
