@@ -1,12 +1,15 @@
 """Command-line surface: coordinate tables, identity catalog, conjecture and
 basis checks, numeric certification.
 
-Exit codes: 0 ok, 1 numeric verification failure, 2 singular system,
-3 inconsistent identity, 4 bad configuration or usage error, 5 numeric
-precision unreachable within the oracle's term budget (`derive`, `verify` and
-`toy` print one `precision unreachable:` line on stderr).  All JSON artifacts
-are written atomically and are byte-identical across reruns except for the
-timestamp field.
+Each subcommand accepts only the flags it reads (`COMMANDS`); any other is a
+usage error.  Exit codes: 0 ok, 1 numeric verification failure, 2 singular
+system, 3 inconsistent system or identity, 4 bad configuration, usage error or
+unwritable `--out`, 5 numeric precision unreachable within the oracle's term
+budget.  Each failure of the solver, the oracle or `--out` prints one
+`<kind>: <message>` line on stderr (`FAILURES`).  All JSON artifacts are
+written atomically and are byte-identical across reruns except for the
+timestamp field and the `direct_seconds`/`fast_seconds` timings of
+`conjecture_m{m}.json`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import identities, numverify, pfseries, tausolver
@@ -64,17 +67,13 @@ class RunConfig:
         return problems
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _write_json(out_dir: str, name: str, payload: dict) -> None:
+    path = os.path.join(out_dir, name)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
     os.replace(tmp, path)
-
-
-def _out_path(cfg: RunConfig, name: str) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return os.path.join(cfg.out_dir, name)
 
 
 def _stamp() -> str:
@@ -111,12 +110,8 @@ def cmd_toy(cfg: RunConfig, corrupt: bool = False) -> int:
             fourier.linear, fourier.quadratic)
     samples = [Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8),
                Fraction(1, 2)]
-    try:
-        report = numverify.fourier_spot_check(samples, cfg.digits, 1e-10,
-                                              identity=fourier)
-    except numverify.PrecisionUnreachable as exc:
-        print(f"precision unreachable: {exc}", file=sys.stderr)
-        return EXIT_PRECISION_UNREACHABLE
+    report = numverify.fourier_spot_check(samples, cfg.digits, 1e-10,
+                                          identity=fourier)
     payload = {
         "tau": [to_json_dict(v) for v in tau],
         "fourier": report.to_json_dict(),
@@ -131,26 +126,21 @@ def cmd_toy(cfg: RunConfig, corrupt: bool = False) -> int:
         print(f"fourier identity at t in {{0, 1/8, 1/4, 3/8, 1/2}}: {status} "
               f"(max abs error {report.abs_error:.3e})")
     if cfg.out_dir:
-        _write_json(_out_path(cfg, "toy.json"), payload)
+        _write_json(cfg.out_dir, "toy.json", payload)
     return EXIT_OK if report.passed else EXIT_NUMERIC_FAILURE
 
 
 def cmd_tau(cfg: RunConfig, verify: bool = False) -> int:
     for m in cfg.m_set:
         for k in cfg.k_range():
-            try:
-                tau = _solve(k, m, cfg.mode)
-            except tausolver.SingularSystem as exc:
-                print(f"singular system for (k={k}, m={m}): {exc}", file=sys.stderr)
-                return EXIT_SINGULAR
+            tau = _solve(k, m, cfg.mode)
             conjectural = tau.conjectural
             if conjectural and verify:
                 direct = tausolver.solve_tau_direct(k, m)
-                if all(a == b for a, b in zip(direct.entries, tau.entries)):
-                    conjectural = False
-                else:
-                    print(f"fast/direct mismatch at (k={k}, m={m})", file=sys.stderr)
-                    return EXIT_INCONSISTENT
+                if not all(a == b for a, b in zip(direct.entries, tau.entries)):
+                    raise tausolver.InconsistentSystem(
+                        f"fast/direct mismatch at (k={k}, m={m})")
+                conjectural = False
             if cfg.fmt == "json":
                 print(json.dumps(_tau_payload(tau, cfg), sort_keys=True))
             else:
@@ -159,7 +149,7 @@ def cmd_tau(cfg: RunConfig, verify: bool = False) -> int:
                 for i, value in enumerate(tau.entries):
                     print(f"tau[{k},{m}][{i}] = {render(value, 'plain', cfg.style)}")
             if cfg.out_dir:
-                _write_json(_out_path(cfg, f"tau_{k}_{m}.json"),
+                _write_json(cfg.out_dir, f"tau_{k}_{m}.json",
                             _tau_payload(tau, cfg))
     return EXIT_OK
 
@@ -175,43 +165,33 @@ def _derive_records(cfg: RunConfig):
 def cmd_derive(cfg: RunConfig, do_verify: bool = True) -> int:
     reports = []
     records = []
-    try:
-        for rec in _derive_records(cfg):
-            verified = None
-            if rec.kind != "trivial" and do_verify:
-                report = numverify.verify_identity_numeric(rec, cfg.digits,
-                                                           cfg.tolerance)
-                reports.append(report)
-                verified = report.passed
-            records.append((rec, verified))
-            if cfg.fmt == "plain":
-                tag = {"dzv": "value", "alt": "alternating", "trivial": "trivial"}
-                suffix = ""
-                if verified is not None:
-                    suffix = "  [numeric ok]" if verified else "  [NUMERIC FAIL]"
-                print(f"(k={rec.k}, m={rec.m}, point={rec.point:+d}) "
-                      f"{tag[rec.kind]}: "
-                      f"{identities.render_identity(rec, 'plain', cfg.style)}{suffix}")
-            else:
-                print(json.dumps(identities.identity_to_json_dict(rec, verified),
-                                 sort_keys=True))
-            if cfg.out_dir:
-                name = f"identity_{rec.k}_{rec.m}_{'m1' if rec.point < 0 else 'p1'}.json"
-                payload = identities.identity_to_json_dict(rec, verified)
-                payload["text"] = identities.render_identity(rec, "plain", cfg.style)
-                payload["timestamp"] = _stamp()
-                _write_json(_out_path(cfg, name), payload)
-    except identities.InconsistentIdentity as exc:
-        print(f"inconsistent identity: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except tausolver.SingularSystem as exc:
-        print(f"singular system: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except numverify.PrecisionUnreachable as exc:
-        print(f"precision unreachable: {exc}", file=sys.stderr)
-        return EXIT_PRECISION_UNREACHABLE
+    for rec in _derive_records(cfg):
+        verified = None
+        if rec.kind != "trivial" and do_verify:
+            report = numverify.verify_identity_numeric(rec, cfg.digits,
+                                                       cfg.tolerance)
+            reports.append(report)
+            verified = report.passed
+        records.append((rec, verified))
+        if cfg.fmt == "plain":
+            tag = {"dzv": "value", "alt": "alternating", "trivial": "trivial"}
+            suffix = ""
+            if verified is not None:
+                suffix = "  [numeric ok]" if verified else "  [NUMERIC FAIL]"
+            print(f"(k={rec.k}, m={rec.m}, point={rec.point:+d}) "
+                  f"{tag[rec.kind]}: "
+                  f"{identities.render_identity(rec, 'plain', cfg.style)}{suffix}")
+        else:
+            print(json.dumps(identities.identity_to_json_dict(rec, verified),
+                             sort_keys=True))
+        if cfg.out_dir:
+            name = f"identity_{rec.k}_{rec.m}_{'m1' if rec.point < 0 else 'p1'}.json"
+            payload = identities.identity_to_json_dict(rec, verified)
+            payload["text"] = identities.render_identity(rec, "plain", cfg.style)
+            payload["timestamp"] = _stamp()
+            _write_json(cfg.out_dir, name, payload)
     if cfg.out_dir:
-        _write_json(_out_path(cfg, "report.json"), {
+        _write_json(cfg.out_dir, "report.json", {
             "identities": [identities.identity_to_json_dict(r, v)
                            for r, v in records],
             "numeric_reports": [r.to_json_dict() for r in reports],
@@ -238,7 +218,7 @@ def cmd_check_conjecture(cfg: RunConfig) -> int:
             print(f"m={m}: vacuous (k_max < 3)")
         ok = ok and report.all_pass
         if cfg.out_dir:
-            _write_json(_out_path(cfg, f"conjecture_m{m}.json"), {
+            _write_json(cfg.out_dir, f"conjecture_m{m}.json", {
                 "m": m,
                 "k_max": k_max,
                 "all_pass": report.all_pass,
@@ -287,86 +267,94 @@ def _parse_m(text: str) -> tuple[int, ...]:
     return tuple(sorted({int(piece) for piece in text.split(",") if piece}))
 
 
+# flag -> add_argument keywords.  Each dest is a RunConfig field or a keyword
+# of the subcommand's cmd_* function; a flag left out keeps that default.
+FLAGS = {
+    "--k": {"type": int},
+    "--k-max": {"type": int},
+    "--m": {"dest": "m_set", "metavar": "M", "type": _parse_m,
+            "help": "comma-separated subset of 1,2"},
+    "--mode": {"choices": ("direct", "fast")},
+    "--digits": {"type": int},
+    "--tol": {"dest": "tolerance", "metavar": "TOL", "type": float},
+    "--trunc": {"type": int},
+    "--style": {"choices": ("even-zeta", "pi-power")},
+    "--format": {"dest": "fmt", "choices": ("plain", "json")},
+    "--out": {"dest": "out_dir"},
+    "--corrupt": {"action": "store_true",
+                  "help": "perturb the identity to exercise the detector"},
+    "--verify": {"action": "store_true",
+                 "help": "cross-check fast results against the direct solver"},
+    "--no-verify": {"dest": "do_verify", "action": "store_false",
+                    "help": "skip numeric certification"},
+}
+_VERIFY_FLAGS = ("--k", "--k-max", "--m", "--mode", "--digits", "--tol",
+                 "--style", "--format", "--out")
+# subcommand (run by cmd_<name>) -> (help, the flags it reads)
+COMMANDS = {
+    "toy": ("run the order-3 warm-up example",
+            ("--digits", "--format", "--out", "--corrupt")),
+    "tau": ("print coordinate tables",
+            ("--k", "--k-max", "--m", "--mode", "--style", "--format", "--out",
+             "--verify")),
+    "derive": ("derive and certify identities", (*_VERIFY_FLAGS, "--no-verify")),
+    "check-conjecture": ("compare fast and direct coordinates",
+                         ("--k", "--k-max", "--m", "--out")),
+    "basis-check": ("operator annihilation and form agreement",
+                    ("--k", "--k-max", "--m", "--trunc")),
+    "verify": ("alias of derive with certification", _VERIFY_FLAGS),
+}
+# exception -> (exit code, the kind that starts its one line on stderr)
+FAILURES = {
+    tausolver.SingularSystem: (EXIT_SINGULAR, "singular system"),
+    tausolver.InconsistentSystem: (EXIT_INCONSISTENT, "inconsistent system"),
+    identities.InconsistentIdentity: (EXIT_INCONSISTENT, "inconsistent identity"),
+    OSError: (EXIT_BAD_CONFIG, "bad configuration"),  # --out not writable
+    numverify.PrecisionUnreachable: (EXIT_PRECISION_UNREACHABLE,
+                                     "precision unreachable"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dzeta",
         description="Exact double-zeta evaluations from differential-equation "
                     "solution bases and circle moments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_mode=True):
-        p.add_argument("--k", type=int, default=2)
-        p.add_argument("--k-max", type=int, default=None)
-        p.add_argument("--m", type=_parse_m, default=(1, 2),
-                       help="comma-separated subset of 1,2")
-        p.add_argument("--digits", type=int, default=12)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--trunc", type=int, default=200)
-        p.add_argument("--style", choices=("even-zeta", "pi-power"),
-                       default="even-zeta")
-        p.add_argument("--format", dest="fmt", choices=("plain", "json"),
-                       default="plain")
-        p.add_argument("--out", dest="out_dir", default=None)
-        if with_mode:
-            p.add_argument("--mode", choices=("direct", "fast"), default="direct")
-
-    p_toy = sub.add_parser("toy", help="run the order-3 warm-up example")
-    common(p_toy, with_mode=False)
-    p_toy.add_argument("--corrupt", action="store_true",
-                       help="perturb the identity to exercise the detector")
-
-    p_tau = sub.add_parser("tau", help="print coordinate tables")
-    common(p_tau)
-    p_tau.add_argument("--verify", action="store_true",
-                       help="cross-check fast results against the direct solver")
-
-    p_derive = sub.add_parser("derive", help="derive and certify identities")
-    common(p_derive)
-    p_derive.add_argument("--no-verify", action="store_true",
-                          help="skip numeric certification")
-
-    p_conj = sub.add_parser("check-conjecture",
-                            help="compare fast and direct coordinates")
-    common(p_conj)
-
-    p_basis = sub.add_parser("basis-check",
-                             help="operator annihilation and form agreement")
-    common(p_basis)
-
-    p_verify = sub.add_parser("verify", help="alias of derive with certification")
-    common(p_verify)
+    for name, (help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text,
+                           argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(build_parser().parse_args(argv))
     except SystemExit as exc:
         # argparse exits 2 on a usage error, which is EXIT_SINGULAR here
         return EXIT_OK if not exc.code else EXIT_BAD_CONFIG
-    cfg = RunConfig(
-        k=args.k, k_max=args.k_max, m_set=args.m, trunc=args.trunc,
-        digits=args.digits, tolerance=args.tol, out_dir=args.out_dir,
-        fmt=args.fmt, mode=getattr(args, "mode", "direct"), style=args.style)
+    command = args.pop("command")
+    names = {f.name for f in fields(RunConfig)}
+    cfg = RunConfig(**{n: v for n, v in args.items() if n in names})
     problems = cfg.validate()
     if problems:
         for p in problems:
             print(f"bad configuration: {p}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    if args.command == "toy":
-        return cmd_toy(cfg, corrupt=args.corrupt)
-    if args.command == "tau":
-        return cmd_tau(cfg, verify=args.verify)
-    if args.command == "derive":
-        return cmd_derive(cfg, do_verify=not args.no_verify)
-    if args.command == "check-conjecture":
-        return cmd_check_conjecture(cfg)
-    if args.command == "basis-check":
-        return cmd_basis_check(cfg)
-    if args.command == "verify":
-        return cmd_verify(cfg)
-    raise AssertionError("unreachable")
+    try:
+        if cfg.out_dir:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+        # looked up at call time, so that wrappers set on this module apply
+        cmd = globals()["cmd_" + command.replace("-", "_")]
+        return cmd(cfg, **{n: v for n, v in args.items() if n not in names})
+    except BrokenPipeError:
+        raise  # a closed stdout, not an --out failure
+    except tuple(FAILURES) as exc:
+        code, kind = next(v for cls, v in FAILURES.items() if isinstance(exc, cls))
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

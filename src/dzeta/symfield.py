@@ -539,33 +539,41 @@ def from_json_dict(data: dict) -> SymNumber:
     terms and raises ValueError on any other: a pi exponent that is not an
     integer >= 0, a zeta key that is not an odd integer >= 3 written in
     decimal, a zeta exponent below 1, an unknown of a kind other than
-    dzv/alt, or a re/im pair that is not a rational multiple of i^e and so
-    lies outside the field.
+    dzv/alt or without integers k >= 2 and m >= 1, a re/im pair that is not a
+    rational multiple of i^e and so lies outside the field, or a missing or
+    mistyped key.
     """
     out = SymNumber.zero()
-    for term in data["terms"]:
-        e = term.get("pi", 0)
-        if not isinstance(e, int) or e < 0:
-            raise ValueError(f"pi exponent {e!r} is not an integer >= 0")
-        zetas = []
-        for key, exp in term["zeta"].items():
-            s = int(key)
-            if key != str(s) or s < 3 or s % 2 == 0:
-                raise ValueError(f"zeta({key}) is not an odd zeta value >= 3")
-            if not isinstance(exp, int) or exp < 1:
-                raise ValueError(f"exponent {exp!r} of zeta({key}) is not >= 1")
-            zetas.append((s, exp))
-        unknown = term.get("unknown") or None
-        if unknown is not None:
-            if unknown["kind"] not in ("dzv", "alt"):
-                raise ValueError(f"unknown kind {unknown['kind']!r}")
-            unknown = Unknown(unknown["kind"], unknown["k"], unknown["m"])
-        re, im = Fraction(term["coeff"]["re"]), Fraction(term["coeff"]["im"])
-        # the pi^e coefficient c * i^e is real for even e, imaginary for odd e
-        c, rest = (im, re) if e % 2 else (re, im)
-        if rest:
-            raise ValueError(f"coefficient {re} + {im}*i of pi^{e} is not a "
-                             f"rational multiple of i^{e}")
-        mono = ZetaMonomial(e, tuple(sorted(zetas)), unknown)
-        out = out + SymNumber.from_term(mono, _i_sign(e) * c)
+    try:
+        for term in data["terms"]:
+            e = term.get("pi", 0)
+            if not isinstance(e, int) or e < 0:
+                raise ValueError(f"pi exponent {e!r} is not an integer >= 0")
+            zetas = []
+            for key, exp in term["zeta"].items():
+                s = int(key)
+                if key != str(s) or s < 3 or s % 2 == 0:
+                    raise ValueError(f"zeta({key}) is not an odd zeta value >= 3")
+                if not isinstance(exp, int) or exp < 1:
+                    raise ValueError(f"exponent {exp!r} of zeta({key}) is not >= 1")
+                zetas.append((s, exp))
+            unknown = term.get("unknown") or None
+            if unknown is not None:
+                unknown = Unknown(unknown["kind"], unknown["k"], unknown["m"])
+                if unknown.kind not in ("dzv", "alt"):
+                    raise ValueError(f"unknown kind {unknown.kind!r}")
+                if not (isinstance(unknown.k, int) and unknown.k >= 2
+                        and isinstance(unknown.m, int) and unknown.m >= 1):
+                    raise ValueError(f"unknown {unknown!r} needs integers "
+                                     f"k >= 2 and m >= 1")
+            re, im = Fraction(term["coeff"]["re"]), Fraction(term["coeff"]["im"])
+            # the pi^e coefficient c * i^e is real for even e, imaginary for odd e
+            c, rest = (im, re) if e % 2 else (re, im)
+            if rest:
+                raise ValueError(f"coefficient {re} + {im}*i of pi^{e} is not a "
+                                 f"rational multiple of i^{e}")
+            mono = ZetaMonomial(e, tuple(sorted(zetas)), unknown)
+            out = out + SymNumber.from_term(mono, _i_sign(e) * c)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed JSON value: {exc!r}") from exc
     return out

@@ -213,6 +213,98 @@ def test_help_exit_code(capsys):
     assert out.startswith("usage: dzeta")
 
 
+# the flags each subcommand reads; it rejects every other
+READS = {
+    "toy": {"--digits", "--format", "--out", "--corrupt"},
+    "tau": {"--k", "--k-max", "--m", "--mode", "--style", "--format", "--out",
+            "--verify"},
+    "verify": {"--k", "--k-max", "--m", "--mode", "--digits", "--tol",
+               "--style", "--format", "--out"},
+    "derive": {"--k", "--k-max", "--m", "--mode", "--digits", "--tol",
+               "--style", "--format", "--out", "--no-verify"},
+    "check-conjecture": {"--k", "--k-max", "--m", "--out"},
+    "basis-check": {"--k", "--k-max", "--m", "--trunc"},
+}
+# a valid value of each flag that takes one
+VALUES = {"--k": "3", "--k-max": "3", "--m": "1", "--mode": "fast",
+          "--digits": "12", "--tol": "1e-8", "--trunc": "200",
+          "--style": "pi-power", "--format": "json", "--out": "out"}
+
+
+def _listed_flags(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == cli.EXIT_OK
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) - {"--help"}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_help_lists_exactly_the_flags_read(capsys, command):
+    assert _listed_flags(capsys, command) == READS[command]
+
+
+def test_settable_value_count(capsys):
+    # each flag sets one value
+    assert sum(len(_listed_flags(capsys, c)) for c in READS) == 39
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, reads in sorted(READS.items())
+    for flag in VALUES if flag not in reads])
+def test_flag_not_read_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                        command, flag):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, flag, VALUES[flag])
+    assert code == cli.EXIT_BAD_CONFIG == 4
+    assert out == ""
+    assert "usage: dzeta" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_unwritable_out_exit_code(tmp_path, capsys, monkeypatch, out):
+    (tmp_path / "file").write_text("kept\n")
+
+    def solve(k, m):
+        pytest.fail("solved before --out was checked")
+
+    monkeypatch.setattr(tausolver, "solve_tau_direct", solve)
+    code, stdout, err = run(capsys, "derive", "--k", "2", "--m", "1",
+                            "--no-verify", "--out", str(tmp_path / out))
+    assert code == cli.EXIT_BAD_CONFIG == 4
+    assert stdout == ""
+    assert err.startswith("bad configuration: ")
+    assert err.count("\n") == 1
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+def test_closed_stdout_is_not_a_bad_out(capsys, monkeypatch):
+    def closed(cfg, **flags):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "cmd_tau", closed)
+    with pytest.raises(BrokenPipeError):
+        cli.main(["tau"])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("error,code,kind", [
+    (tausolver.SingularSystem([0, 1, 2]), cli.EXIT_SINGULAR, "singular system"),
+    (tausolver.InconsistentSystem("row n=0 residual is nonzero"),
+     cli.EXIT_INCONSISTENT, "inconsistent system"),
+])
+def test_check_conjecture_solver_failure_exit_code(capsys, monkeypatch, error,
+                                                   code, kind):
+    def solve(system):
+        raise error
+
+    monkeypatch.setattr(tausolver, "fraction_free_solve", solve)
+    tausolver.solve_tau_direct.cache_clear()
+    got, _, err = run(capsys, "check-conjecture", "--k-max", "3", "--m", "1")
+    assert got == code
+    assert err.startswith(f"{kind}: ")
+    assert err.count("\n") == 1
+
+
 def _blank_timestamp(data: bytes) -> bytes:
     return re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', data)
 

@@ -257,7 +257,7 @@ def test_coefficients_outside_the_field_raise():
         sf.from_json_dict({"terms": [_json_term(re="0", im="1")]})
 
 
-@pytest.mark.parametrize("term", [
+@pytest.mark.parametrize("data", [{"terms": [term]} for term in (
     _json_term(pi=-2, re="-1"),
     _json_term(pi=1.0, im="1"),
     _json_term(zeta={"2": 1}),  # even zeta values are P powers
@@ -268,12 +268,22 @@ def test_coefficients_outside_the_field_raise():
     _json_term(unknown={"kind": "foo", "k": 2, "m": 1}),
     _json_term(pi=1, re="1"),  # a rational multiple of pi
     _json_term(pi=2, re="-1", im="1"),
-], ids=["negative-pi", "float-pi", "even-zeta", "zeta-1", "zeta-key-03",
-        "zeta-exp-0", "zeta-exp-negative", "unknown-kind", "real-odd-pi",
-        "complex-even-pi"])
-def test_non_canonical_json_raises(term):
+    {"coeff": {"re": "1", "im": "0"}},
+    {"zeta": {}},
+    {"coeff": {"re": "1"}, "zeta": {}},
+    _json_term(unknown={"k": 2, "m": 1}),
+    _json_term(unknown={"kind": "dzv", "k": "x", "m": 1}),
+    _json_term(unknown={"kind": "dzv", "k": 1, "m": 7}),
+    _json_term(unknown={"kind": "alt", "k": 3, "m": 0}),
+    _json_term(unknown={"kind": "dzv", "k": 2.0, "m": 1}),
+)] + [{}], ids=["negative-pi", "float-pi", "even-zeta", "zeta-1", "zeta-key-03",
+               "zeta-exp-0", "zeta-exp-negative", "unknown-kind", "real-odd-pi",
+               "complex-even-pi", "no-zeta", "no-coeff", "no-coeff-im",
+               "unknown-no-kind", "unknown-k-text", "unknown-k-1", "unknown-m-0",
+               "unknown-k-float", "no-terms"])
+def test_non_canonical_json_raises(data):
     with pytest.raises(ValueError):
-        sf.from_json_dict({"terms": [term]})
+        sf.from_json_dict(data)
 
 
 @pytest.mark.parametrize("d,re,im", [
