@@ -5,7 +5,8 @@ Each subcommand accepts only the flags it reads (`COMMANDS`); any other is a
 usage error.  Exit codes: 0 ok, 1 numeric verification failure, 2 singular
 system, 3 inconsistent system or identity, 4 bad configuration, usage error or
 unwritable `--out`, 5 numeric precision unreachable within the oracle's term
-budget.  Each failure of the solver, the oracle or `--out` prints one
+budget, 141 stdout closed by the reader (as by `| head`; 128 + SIGPIPE, with no
+traceback).  Each failure of the solver, the oracle or `--out` prints one
 `<kind>: <message>` line on stderr (`FAILURES`).  All JSON artifacts are
 written atomically and are byte-identical across reruns except for the
 timestamp field and the `direct_seconds`/`fast_seconds` timings of
@@ -31,6 +32,7 @@ EXIT_SINGULAR = 2
 EXIT_INCONSISTENT = 3
 EXIT_BAD_CONFIG = 4
 EXIT_PRECISION_UNREACHABLE = 5
+EXIT_BROKEN_PIPE = 141
 
 
 @dataclass
@@ -348,9 +350,16 @@ def main(argv=None) -> int:
             os.makedirs(cfg.out_dir, exist_ok=True)
         # looked up at call time, so that wrappers set on this module apply
         cmd = globals()["cmd_" + command.replace("-", "_")]
-        return cmd(cfg, **{n: v for n, v in args.items() if n not in names})
+        code = cmd(cfg, **{n: v for n, v in args.items() if n not in names})
+        sys.stdout.flush()  # a reader that closed stdout early is seen here
+        return code
     except BrokenPipeError:
-        raise  # a closed stdout, not an --out failure
+        # a closed stdout, not an --out failure; fd 1 now points at devnull,
+        # so the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except tuple(FAILURES) as exc:
         code, kind = next(v for cls, v in FAILURES.items() if isinstance(exc, cls))
         print(f"{kind}: {exc}", file=sys.stderr)

@@ -8,6 +8,12 @@ any reasonable precision; alternating sums use repeated pair averaging with a
 bracketing-based error estimate.  Working precision always carries guard bits
 beyond the requested digits, so reported tail bounds dominate rounding.
 
+Each kernel tries growing term budgets and extends one running partial sum
+across them rather than restarting it; the averaging triangle works on raw
+`mpmath.libmp` tuples; power/log tails are memoised per working precision.
+All three only remove repeated work: every value, bound and message is
+bit-identical to the plain mpf loops kept as the reference in the test suite.
+
 Big floats are mpmath `mpf` values; pi and Euler's constant come from mpmath's
 standard arbitrary-precision constants (pi is cross-checked against the
 series for the weight-2 sum in the test suite).
@@ -22,6 +28,8 @@ from typing import NamedTuple, Optional
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import (fzero, from_int, mpf_abs, mpf_add, mpf_div,
+                          mpf_pow_int, mpf_shift, mpf_sub, round_nearest)
 
 from .identities import FourierIdentity, IdentityRecord
 from .symfield import SymNumber, bernoulli
@@ -58,37 +66,46 @@ def _powerlog_tail(c_log, c_const, r: int, x0, step: int = 1,
     Euler-Maclaurin in j with the periodized-Bernoulli remainder bound
     |R| <= 4 (2 pi)^(-2J) int |h^(2J)|; requires r >= 2 and x0 >= 1.
     """
-    if r < 2:
-        raise ValueError("tail requires decay exponent >= 2")
-    x0 = mpf(x0)
-    if x0 < 1:
-        raise ValueError("tail start must be >= 1")
-    c_log = mpf(c_log)
-    c_const = mpf(c_const)
-    ln0 = mpmath.ln(x0)
+    return _powerlog_tail_at(c_log, c_const, r, x0, step, levels,
+                             mpmath.mp.prec)
 
-    # f^(p)(y) = y^(-r-p) (A_p ln y + B_p)
-    A = [c_log]
-    B = [c_const]
-    for p in range(2 * levels + 1):
-        A.append(-(r + p) * A[p])
-        B.append(-(r + p) * B[p] + A[p])
 
-    def integral(a_coeff, b_coeff, power):
-        # int_x0^inf y^-power (a ln y + b) dy for power >= 2
-        base = x0 ** (1 - power) / (power - 1)
-        return base * (a_coeff * (ln0 + mpf(1) / (power - 1)) + b_coeff)
+@functools.cache
+def _powerlog_tail_at(c_log, c_const, r, x0, step, levels, prec):
+    # keyed on the working precision too, so a tail computed for a short
+    # request is never handed to a longer one
+    with mpmath.workprec(prec):
+        if r < 2:
+            raise ValueError("tail requires decay exponent >= 2")
+        x0 = mpf(x0)
+        if x0 < 1:
+            raise ValueError("tail start must be >= 1")
+        c_log = mpf(c_log)
+        c_const = mpf(c_const)
+        ln0 = mpmath.ln(x0)
 
-    total = integral(c_log, c_const, r) / step
-    total += (x0 ** (-r)) * (c_log * ln0 + c_const) / 2
-    for i in range(1, levels + 1):
-        p = 2 * i - 1
-        deriv = (step ** p) * x0 ** (-r - p) * (A[p] * ln0 + B[p])
-        total -= _to_mpf(bernoulli(2 * i)) / mpmath.factorial(2 * i) * deriv
-    p = 2 * levels
-    abs_integral = integral(abs(A[p]), abs(B[p]) + abs(A[p]), r + p)
-    bound = 4 * (step / (2 * mpmath.pi)) ** (2 * levels) * abs_integral / step
-    return _TailResult(total, abs(bound))
+        # f^(p)(y) = y^(-r-p) (A_p ln y + B_p)
+        A = [c_log]
+        B = [c_const]
+        for p in range(2 * levels + 1):
+            A.append(-(r + p) * A[p])
+            B.append(-(r + p) * B[p] + A[p])
+
+        def integral(a_coeff, b_coeff, power):
+            # int_x0^inf y^-power (a ln y + b) dy for power >= 2
+            base = x0 ** (1 - power) / (power - 1)
+            return base * (a_coeff * (ln0 + mpf(1) / (power - 1)) + b_coeff)
+
+        total = integral(c_log, c_const, r) / step
+        total += (x0 ** (-r)) * (c_log * ln0 + c_const) / 2
+        for i in range(1, levels + 1):
+            p = 2 * i - 1
+            deriv = (step ** p) * x0 ** (-r - p) * (A[p] * ln0 + B[p])
+            total -= _to_mpf(bernoulli(2 * i)) / mpmath.factorial(2 * i) * deriv
+        p = 2 * levels
+        abs_integral = integral(abs(A[p]), abs(B[p]) + abs(A[p]), r + p)
+        bound = 4 * (step / (2 * mpmath.pi)) ** (2 * levels) * abs_integral / step
+        return _TailResult(total, abs(bound))
 
 
 def zeta_num(s: int, digits: int) -> mpf:
@@ -125,10 +142,11 @@ def _dzv_with_bound(k: int, m: int, digits: int) -> _TailResult:
     corrections = 6
     with _workprec(digits):
         best_bound = None
-        for cutoff in (64, 128, 256):
-            partial = mpf(0)
-            h = mpf(0)
-            for n in range(1, cutoff):
+        partial = mpf(0)
+        h = mpf(0)
+        # each budget extends the previous budget's partial sum
+        for first, cutoff in ((1, 64), (64, 128), (128, 256)):
+            for n in range(first, cutoff):
                 h += mpf(n) ** (-m)
                 partial += h / mpf(n + 1) ** k
             u0 = cutoff + 1  # tail starts at u = cutoff + 1, i.e. n = cutoff
@@ -177,43 +195,48 @@ def dzv_num(k: int, m: int, digits: int) -> mpf:
     return _dzv_with_bound(k, m, digits).value
 
 
+def _bracket(row: list, prec: int) -> tuple:
+    """Repeated pair averaging of partial sums, on raw mpf tuples at `prec`.
+
+    At every level consecutive averaged values must keep bracketing the limit
+    (they do for terms whose finite differences are monotone, which holds
+    here beyond small n and is checked numerically: the nonzero gaps must
+    alternate in sign); the last pair of the deepest level that still
+    alternates gives (value, bound), bound being its gap.  Halving is an exact
+    shift, so each average rounds once, as (a + b) / 2 on mpf values does.
+    """
+    value = mpf_shift(mpf_add(row[-1], row[-2], prec, round_nearest), -1)
+    bound = mpf_abs(mpf_sub(row[-1], row[-2], prec, round_nearest))
+    while len(row) > 2:
+        gaps = [mpf_sub(b, a, prec, round_nearest) for a, b in zip(row, row[1:])]
+        signs = [g[0] for g in gaps if g != fzero]  # sign bit of the tuple
+        if any(a == b for a, b in zip(signs, signs[1:])):
+            break  # alternation lost: stop at the last valid bracket
+        # entries straddle the limit; the last pair brackets tightest
+        value = mpf_shift(mpf_add(row[-1], row[-2], prec, round_nearest), -1)
+        bound = mpf_abs(gaps[-1])
+        if bound == fzero:
+            break
+        row = [mpf_shift(mpf_add(a, b, prec, round_nearest), -1)
+               for a, b in zip(row, row[1:])]
+    return value, bound
+
+
 def _alt_with_bound(k: int, m: int, digits: int) -> _TailResult:
     """Alternating sum  sum_{n>=1} (-1)^n H_{n,m} / (n+1)^k.
 
-    Repeated pair averaging of the partial sums.  At every level consecutive
-    averaged values must keep bracketing the limit (they do for terms whose
-    finite differences are monotone, which holds here beyond small n and is
-    checked numerically); the final gap then bounds the error.
+    Repeated pair averaging (`_bracket`) of the last partial sums, at three
+    term budgets that share one list of partial sums.
     """
     if k < 2 or m not in (1, 2):
         raise ValueError("need k >= 2 and m in {1, 2}")
     target = mpf(10) ** (-digits)
 
-    def averaged(n_terms: int, window: int) -> _TailResult:
-        h = mpf(0)
-        sums = []
-        acc = mpf(0)
-        for n in range(1, n_terms + 1):
-            h += mpf(n) ** (-m)
-            acc += (-1) ** n * h / mpf(n + 1) ** k
-            sums.append(acc)
-        row = sums[-(window + 1):]
-        value = (row[-1] + row[-2]) / 2
-        bound = abs(row[-1] - row[-2])
-        while len(row) > 2:
-            gaps = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-            signs = [mpmath.sign(g) for g in gaps if g != 0]
-            if any(signs[i] == signs[i + 1] for i in range(len(signs) - 1)):
-                break  # alternation lost: stop at the last valid bracket
-            # entries straddle the limit; the last pair brackets tightest
-            value = (row[-1] + row[-2]) / 2
-            bound = abs(row[-1] - row[-2])
-            if not bound:
-                break
-            row = [(row[i] + row[i + 1]) / 2 for i in range(len(row) - 1)]
-        return _TailResult(value, bound)
-
     with _workprec(digits):
+        prec = mpmath.mp.prec
+        rnd = round_nearest
+        sums = []  # raw partial sums, each budget extending the last one's
+        h = acc = fzero
         # Windows stay shallow relative to the start index: bracketing needs
         # the window-depth finite differences of the terms to stay monotone,
         # which the log-growth factor only guarantees for ln(start) above the
@@ -222,7 +245,18 @@ def _alt_with_bound(k: int, m: int, digits: int) -> _TailResult:
         best = None
         previous = None
         for n_terms, window in ((240, 40), (480, 80), (960, 160)):
-            est = averaged(n_terms, window)
+            # rounded exactly as h += n^-m and acc += (-1)^n h / (n+1)^k on
+            # mpf values; round-to-nearest is symmetric, so subtracting the
+            # term rounds as adding its negation does
+            for n in range(len(sums) + 1, n_terms + 1):
+                h = mpf_add(h, mpf_pow_int(from_int(n), -m, prec, rnd),
+                            prec, rnd)
+                term = mpf_div(h, mpf_pow_int(from_int(n + 1), k, prec, rnd),
+                               prec, rnd)
+                acc = (mpf_sub if n % 2 else mpf_add)(acc, term, prec, rnd)
+                sums.append(acc)
+            est = _TailResult(*map(mpmath.mp.make_mpf,
+                                   _bracket(sums[-(window + 1):], prec)))
             if previous is not None:
                 bound = max(est.bound, abs(est.value - previous.value))
                 if best is None or bound < best.bound:

@@ -1,7 +1,10 @@
 """Tests for the command-line interface and its artifact files."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -282,9 +285,33 @@ def test_closed_stdout_is_not_a_bad_out(capsys, monkeypatch):
         raise BrokenPipeError(32, "Broken pipe")
 
     monkeypatch.setattr(cli, "cmd_tau", closed)
-    with pytest.raises(BrokenPipeError):
-        cli.main(["tau"])
+    saved = os.dup(1)  # main points fd 1 at devnull; give it back afterwards
+    try:
+        assert cli.main(["tau"]) == cli.EXIT_BROKEN_PIPE == 141
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
     assert capsys.readouterr().err == ""
+
+
+def test_reader_closing_stdout_exits_141_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered, as in a user's pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dzeta.cli", "tau", "--k", "2", "--k-max", "14",
+         "--m", "1,2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        # the output is larger than a block-buffered stdout's buffer, so the
+        # first line arrives while later tables are still being solved
+        assert proc.stdout.readline().startswith(b"# coordinates for (k=2, m=1)")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE
+    assert "Traceback" not in err.decode()
 
 
 @pytest.mark.parametrize("error,code,kind", [

@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath import mpf
 
 from dzeta import identities as ids, numverify as nv, tausolver as ts
-from dzeta.symfield import SymNumber
+from dzeta.numverify import (PrecisionUnreachable, _TailResult,
+                             _powerlog_tail, _to_mpf, _workprec)
+from dzeta.symfield import SymNumber, bernoulli
 from reference_data import q, z
 
 
@@ -160,3 +163,169 @@ def test_report_json_shape():
     assert set(data) == {"identity", "lhs", "rhs", "abs_error", "rel_error",
                          "tail_bound", "tolerance", "passed"}
     assert data["passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity of the summation kernels.  The two functions below are the
+# plain forms of the weighted harmonic sum (each cutoff restarts its partial
+# sum) and of the alternating sum (each budget rebuilds its partial sums and
+# averages them with mpf arithmetic); they are kept verbatim as the reference
+# the optimised kernels must match bit for bit, because the golden reports
+# pin the bytes of every value and bound.
+
+def _dzv_reference(k: int, m: int, digits: int) -> _TailResult:
+    """Weighted harmonic sum  sum_{n>=1} H_{n,m} / (n+1)^k.
+
+    Shifted to u = n+1 the summand is (psi(u) + euler)/u^k for m = 1 and
+    (zeta(2) - psi'(u))/u^k for m = 2; inserting the digamma/trigamma
+    asymptotics (remainders bounded by the first omitted term) leaves
+    closed-form power and power-log tails.
+    """
+    if k < 2 or m not in (1, 2):
+        raise ValueError("need k >= 2 and m in {1, 2}")
+    target = mpf(10) ** (-digits)
+    corrections = 6
+    with _workprec(digits):
+        best_bound = None
+        for cutoff in (64, 128, 256):
+            partial = mpf(0)
+            h = mpf(0)
+            for n in range(1, cutoff):
+                h += mpf(n) ** (-m)
+                partial += h / mpf(n + 1) ** k
+            u0 = cutoff + 1  # tail starts at u = cutoff + 1, i.e. n = cutoff
+            bound = mpf(0)
+            if m == 1:
+                tail_t = [_powerlog_tail(0, 1, k + j, u0)
+                          for j in (0, 1, *range(2, 2 * corrections + 1, 2))]
+                tail_log = _powerlog_tail(1, 0, k, u0)
+                tail = tail_log.value + mpmath.euler * tail_t[0].value \
+                    - tail_t[1].value / 2
+                bound += tail_log.bound + mpmath.euler * tail_t[0].bound \
+                    + tail_t[1].bound / 2
+                for idx, i in enumerate(range(1, corrections + 1)):
+                    b2i = _to_mpf(bernoulli(2 * i))
+                    tail -= b2i / (2 * i) * tail_t[2 + idx].value
+                    bound += abs(b2i) / (2 * i) * tail_t[2 + idx].bound
+                rem = _powerlog_tail(0, 1, k + 2 * corrections + 2, u0)
+                b_next = abs(_to_mpf(bernoulli(2 * corrections + 2)))
+                bound += b_next / (2 * corrections + 2) \
+                    * (rem.value + rem.bound)
+            else:
+                zeta2 = mpmath.pi ** 2 / 6
+                t_k = _powerlog_tail(0, 1, k, u0)
+                t_k1 = _powerlog_tail(0, 1, k + 1, u0)
+                t_k2 = _powerlog_tail(0, 1, k + 2, u0)
+                tail = zeta2 * t_k.value - t_k1.value - t_k2.value / 2
+                bound += zeta2 * t_k.bound + t_k1.bound + t_k2.bound / 2
+                for i in range(1, corrections + 1):
+                    b2i = _to_mpf(bernoulli(2 * i))
+                    t = _powerlog_tail(0, 1, k + 2 * i + 1, u0)
+                    tail -= b2i * t.value
+                    bound += abs(b2i) * t.bound
+                rem = _powerlog_tail(0, 1, k + 2 * corrections + 3, u0)
+                b_next = abs(_to_mpf(bernoulli(2 * corrections + 2)))
+                bound += 2 * b_next * (rem.value + rem.bound)
+            best_bound = bound if best_bound is None else min(best_bound, bound)
+            if bound < target:
+                return _TailResult(+(partial + tail), +bound)
+    achieved = int(-mpmath.log10(best_bound)) if best_bound and best_bound > 0 else 0
+    raise PrecisionUnreachable(
+        f"dzv({k},{m}) tail bound {mpmath.nstr(best_bound, 3)} exceeds "
+        f"10^-{digits} within the term budget", achieved_digits=achieved)
+
+
+def _alt_reference(k: int, m: int, digits: int) -> _TailResult:
+    """Alternating sum  sum_{n>=1} (-1)^n H_{n,m} / (n+1)^k.
+
+    Repeated pair averaging of the partial sums.  At every level consecutive
+    averaged values must keep bracketing the limit (they do for terms whose
+    finite differences are monotone, which holds here beyond small n and is
+    checked numerically); the final gap then bounds the error.
+    """
+    if k < 2 or m not in (1, 2):
+        raise ValueError("need k >= 2 and m in {1, 2}")
+    target = mpf(10) ** (-digits)
+
+    def averaged(n_terms: int, window: int) -> _TailResult:
+        h = mpf(0)
+        sums = []
+        acc = mpf(0)
+        for n in range(1, n_terms + 1):
+            h += mpf(n) ** (-m)
+            acc += (-1) ** n * h / mpf(n + 1) ** k
+            sums.append(acc)
+        row = sums[-(window + 1):]
+        value = (row[-1] + row[-2]) / 2
+        bound = abs(row[-1] - row[-2])
+        while len(row) > 2:
+            gaps = [row[i + 1] - row[i] for i in range(len(row) - 1)]
+            signs = [mpmath.sign(g) for g in gaps if g != 0]
+            if any(signs[i] == signs[i + 1] for i in range(len(signs) - 1)):
+                break  # alternation lost: stop at the last valid bracket
+            # entries straddle the limit; the last pair brackets tightest
+            value = (row[-1] + row[-2]) / 2
+            bound = abs(row[-1] - row[-2])
+            if not bound:
+                break
+            row = [(row[i] + row[i + 1]) / 2 for i in range(len(row) - 1)]
+        return _TailResult(value, bound)
+
+    with _workprec(digits):
+        # Windows stay shallow relative to the start index: bracketing needs
+        # the window-depth finite differences of the terms to stay monotone,
+        # which the log-growth factor only guarantees for ln(start) above the
+        # harmonic number of the depth.  Successive estimates cross-check each
+        # other and their spread is folded into the reported bound.
+        best = None
+        previous = None
+        for n_terms, window in ((240, 40), (480, 80), (960, 160)):
+            est = averaged(n_terms, window)
+            if previous is not None:
+                bound = max(est.bound, abs(est.value - previous.value))
+                if best is None or bound < best.bound:
+                    best = _TailResult(+est.value, +bound)
+                if best.bound < target:
+                    return best
+            previous = est
+    achieved = int(-mpmath.log10(best.bound)) if best.bound > 0 else digits
+    raise PrecisionUnreachable(
+        f"alternating sum ({k},{m}) reached only ~{achieved} digits",
+        achieved_digits=achieved)
+
+
+def _outcome(kernel, k, m, digits):
+    try:
+        result = kernel(k, m, digits)
+    except PrecisionUnreachable as exc:
+        return "unreachable", str(exc), exc.achieved_digits
+    return "ok", result.value._mpf_, result.bound._mpf_
+
+
+@pytest.mark.parametrize("kernel,reference", [
+    (nv._dzv_with_bound, _dzv_reference),
+    (nv._alt_with_bound, _alt_reference),
+], ids=["dzv", "alt"])
+@pytest.mark.parametrize("k", [2, 3, 9, 16, 20])
+def test_kernel_bit_identical_to_reference(kernel, reference, k):
+    for m in (1, 2):
+        for digits in (12, 30, 40, 60):
+            assert _outcome(kernel, k, m, digits) \
+                == _outcome(reference, k, m, digits), (m, digits)
+
+
+def test_powerlog_tail_memo_is_keyed_on_precision():
+    args = (1, 0, 5, 65, 1, 14)
+    for digits in (12, 30):
+        with _workprec(digits):
+            prec = mpmath.mp.prec
+            cached = _powerlog_tail(*args)
+            plain = nv._powerlog_tail_at.__wrapped__(*args, prec)
+            assert (cached.value._mpf_, cached.bound._mpf_) \
+                == (plain.value._mpf_, plain.bound._mpf_)
+            hits = nv._powerlog_tail_at.cache_info().hits
+            assert _powerlog_tail(*args) is cached
+            assert nv._powerlog_tail_at.cache_info().hits == hits + 1
+    with _workprec(12):
+        short = _powerlog_tail(*args)
+    assert short.value._mpf_ != cached.value._mpf_  # cached is the 30-digit one
