@@ -12,9 +12,8 @@ from .numverify import (NumericReport, PrecisionUnreachable, alt_sum_num,
 from .pfseries import (ChartMismatch, LevelOutOfRange, LogSeries, PFOperator,
                        apply_operator, basis_coefficient, canonical_basis,
                        harmonic, pf_operator, pi_coefficient, pi_series)
-from .symfield import (GaussianRational, SymNumber, Unknown,
-                       UnknownDegreeOverflow, ZetaMonomial, bernoulli,
-                       even_zeta_as_pi_power, render, zeta_value)
+from .symfield import (GaussianRational, SymNumber, Unknown, ZetaMonomial,
+                       bernoulli, even_zeta_as_pi_power, render, zeta_value)
 from .tausolver import (InconsistentSystem, MomentSystem, SingularSystem,
                         TauVector, assemble_system, check_conjecture,
                         fraction_free_solve, solve_tau_direct, solve_tau_fast)

@@ -139,7 +139,7 @@ def cmd_tau(cfg: RunConfig, verify: bool = False) -> int:
             conjectural = tau.conjectural
             if conjectural and verify:
                 direct = tausolver.solve_tau_direct(k, m)
-                if not all(a == b for a, b in zip(direct.entries, tau.entries)):
+                if direct.entries != tau.entries:
                     raise tausolver.InconsistentSystem(
                         f"fast/direct mismatch at (k={k}, m={m})")
                 conjectural = False
@@ -213,7 +213,7 @@ def cmd_check_conjecture(cfg: RunConfig) -> int:
     ok = True
     for m in cfg.m_set:
         k_max = cfg.k_max if cfg.k_max is not None else cfg.k
-        report = tausolver.check_conjecture(k_max, m)
+        report = tausolver.check_conjecture(k_max, m, cfg.k)
         for line in report.lines():
             print(line)
         if not report.checks:

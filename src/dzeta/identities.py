@@ -1,11 +1,13 @@
 """Evaluate the coordinate expansion at the boundary points +1 and -1.
 
 At the point -1 the expansion turns into a linear equation for the double
-zeta value; at +1, for the alternating harmonic sum.  Whether the equation
-carries information depends on parity: the unknown's coefficient cancels
-identically in the other parity class, leaving the empty identity 0 = 0.
-Every infinite series is resolved through `closed_sum`; the single unknown
-enters linearly through the weighted harmonic tail of the rewritten basis.
+zeta value; at +1, for the alternating harmonic sum.  The unknown enters only
+through the weighted harmonic tail of the rewritten basis, with a rational
+coefficient, so `eval_basis_at` returns each element's boundary value as a
+pair: the known part in the ring, resolved through `closed_sum`, and that
+rational coefficient.  Whether the equation carries information depends on
+parity: the unknown's coefficient cancels identically in the other parity
+class, leaving the empty identity 0 = 0.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import circle, tausolver
-from .pfseries import (HarmonicTailSeries, PureAltSeries, bottom_block_rewritten,
-                       operator_order, upper_block_specs)
+from .pfseries import (HarmonicTailSeries, bottom_block_rewritten, operator_order,
+                       upper_block_specs)
 from .symfield import SymNumber, Unknown, render, to_json_dict, zeta_value
 
 
@@ -29,49 +31,21 @@ class InconsistentIdentity(Exception):
     or the solved value failed a structural sanity check."""
 
 
-def closed_sum(shape: str, s: Optional[int] = None, k: Optional[int] = None,
-               m: Optional[int] = None) -> SymNumber:
-    """Closed forms of the boundary series.
+def closed_sum(shape: str, s: int) -> SymNumber:
+    """Closed forms of the known boundary series.
 
-    power:              sum 1/n^s            -> zeta(s)
-    alt-power:          sum (-1)^n / n^s     -> -(1 - 2^(1-s)) zeta(s)
-    harmonic-tail:      sum H_{n,m}/(n+1)^k          -> formal dzv symbol
-    alt-harmonic-tail:  sum (-1)^n H_{n,m}/(n+1)^k   -> formal alt symbol
+    power:      sum 1/n^s         -> zeta(s)
+    alt-power:  sum (-1)^n / n^s  -> -(1 - 2^(1-s)) zeta(s)
     """
     if shape == "power":
-        if s is None or s < 2:
+        if s < 2:
             raise Divergent("power sum needs s >= 2")
         return zeta_value(s)
     if shape == "alt-power":
-        if s is None or s < 2:
+        if s < 2:
             raise Divergent("alternating power sum needs s >= 2")
         return zeta_value(s) * (Fraction(1, 2 ** (s - 1)) - 1)
-    if shape == "harmonic-tail":
-        if k is None or m is None or k < 2:
-            raise Divergent("harmonic tail needs k >= 2")
-        return SymNumber.unknown_dzv(k, m)
-    if shape == "alt-harmonic-tail":
-        if k is None or m is None or k < 2:
-            raise Divergent("alternating harmonic tail needs k >= 2")
-        return SymNumber.unknown_alt(k, m)
     raise ValueError(f"unknown shape {shape!r}")
-
-
-def _series_at_point(spec, point: int) -> SymNumber:
-    """Value of a basis series block on the boundary, unknowns allowed."""
-    if isinstance(spec, PureAltSeries):
-        if spec.power < 2:
-            raise Divergent("series exponent 1 cannot be evaluated on the boundary")
-        if point == -1:  # (-1)^n * (-1)^n = 1
-            return closed_sum("power", s=spec.power) * spec.scale
-        return closed_sum("alt-power", s=spec.power) * spec.scale
-    if isinstance(spec, HarmonicTailSeries):
-        if spec.power < 2:
-            raise Divergent("series exponent 1 cannot be evaluated on the boundary")
-        if point == -1:  # (-1)^n * (-1)^(n+1) = -1
-            return closed_sum("harmonic-tail", k=spec.power, m=spec.t) * (-spec.scale)
-        return closed_sum("alt-harmonic-tail", k=spec.power, m=spec.t) * spec.scale
-    raise TypeError(f"unknown series spec {spec!r}")
 
 
 def _log_power_at(point: int, d: int) -> SymNumber:
@@ -83,22 +57,36 @@ def _log_power_at(point: int, d: int) -> SymNumber:
     return SymNumber.p_power(d)
 
 
-def eval_basis_at(k: int, m: int, i: int, point: int) -> SymNumber:
-    """Exact boundary value of basis element i at +1 or -1."""
+def eval_basis_at(k: int, m: int, i: int, point: int) -> tuple[SymNumber, Fraction]:
+    """Exact boundary value of basis element i at +1 or -1, as the pair
+    (known value, rational coefficient of the unknown).
+
+    The unknown is zeta(k, m) at -1 and the alternating sum at +1; only the
+    log-free harmonic tail carries it, as the sum over n of
+    (-1)^n H_{n,m}/(n+1)^k x^(n+1): that is -zeta(k, m) at x = -1 and the
+    alternating sum itself at x = +1.
+    """
     if point not in (1, -1):
         raise ValueError("point must be +1 or -1")
     order = operator_order(k, m)
     if not 0 <= i < order:
         raise ValueError(f"basis index {i} out of range for order {order}")
+    power_shape = "power" if point == -1 else "alt-power"  # (-1)^n x^n at x = point
     total = _log_power_at(point, i)
     for d, spec in upper_block_specs(k, m, i):
         log_part = _log_power_at(point, d)
         if log_part.is_zero():
             continue
-        total = total + _series_at_point(spec, point) * log_part
+        total = total + closed_sum(power_shape, spec.power) * spec.scale * log_part
+    unknown_coeff = Fraction(0)
     for spec in bottom_block_rewritten(k, m, i):
-        total = total + _series_at_point(spec, point)
-    return total
+        if spec.power < 2:
+            raise Divergent("series exponent 1 cannot be evaluated on the boundary")
+        if isinstance(spec, HarmonicTailSeries):
+            unknown_coeff += spec.scale * point
+        else:  # PureAltSeries
+            total = total + closed_sum(power_shape, spec.power) * spec.scale
+    return total, unknown_coeff
 
 
 @dataclass(frozen=True)
@@ -121,35 +109,33 @@ class IdentityRecord:
 def derive_identity(k: int, m: int, point: int, tau: tausolver.TauVector) -> IdentityRecord:
     """Turn the boundary evaluation of the expansion into a closed form.
 
-    Forms lhs - rhs = 0 as a linear equation in the single unknown.  A zero
-    unknown coefficient with zero remainder is the trivial parity case; a zero
-    coefficient with nonzero remainder signals an upstream bug and raises.
+    The series equals the expansion at the point: lhs_c * unknown =
+    sum_i tau_i * (value_i + r_i * unknown), with lhs_c = -1 at -1 (the series
+    there is -zeta(k, m)) and +1 at +1.  So cof * unknown = known with
+    cof = lhs_c - sum_i tau_i r_i and known = sum_i tau_i value_i, and the
+    closed form is known / cof.  A zero coefficient with a zero known part is
+    the trivial parity case; a zero coefficient with a nonzero known part, a
+    coefficient that is not rational, or a value that is not real and
+    homogeneous of weight k + m signals an upstream bug and raises.
     """
     if point not in (1, -1):
         raise ValueError("point must be +1 or -1")
     if (tau.k, tau.m) != (k, m):
         raise ValueError("coordinate vector does not match (k, m)")
-    if point == -1:
-        unknown = Unknown("dzv", k, m)
-        lhs = SymNumber.unknown_dzv(k, m, -1)  # series value at -1 is -zeta(k,m)
-    else:
-        unknown = Unknown("alt", k, m)
-        lhs = SymNumber.unknown_alt(k, m)
-
-    rhs = SymNumber.zero()
+    cof = SymNumber.from_rational(point)  # lhs_c
+    known = SymNumber.zero()
     for i, entry in enumerate(tau.entries):
         if entry.is_zero():
             continue
-        rhs = rhs + entry * eval_basis_at(k, m, i, point)
+        value, r = eval_basis_at(k, m, i, point)
+        known = known + entry * value
+        cof = cof - entry * r
 
-    diff = lhs - rhs
-    if not diff.imag_part().is_zero():
+    if not (known.imag_part().is_zero() and cof.imag_part().is_zero()):
         raise InconsistentIdentity(
             f"imaginary parts failed to cancel at (k={k}, m={m}, point={point})")
-    cof, rest = diff.split_unknown(unknown)
-
     if cof.is_zero():
-        if rest.is_zero():
+        if known.is_zero():
             return IdentityRecord("trivial", k, m, point, None, None,
                                   tau.provenance, k + m)
         raise InconsistentIdentity(
@@ -157,13 +143,13 @@ def derive_identity(k: int, m: int, point: int, tau: tausolver.TauVector) -> Ide
     if not cof.is_scalar():
         raise InconsistentIdentity("unknown coefficient is not a pure rational")
 
-    value = -(rest / cof)
-    if value.has_unknown() or not value.is_real() \
-            or not value.is_homogeneous(k + m):
+    value = known / cof
+    if not value.is_real() or not value.is_homogeneous(k + m):
         raise InconsistentIdentity(
             f"solved value fails structural checks at (k={k}, m={m}, point={point})")
     kind = "dzv" if point == -1 else "alt"
-    return IdentityRecord(kind, k, m, point, unknown, value, tau.provenance, k + m)
+    return IdentityRecord(kind, k, m, point, Unknown(kind, k, m), value,
+                          tau.provenance, k + m)
 
 
 def identity_to_json_dict(rec: IdentityRecord, verified: Optional[bool] = None) -> dict:

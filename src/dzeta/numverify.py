@@ -278,12 +278,10 @@ def alt_sum_num(k: int, m: int, digits: int) -> mpf:
 # Symbolic-to-numeric substitution.
 
 def sym_to_mpf(x: SymNumber, digits: int) -> mpf:
-    """Evaluate an unknown-free symbolic number with oracle zeta values."""
+    """Evaluate a real symbolic number with oracle zeta values."""
     with _workprec(digits + 8):
         total = mpf(0)
         for mono, coeff in x.terms():
-            if mono.unknown is not None:
-                raise ValueError("cannot evaluate a formal unknown numerically")
             if coeff.im:
                 raise ValueError("cannot evaluate a complex value as a real")
             term = _to_mpf(coeff.re)

@@ -9,10 +9,11 @@ its P exponents are even, and complex conjugation negates the odd-P terms.
 
 Even zeta values never appear as generators: they are normalized into P
 powers through Bernoulli numbers, so structural equality of two values is
-decidable by comparing their term maps.  A monomial may carry at most one
-formal unknown of degree one (a double-zeta symbol or an alternating
-harmonic sum symbol); the linear-equation solving in `identities` never needs
-more.
+decidable by comparing their term maps.  The ring holds known values only:
+the double zeta value or alternating sum that an identity solves for never
+enters it.  `identities` carries that unknown's rational coefficient beside
+the ring value and divides by it once, and `Unknown` is only the label of the
+solved-for quantity.
 
 Q is the only coefficient field.  The coefficient of pi^e is c * i^e, which
 is +-c or +-c*i; `_i_sign` is the one place that sign is written.  Rendering
@@ -33,10 +34,6 @@ import functools
 from fractions import Fraction
 from math import factorial
 from typing import NamedTuple, Optional
-
-
-class UnknownDegreeOverflow(ArithmeticError):
-    """A product would create a formal unknown of degree >= 2."""
 
 
 class ExactDivisionError(ArithmeticError):
@@ -69,15 +66,12 @@ def bernoulli(n: int) -> Fraction:
 
 
 class Unknown(NamedTuple):
-    """Formal degree-one symbol: a double zeta value or an alternating sum."""
+    """The quantity an identity solves for: a double zeta value or an
+    alternating sum.  A label, never a ring element."""
 
     kind: str  # "dzv" | "alt"
     k: int
     m: int
-
-    @property
-    def weight(self) -> int:
-        return self.k + self.m
 
     def label(self) -> str:
         name = "zeta" if self.kind == "dzv" else "altsum"
@@ -85,26 +79,18 @@ class Unknown(NamedTuple):
 
 
 class ZetaMonomial(NamedTuple):
-    """P^pi_exp times a product of odd zeta values, optionally one unknown.
+    """P^pi_exp times a product of odd zeta values.
 
     The exponent of P = i*pi is also the exponent of pi in the value."""
 
     pi_exp: int = 0
     zetas: tuple[tuple[int, int], ...] = ()  # ((s, exp), ...), s odd >= 3, ascending
-    unknown: Optional[Unknown] = None
 
     @property
     def weight(self) -> int:
-        w = self.pi_exp + sum(s * e for s, e in self.zetas)
-        if self.unknown is not None:
-            w += self.unknown.weight
-        return w
+        return self.pi_exp + sum(s * e for s, e in self.zetas)
 
     def mul(self, other: "ZetaMonomial") -> "ZetaMonomial":
-        if self.unknown is not None and other.unknown is not None:
-            raise UnknownDegreeOverflow(
-                f"product of {self.unknown.label()} and {other.unknown.label()}"
-            )
         if not self.zetas:
             zetas = other.zetas
         elif not other.zetas:
@@ -114,8 +100,7 @@ class ZetaMonomial(NamedTuple):
             for s, e in other.zetas:
                 merged[s] = merged.get(s, 0) + e
             zetas = tuple(sorted(merged.items()))
-        return ZetaMonomial(self.pi_exp + other.pi_exp, zetas,
-                            self.unknown or other.unknown)
+        return ZetaMonomial(self.pi_exp + other.pi_exp, zetas)
 
 
 ONE_MONO = ZetaMonomial()
@@ -128,21 +113,13 @@ def _mono_sort_key(mono: ZetaMonomial):
     an earlier variable beats its absence; plain structural comparison of the
     (s, e) tuples would not be multiplicative, which exact division needs.
     """
-    unk = (1, mono.unknown) if mono.unknown is not None else (0, ("", 0, 0))
-    return (mono.weight, mono.pi_exp,
-            tuple((-s, e) for s, e in mono.zetas), unk)
+    return (mono.weight, mono.pi_exp, tuple((-s, e) for s, e in mono.zetas))
 
 
 def _mono_divide(num: ZetaMonomial, den: ZetaMonomial) -> Optional[ZetaMonomial]:
     """num / den as a monomial, or None when not divisible."""
     if num.pi_exp < den.pi_exp:
         return None
-    if den.unknown is not None:
-        if num.unknown != den.unknown:
-            return None
-        unknown = None
-    else:
-        unknown = num.unknown
     rest = dict(num.zetas)
     for s, e in den.zetas:
         have = rest.get(s, 0)
@@ -152,7 +129,7 @@ def _mono_divide(num: ZetaMonomial, den: ZetaMonomial) -> Optional[ZetaMonomial]
             del rest[s]
         else:
             rest[s] = have - e
-    return ZetaMonomial(num.pi_exp - den.pi_exp, tuple(sorted(rest.items())), unknown)
+    return ZetaMonomial(num.pi_exp - den.pi_exp, tuple(sorted(rest.items())))
 
 
 class GaussianRational(NamedTuple):
@@ -213,14 +190,6 @@ class SymNumber:
         """coeff * P^exp = coeff * (i pi)^exp for a rational coeff."""
         return cls.from_term(ZetaMonomial(pi_exp=exp), coeff)
 
-    @classmethod
-    def unknown_dzv(cls, k: int, m: int, coeff=1) -> "SymNumber":
-        return cls.from_term(ZetaMonomial(unknown=Unknown("dzv", k, m)), coeff)
-
-    @classmethod
-    def unknown_alt(cls, k: int, m: int, coeff=1) -> "SymNumber":
-        return cls.from_term(ZetaMonomial(unknown=Unknown("alt", k, m)), coeff)
-
     # -- inspection ---------------------------------------------------------
 
     def terms(self) -> list:
@@ -241,14 +210,11 @@ class SymNumber:
         return not self._terms
 
     def is_scalar(self) -> bool:
-        """True when the value is rational (no pi, zeta or unknown factors)."""
+        """True when the value is rational (no pi or zeta factors)."""
         return not self._terms or (len(self._terms) == 1 and ONE_MONO in self._terms)
 
     def is_real(self) -> bool:
         return all(m.pi_exp % 2 == 0 for m in self._terms)
-
-    def has_unknown(self) -> bool:
-        return any(mono.unknown is not None for mono in self._terms)
 
     def imag_part(self) -> "SymNumber":
         """The odd-P terms: i times the imaginary part, which itself has
@@ -262,17 +228,6 @@ class SymNumber:
     def is_homogeneous(self, weight: int) -> bool:
         """All terms of the given weight (the zero value is homogeneous)."""
         return all(m.weight == weight for m in self._terms)
-
-    def split_unknown(self, unknown: Unknown) -> tuple["SymNumber", "SymNumber"]:
-        """Write self = cof * unknown + rest; return (cof, rest)."""
-        cof: dict = {}
-        rest: dict = {}
-        for mono, coeff in self._terms.items():
-            if mono.unknown == unknown:
-                cof[ZetaMonomial(mono.pi_exp, mono.zetas, None)] = coeff
-            else:
-                rest[mono] = coeff
-        return SymNumber(cof), SymNumber(rest)
 
     # -- ring operations ----------------------------------------------------
 
@@ -453,9 +408,6 @@ def _factor_text(s: int, e: int, fmt: str) -> str:
     return base if e == 1 else f"{base}^{e}"
 
 
-_UNKNOWN_SENTINEL = 10 ** 9  # sorts unknown factors after every zeta
-
-
 def render(x: SymNumber, fmt: str = "plain", style: str = "pi-power") -> str:
     """Deterministic text for a SymNumber.
 
@@ -475,29 +427,18 @@ def render(x: SymNumber, fmt: str = "plain", style: str = "pi-power") -> str:
         factors, multiplier = _term_factors(mono, style)
         # c * P^e = (c * i^e) * pi^e: the pi coefficient is +-c or +-c*i
         q = _i_sign(mono.pi_exp) * coeff * multiplier
-        if mono.unknown is not None:
-            factors = factors + [(_UNKNOWN_SENTINEL, 1)]
-        rendered.append((len(factors), tuple(factors), mono.unknown, q,
-                         mono.pi_exp % 2 == 1))
+        rendered.append((len(factors), tuple(factors), q, mono.pi_exp % 2 == 1))
     rendered.sort(key=lambda r: (r[0], r[1]))
 
     pieces = []
-    for _, factors, unknown, q, imag in rendered:
+    for _, factors, q, imag in rendered:
         sign = -1 if q < 0 else 1
         mag = abs(q)
         bits = []
         text = _coeff_text(mag, imag, fmt)
         if text:
             bits.append(text)
-        for s, e in factors:
-            if s == _UNKNOWN_SENTINEL:
-                if fmt == "latex":
-                    name = "zeta" if unknown.kind == "dzv" else "altsum"
-                    bits.append(rf"\{name}({unknown.k},{unknown.m})")
-                else:
-                    bits.append(unknown.label())
-            else:
-                bits.append(_factor_text(s, e, fmt))
+        bits.extend(_factor_text(s, e, fmt) for s, e in factors)
         if not bits:  # pure rational term with |coeff| == 1
             bits = [str(mag)]
         body = ("" if fmt == "latex" else "*").join(bits)
@@ -519,15 +460,11 @@ def to_json_dict(x: SymNumber) -> dict:
     terms = []
     for mono, coeff in sorted(x.terms(), key=lambda kv: _mono_sort_key(kv[0]),
                               reverse=True):
-        unknown = None
-        if mono.unknown is not None:
-            unknown = {"kind": mono.unknown.kind, "k": mono.unknown.k,
-                       "m": mono.unknown.m}
         terms.append({
             "coeff": {"re": _fraction_str(coeff.re), "im": _fraction_str(coeff.im)},
             "pi": mono.pi_exp,
             "zeta": {str(s): e for s, e in mono.zetas},
-            "unknown": unknown,
+            "unknown": None,  # kept in the schema; the ring has no unknowns
         })
     return {"terms": terms}
 
@@ -538,10 +475,9 @@ def from_json_dict(data: dict) -> SymNumber:
     This reads data from outside the program, so it accepts only canonical
     terms and raises ValueError on any other: a pi exponent that is not an
     integer >= 0, a zeta key that is not an odd integer >= 3 written in
-    decimal, a zeta exponent below 1, an unknown of a kind other than
-    dzv/alt or without integers k >= 2 and m >= 1, a re/im pair that is not a
-    rational multiple of i^e and so lies outside the field, or a missing or
-    mistyped key.
+    decimal, a zeta exponent below 1, an ``unknown`` other than null (the ring
+    holds known values only), a re/im pair that is not a rational multiple of
+    i^e and so lies outside the field, or a missing or mistyped key.
     """
     out = SymNumber.zero()
     try:
@@ -557,22 +493,15 @@ def from_json_dict(data: dict) -> SymNumber:
                 if not isinstance(exp, int) or exp < 1:
                     raise ValueError(f"exponent {exp!r} of zeta({key}) is not >= 1")
                 zetas.append((s, exp))
-            unknown = term.get("unknown") or None
-            if unknown is not None:
-                unknown = Unknown(unknown["kind"], unknown["k"], unknown["m"])
-                if unknown.kind not in ("dzv", "alt"):
-                    raise ValueError(f"unknown kind {unknown.kind!r}")
-                if not (isinstance(unknown.k, int) and unknown.k >= 2
-                        and isinstance(unknown.m, int) and unknown.m >= 1):
-                    raise ValueError(f"unknown {unknown!r} needs integers "
-                                     f"k >= 2 and m >= 1")
+            if term.get("unknown") is not None:
+                raise ValueError(f"unknown {term['unknown']!r} in a known value")
             re, im = Fraction(term["coeff"]["re"]), Fraction(term["coeff"]["im"])
             # the pi^e coefficient c * i^e is real for even e, imaginary for odd e
             c, rest = (im, re) if e % 2 else (re, im)
             if rest:
                 raise ValueError(f"coefficient {re} + {im}*i of pi^{e} is not a "
                                  f"rational multiple of i^{e}")
-            mono = ZetaMonomial(e, tuple(sorted(zetas)), unknown)
+            mono = ZetaMonomial(e, tuple(sorted(zetas)))
             out = out + SymNumber.from_term(mono, _i_sign(e) * c)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed JSON value: {exc!r}") from exc

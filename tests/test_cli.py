@@ -154,6 +154,26 @@ def test_check_conjecture_cli(tmp_path, capsys):
     assert payload["all_pass"] is True
 
 
+def test_check_conjecture_cli_starts_at_k(capsys):
+    code, out, _ = run(capsys, "check-conjecture", "--k", "4", "--k-max", "5",
+                       "--m", "1")
+    assert code == 0
+    # each line ends in its timings: "k= 4 m=1: pass (direct ...s, fast ...s)"
+    assert [line.split(" (")[0] for line in out.splitlines()] == [
+        "k= 4 m=1: pass", "k= 5 m=1: pass"]
+
+
+def test_fast_verify_rejects_a_truncated_vector(capsys, monkeypatch):
+    honest = tausolver.solve_tau_fast(3, 1)
+    truncated = tausolver.TauVector(3, 1, honest.entries[:-1], honest.provenance,
+                                    honest.conjectural)
+    monkeypatch.setattr(tausolver, "solve_tau_fast", lambda k, m: truncated)
+    code, _, err = run(capsys, "tau", "--k", "3", "--m", "1", "--mode", "fast",
+                       "--verify")
+    assert code == cli.EXIT_INCONSISTENT == 3
+    assert err == "inconsistent system: fast/direct mismatch at (k=3, m=1)\n"
+
+
 def test_basis_check_cli(capsys):
     code, out, _ = run(capsys, "basis-check", "--k", "2", "--k-max", "3",
                        "--m", "1", "--trunc", "60")

@@ -20,8 +20,6 @@ def test_closed_sum_values():
     assert closed_sum("alt-power", s=3) == q(-3, 4) * z(3)
     assert closed_sum("alt-power", s=2) == SymNumber.pi_power(2, Fraction(-1, 12))
     assert closed_sum("alt-power", s=5) == q(-15, 16) * z(5)
-    assert closed_sum("harmonic-tail", k=4, m=2) == SymNumber.unknown_dzv(4, 2)
-    assert closed_sum("alt-harmonic-tail", k=3, m=1) == SymNumber.unknown_alt(3, 1)
 
 
 def test_closed_sum_alt_matches_eta_formula():
@@ -36,37 +34,35 @@ def test_closed_sum_divergent():
         closed_sum("power", s=1)
     with pytest.raises(Divergent):
         closed_sum("alt-power", s=1)
-    with pytest.raises(Divergent):
-        closed_sum("harmonic-tail", k=1, m=1)
 
 
 # -- boundary values of basis elements ----------------------------------------
 
 def test_eval_constant_element():
     for point in (1, -1):
-        assert eval_basis_at(3, 1, 0, point) == q(1)
+        assert eval_basis_at(3, 1, 0, point) == (q(1), 0)
 
 
 def test_eval_log_powers_at_minus_one():
     for i in (1, 2, 3):
-        assert eval_basis_at(5, 1, i, -1) == SymNumber.p_power(i)
-        assert eval_basis_at(5, 1, i, 1).is_zero()
+        assert eval_basis_at(5, 1, i, -1) == (SymNumber.p_power(i), 0)
+        value, r = eval_basis_at(5, 1, i, 1)
+        assert value.is_zero() and r == 0
 
 
 def test_eval_top_element_examples():
-    # weight-2 family, top element at -1: 6(-zeta(3) + dzv(2,1))
-    value = eval_basis_at(2, 1, 3, -1)
-    assert value == q(-6) * z(3) + SymNumber.unknown_dzv(2, 1, 6)
+    # weight-2 family, top element at -1: 6(-zeta(3) + dzv(2,1)), as the
+    # known part and the rational coefficient of the unknown
+    assert eval_basis_at(2, 1, 3, -1) == (q(-6) * z(3), 6)
     # and at +1: 9/2 zeta(3) - 6 altsum(2,1)
-    value = eval_basis_at(2, 1, 3, 1)
-    assert value == q(9, 2) * z(3) + SymNumber.unknown_alt(2, 1, -6)
+    assert eval_basis_at(2, 1, 3, 1) == (q(9, 2) * z(3), -6)
 
 
 def test_eval_imaginary_parts_cancel_in_weighted_sum():
     tau = ts.solve_tau_direct(4, 1)
     total = SymNumber.zero()
     for i, entry in enumerate(tau.entries):
-        total = total + entry * eval_basis_at(4, 1, i, -1)
+        total = total + entry * eval_basis_at(4, 1, i, -1)[0]
     assert total.imag_part().is_zero()
 
 
@@ -123,6 +119,18 @@ def test_inconsistent_identity_detection():
                              tau.provenance, tau.conjectural)
     with pytest.raises(InconsistentIdentity):
         derive_identity(3, 1, -1, corrupted)
+
+
+def test_non_rational_unknown_coefficient_detected():
+    # the harmonic-tail element of (2, 1) is index k + 1 = 3; scaling its
+    # coordinate by zeta(3) leaves the unknown a non-rational coefficient
+    tau = ts.solve_tau_direct(2, 1)
+    entries = list(tau.entries)
+    entries[3] = entries[3] * z(3)
+    corrupted = ts.TauVector(2, 1, tuple(entries), tau.provenance, tau.conjectural)
+    for point in (-1, 1):
+        with pytest.raises(InconsistentIdentity, match="not a pure rational"):
+            derive_identity(2, 1, point, corrupted)
 
 
 def test_derive_rejects_mismatched_tau():

@@ -98,11 +98,6 @@ def test_alt_92_matches_symbolic():
         assert abs(nv.alt_sum_num(9, 2, 12) - target) < 1e-12
 
 
-def test_sym_to_mpf_rejects_unknowns():
-    with pytest.raises(ValueError):
-        nv.sym_to_mpf(SymNumber.unknown_dzv(2, 1), 12)
-
-
 def test_verify_identity_passes():
     rec = ids.derive_identity(2, 1, -1, ts.solve_tau_direct(2, 1))
     report = nv.verify_identity_numeric(rec, 12, 1e-8)

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from dzeta import symfield as sf
 from dzeta.circle import log_moment
-from dzeta.symfield import (SymNumber, UnknownDegreeOverflow, ZetaMonomial,
-                            bernoulli, even_zeta_as_pi_power, render,
-                            zeta_value)
+from dzeta.symfield import (SymNumber, ZetaMonomial, bernoulli,
+                            even_zeta_as_pi_power, render, zeta_value)
 
 
 # -- Bernoulli numbers -------------------------------------------------------
@@ -101,14 +100,6 @@ def test_sym_arith_examples():
     assert prod == zeta_value(2) * zeta_value(3)
 
 
-def test_unknown_degree_overflow():
-    u = SymNumber.unknown_dzv(2, 1)
-    with pytest.raises(UnknownDegreeOverflow):
-        u * u
-    # unknown times ordinary monomials is fine
-    assert not (u * zeta_value(3)).is_zero()
-
-
 def test_division_rules():
     x = zeta_value(3) * Fraction(3, 4)
     assert x / Fraction(3, 4) == zeta_value(3)
@@ -119,7 +110,7 @@ def test_division_rules():
         (zeta_value(3) + SymNumber.from_rational(1)).exact_div(zeta_value(5))
 
 
-# -- Property tests over random unknown-free values --------------------------
+# -- Property tests over random values -------------------------------------
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -135,7 +126,7 @@ def sym_numbers(draw):
         merged = {}
         for s, e in zetas:
             merged[s] = merged.get(s, 0) + e
-        mono = ZetaMonomial(pi_exp, tuple(sorted(merged.items())), None)
+        mono = ZetaMonomial(pi_exp, tuple(sorted(merged.items())))
         # the field holds c * i^e * pi^e, i.e. c * P^e with P = i*pi
         total = total + SymNumber.from_term(mono, draw(rationals))
     return total
@@ -221,11 +212,12 @@ def test_render_odd_pi_power_keeps_one_pi():
 
 
 def test_json_schema_shape():
-    x = zeta_value(2) * zeta_value(3) + SymNumber.unknown_dzv(4, 1, Fraction(1, 2))
+    x = zeta_value(2) * zeta_value(3) + zeta_value(5) * Fraction(1, 2)
     data = sf.to_json_dict(x)
     assert set(data) == {"terms"}
     for term in data["terms"]:
         assert set(term) == {"coeff", "pi", "zeta", "unknown"}
+        assert term["unknown"] is None  # the ring holds known values only
         assert set(term["coeff"]) == {"re", "im"}
     assert sf.from_json_dict(data) == x
     # deterministic dump
@@ -237,7 +229,7 @@ def test_weight_grading():
     x = zeta_value(2) * zeta_value(3)
     (mono, _), = x.terms()
     assert mono.weight == 5
-    assert SymNumber.unknown_dzv(4, 1).is_homogeneous(5)
+    assert zeta_value(5).is_homogeneous(5)
     assert x.is_homogeneous(5)
     assert not (x + zeta_value(3)).is_homogeneous(5)
 
@@ -276,11 +268,12 @@ def test_coefficients_outside_the_field_raise():
     _json_term(unknown={"kind": "dzv", "k": 1, "m": 7}),
     _json_term(unknown={"kind": "alt", "k": 3, "m": 0}),
     _json_term(unknown={"kind": "dzv", "k": 2.0, "m": 1}),
+    _json_term(unknown={"kind": "dzv", "k": 2, "m": 1}),  # a well-formed label
 )] + [{}], ids=["negative-pi", "float-pi", "even-zeta", "zeta-1", "zeta-key-03",
                "zeta-exp-0", "zeta-exp-negative", "unknown-kind", "real-odd-pi",
                "complex-even-pi", "no-zeta", "no-coeff", "no-coeff-im",
                "unknown-no-kind", "unknown-k-text", "unknown-k-1", "unknown-m-0",
-               "unknown-k-float", "no-terms"])
+               "unknown-k-float", "unknown-label", "no-terms"])
 def test_non_canonical_json_raises(data):
     with pytest.raises(ValueError):
         sf.from_json_dict(data)

@@ -278,6 +278,25 @@ def test_conjecture_small_range(m):
     assert len(report.lines()) == 3
 
 
+def test_conjecture_range_starts_at_k_min():
+    assert [c.k for c in ts.check_conjecture(5, 1, 4).checks] == [4, 5]
+    assert [c.k for c in ts.check_conjecture(4, 1, 2).checks] == [3, 4]
+
+
+def test_conjecture_rejects_a_truncated_fast_vector(monkeypatch):
+    # every entry the shorter vector has agrees; the missing one must not pass
+    honest = {k: ts.solve_tau_fast(k, 1) for k in (3, 4)}
+
+    def fast(k, m):
+        tau = honest[k]
+        return ts.TauVector(k, m, tau.entries[:-1], tau.provenance, tau.conjectural)
+
+    monkeypatch.setattr(ts, "solve_tau_fast", fast)
+    report = ts.check_conjecture(4, 1)
+    assert [c.matches for c in report.checks] == [False, False]
+    assert not report.all_pass
+
+
 def test_conjecture_vacuous():
     report = ts.check_conjecture(2, 1)
     assert report.all_pass
