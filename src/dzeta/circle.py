@@ -3,9 +3,11 @@
 The circle is parameterized as x = exp(2 pi i t) with t in (-1/2, 1/2], and
 log x = 2 pi i t is the single-valued branch used throughout.  Everything in
 this module is exact: log-power moments come from an integration-by-parts
-recursion, and the infinite tails appearing in moments of the basis elements
-collapse to the shifted double sums S(m, k1, k2), which reduce recursively to
-zeta values and harmonic numbers.
+recursion whose coefficients are integers, and the infinite tails appearing
+in moments of the basis elements collapse to the shifted double sums
+S(m, k1, k2).  A partial-fraction split of each summand turns S into a
+closed form in O(k1 + k2) terms: zeta values plus harmonic numbers H_{m,t}.
+Each moment is gathered in one term map in one pass.
 
 Orientation convention: moments of the generating series (which lives in the
 original variable, the inverse of the disc variable) are plain coefficient
@@ -16,9 +18,10 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import comb
 
 from .pfseries import harmonic, operator_order, pi_coefficient, upper_block_specs
-from .symfield import SymNumber, zeta_value
+from .symfield import ONE_MONO, SymNumber, zeta_value
 
 
 class DivergentSum(ArithmeticError):
@@ -30,9 +33,9 @@ class DivergentSum(ArithmeticError):
 #
 # For p != 0, integrating by parts against x^p gives
 #   I_j(p) = (-1)^p (pi i)^(j-1) [j odd] / p  -  (j/p) I_(j-1)(p),
-# so I_j(p) = (-1)^p * J_j(1/p) for a polynomial J_j with coefficients in
-# Q[P^2], P = pi i.  J_j is cached; its 1/p^r coefficients also drive the tail
-# reduction in basis_moment.
+# so I_j(p) = (-1)^p * J_j(1/p) for a polynomial J_j whose 1/p^r coefficient
+# is an integer times P^(j-r), P = pi i.  J_j is cached; its coefficients
+# also drive the tail reduction in basis_moment.
 
 @functools.cache
 def log_moment_poly(j: int) -> tuple[SymNumber, ...]:
@@ -52,7 +55,12 @@ def log_moment_poly(j: int) -> tuple[SymNumber, ...]:
 
 
 def log_moment(p: int, j: int) -> SymNumber:
-    """Exact value of the circle moment of x^p log(x)^j."""
+    """Exact value of the circle moment of x^p log(x)^j.
+
+    For p != 0 the value is (-1)^p sum_r c_r P^(j-r) p^(j-r) / p^j with the
+    integer coefficients c_r of J_j: one integer numerator per P power over
+    the common denominator p^j.
+    """
     if j < 0:
         raise ValueError("log power must be >= 0")
     if p == 0:
@@ -61,14 +69,12 @@ def log_moment(p: int, j: int) -> SymNumber:
         return SymNumber.p_power(j, Fraction(1, j + 1))
     coeffs = log_moment_poly(j)
     sign = -1 if p % 2 else 1
-    total = SymNumber.zero()
-    inv = Fraction(1, p)
-    x = Fraction(1)
+    den = p ** j
+    terms = {}
     for r in range(1, len(coeffs)):
-        x *= inv
-        if not coeffs[r].is_zero():
-            total = total + coeffs[r] * x
-    return total * sign
+        for mono, c in coeffs[r]._terms.items():  # the one term c_r P^(j-r)
+            terms[mono] = Fraction(sign * c.numerator * p ** (j - r), den)
+    return SymNumber(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +85,13 @@ def s_sum(m: int, k1: int, k2: int) -> SymNumber:
     """Reduce the shifted double sum to zeta values and harmonic numbers.
 
     Base cases: S(m, l, 0) = zeta(l) for l >= 2; S(m, 0, l) = zeta(l) - H_{m,l}
-    for l >= 2; S(m, 1, 1) = H_{m,1}/m.  Everything else descends through
-    S(m, k1, k2) = (S(m, k1, k2-1) - S(m, k1-1, k2)) / m, which never reaches a
-    divergent corner from k1, k2 >= 1 with k1 + k2 >= 2.
+    for l >= 2.  For k1, k2 >= 1, with w = k1 + k2, partial fractions give
+      n^-k1 (n+m)^-k2 = sum_{t<=k1} A_t n^-t + sum_{t<=k2} B_t (n+m)^-t,
+      A_t = (-1)^(k1-t) binom(w-t-1, k2-1) / m^(w-t),
+      B_t = (-1)^k1 binom(w-t-1, k1-1) / m^(w-t),
+    and A_1 + B_1 = 0, so
+      S = sum_{t>=2} (A_t + B_t) zeta(t) - sum_{t>=2} B_t H_{m,t} + A_1 H_{m,1}.
+    The terms come out by descending t, the rational part last.
     """
     if m < 1:
         raise ValueError("shift m must be >= 1")
@@ -93,9 +103,24 @@ def s_sum(m: int, k1: int, k2: int) -> SymNumber:
         return zeta_value(k1)
     if k1 == 0:
         return zeta_value(k2) - SymNumber.from_rational(harmonic(m, k2))
-    if (k1, k2) == (1, 1):
-        return SymNumber.from_rational(harmonic(m, 1) / m)
-    return (s_sum(m, k1, k2 - 1) - s_sum(m, k1 - 1, k2)) / Fraction(m)
+    w = k1 + k2
+    terms = {}
+    rational = Fraction(0)
+    for t in range(max(k1, k2), 0, -1):
+        a = (-1) ** (k1 - t) * comb(w - t - 1, k2 - 1) if t <= k1 else 0
+        b = (-1) ** k1 * comb(w - t - 1, k1 - 1) if t <= k2 else 0
+        den = m ** (w - t)
+        if t == 1:
+            rational += Fraction(a, den) * harmonic(m, 1)
+            continue
+        if b:
+            rational -= Fraction(b, den) * harmonic(m, t)
+        if a + b:
+            for mono, c in zeta_value(t)._terms.items():
+                terms[mono] = c * Fraction(a + b, den)
+    if rational:
+        terms[ONE_MONO] = rational
+    return SymNumber(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -117,23 +142,30 @@ def basis_moment(k: int, m: int, i: int, n: int) -> SymNumber:
     to log^d with d >= 1 have pure alternating-power coefficients, so their
     tails are finitely many s_sum calls (zeta values at n = 0).  The log-free
     series block never contributes: x^(n+q) integrates to zero for n >= 0,
-    q >= 1.
+    q >= 1.  The log moment and every tail term go into one term map, in
+    the order the tails are met.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     order = operator_order(k, m)
     if not 0 <= i < order:
         raise ValueError(f"basis index {i} out of range for order {order}")
-    total = log_moment(n, i)
+    terms = dict(log_moment(n, i)._terms)
     sign = -1 if n % 2 else 1
     for d, spec in upper_block_specs(k, m, i):
         coeffs = log_moment_poly(d)
         for r in range(1, d + 1):
-            if coeffs[r].is_zero():
-                continue
-            if n >= 1:
-                tail = s_sum(n, spec.power, r)
-            else:
-                tail = zeta_value(spec.power + r)
-            total = total + coeffs[r] * tail * (sign * spec.scale)
-    return total
+            for p_mono, c in coeffs[r]._terms.items():  # c_r P^(d-r)
+                if n >= 1:
+                    tail = s_sum(n, spec.power, r)
+                else:
+                    tail = zeta_value(spec.power + r)
+                factor = c * sign * spec.scale
+                for mono, t in tail._terms.items():
+                    key = p_mono.mul(mono)
+                    value = terms.get(key, 0) + t * factor
+                    if value:
+                        terms[key] = value
+                    else:
+                        del terms[key]
+    return SymNumber(terms)

@@ -88,12 +88,13 @@ def _solve(k: int, m: int, mode: str) -> tausolver.TauVector:
     return tausolver.solve_tau_direct(k, m)
 
 
-def _tau_payload(tau: tausolver.TauVector, cfg: RunConfig) -> dict:
+def _tau_payload(tau: tausolver.TauVector, cfg: RunConfig,
+                 conjectural: bool) -> dict:
     return {
         "k": tau.k,
         "m": tau.m,
         "mode": tau.provenance,
-        "conjectural": tau.conjectural,
+        "conjectural": conjectural,
         "style": cfg.style,
         "entries": [
             {"i": i, "text": render(v, "plain", cfg.style),
@@ -144,7 +145,8 @@ def cmd_tau(cfg: RunConfig, verify: bool = False) -> int:
                         f"fast/direct mismatch at (k={k}, m={m})")
                 conjectural = False
             if cfg.fmt == "json":
-                print(json.dumps(_tau_payload(tau, cfg), sort_keys=True))
+                print(json.dumps(_tau_payload(tau, cfg, conjectural),
+                                 sort_keys=True))
             else:
                 flag = " (conjectural)" if conjectural else ""
                 print(f"# coordinates for (k={k}, m={m}), {tau.provenance}{flag}")
@@ -152,7 +154,7 @@ def cmd_tau(cfg: RunConfig, verify: bool = False) -> int:
                     print(f"tau[{k},{m}][{i}] = {render(value, 'plain', cfg.style)}")
             if cfg.out_dir:
                 _write_json(cfg.out_dir, f"tau_{k}_{m}.json",
-                            _tau_payload(tau, cfg))
+                            _tau_payload(tau, cfg, conjectural))
     return EXIT_OK
 
 

@@ -3,8 +3,9 @@
 The direct path builds one equation per Fourier index, clears each row once
 to integer coefficients and eliminates fraction-free (Bareiss
 cross-multiplication with exact divisions) in Z[P, zeta(3), ...]; the
-elimination works on the monomial-to-coefficient maps of `SymNumber` and
-hands back `SymNumber` values only in the solution.  Every row of a solved
+elimination works on maps from packed integer monomial keys to integer
+coefficients, so a monomial product is an integer addition, and hands back
+`SymNumber` values only in the solution.  Every row of a solved
 system has a structurally zero residual, computed as one integer dot
 product.  The fast path applies the observed coefficient recursion plus the
 zero-mode formula; it is marked conjectural until cross-checked against the
@@ -23,8 +24,7 @@ from typing import NamedTuple
 
 from . import circle
 from .pfseries import operator_order
-from .symfield import (ONE_MONO, ExactDivisionError, SymNumber, _mono_divide,
-                       _mono_sort_key)
+from .symfield import ExactDivisionError, SymNumber, ZetaMonomial
 
 
 class SingularSystem(Exception):
@@ -88,6 +88,42 @@ def _negated(x: dict) -> dict:
     return {mono: -c for mono, c in x.items()}
 
 
+def _key_codec(monos, bound: int):
+    """Integer keys for the monomials of one system.
+
+    A key packs fixed-width fields, most significant first: the weight, the
+    exponent of P, then the exponents of the odd zeta values that occur in
+    `monos`, by ascending argument.  Each field holds values up to `bound`
+    below one guard bit, so a product of monomials is the sum of their keys,
+    comparing keys is the graded lexicographic order of `_mono_sort_key`,
+    and a divides b exactly when ((b | guard) - a) & guard == guard, the
+    quotient being b - a.  Returns (pack, unpack, guard).
+    """
+    gens = sorted({s for mono in monos for s, _ in mono.zetas})
+    bits = bound.bit_length() + 1
+    mask = (1 << bits) - 1
+    guard = 0
+    for _ in range(len(gens) + 2):
+        guard = (guard << bits) | (1 << (bits - 1))
+
+    def pack(mono: ZetaMonomial) -> int:
+        exps = dict(mono.zetas)
+        key = (mono.weight << bits) | mono.pi_exp
+        for s in gens:
+            key = (key << bits) | exps.get(s, 0)
+        return key
+
+    def unpack(key: int) -> ZetaMonomial:
+        zetas = []
+        for s in reversed(gens):
+            if key & mask:
+                zetas.append((s, key & mask))
+            key >>= bits
+        return ZetaMonomial(key & mask, tuple(reversed(zetas)))
+
+    return pack, unpack, guard
+
+
 def _dot(pairs) -> dict:
     """Sum of the products x*y over (x, y) pairs of integer maps, gathered in
     one accumulator and stripped of zeros once at the end."""
@@ -95,39 +131,41 @@ def _dot(pairs) -> dict:
     for x, y in pairs:
         for m1, c1 in x.items():
             for m2, c2 in y.items():
-                mono = m1.mul(m2)
+                mono = m1 + m2
                 acc[mono] = acc.get(mono, 0) + c1 * c2
     return {mono: c for mono, c in acc.items() if c}
 
 
-def _exact_div(num: dict, den: dict) -> dict:
-    """num / den in Z[P, zeta(3), ...]; ExactDivisionError unless the quotient
-    has integer coefficients."""
+def _indivisible(c, mono, lead_c, lead, unpack) -> ExactDivisionError:
+    return ExactDivisionError(f"{c}*{unpack(mono)} not divisible by "
+                              f"{lead_c}*{unpack(lead)}")
+
+
+def _exact_div(num: dict, den: dict, guard: int, unpack) -> dict:
+    """num / den in Z[P, zeta(3), ...] on packed keys; ExactDivisionError
+    unless the quotient has integer coefficients."""
     if len(den) == 1:
         ((lead, lead_c),) = den.items()
-        scalar = lead == ONE_MONO
         out = {}
         for mono, c in num.items():
-            q_mono = mono if scalar else _mono_divide(mono, lead)
             q, r = divmod(c, lead_c)
-            if q_mono is None or r:
-                raise ExactDivisionError(f"{c}*{mono} not divisible by {lead_c}*{lead}")
-            out[q_mono] = q
+            if r or ((mono | guard) - lead) & guard != guard:
+                raise _indivisible(c, mono, lead_c, lead, unpack)
+            out[mono - lead] = q
         return out
-    lead = max(den, key=_mono_sort_key)
+    lead = max(den)
     lead_c = den[lead]
     rem = dict(num)
     out = {}
     while rem:
-        rmono = max(rem, key=_mono_sort_key)
-        q_mono = _mono_divide(rmono, lead)
+        rmono = max(rem)
         q, r = divmod(rem[rmono], lead_c)
-        if q_mono is None or r:
-            raise ExactDivisionError(f"{rem[rmono]}*{rmono} not divisible by "
-                                     f"{lead_c}*{lead}")
+        if r or ((rmono | guard) - lead) & guard != guard:
+            raise _indivisible(rem[rmono], rmono, lead_c, lead, unpack)
+        q_mono = rmono - lead
         out[q_mono] = q
         for mono, c in den.items():
-            target = mono.mul(q_mono)
+            target = mono + q_mono
             cur = rem.get(target, 0) - c * q
             if cur:
                 rem[target] = cur
@@ -141,31 +179,41 @@ def fraction_free_solve(system: MomentSystem) -> TauVector:
 
     Each row, rhs included, is scaled once by the lcm of its coefficient
     denominators, so every entry is a map from monomial to int; scaling a row
-    changes neither the solution nor any entry's monomial count.  Pivots are
-    chosen fewest-monomials-first to limit intermediate swell.  Each step
-    forms pivot*a - lead*b in one accumulator and divides it exactly by the
-    previous pivot (Bareiss, Math. Comp. 22, 1968).  Back substitution
-    computes the Cramer numerators det*tau_i, again by exact divisions in Z;
-    dividing them by the primitive part of det puts tau over one common
-    denominator, the content of det.  Rows beyond the width act as
-    consistency checks, and every original row's residual is recomputed as
-    one integer dot product.
+    changes neither the solution nor any entry's monomial count.  The
+    monomials become packed integer keys (`_key_codec`) at that step, so a
+    monomial product is one integer addition and the leading monomial is the
+    largest key; they are unpacked only to build tau.  Every entry met below
+    is a minor or a product of two minors, so twice the sum over columns of
+    the largest monomial weight in the column bounds every exponent and sets
+    the field width.  Pivots are chosen fewest-monomials-first to limit
+    intermediate swell.  Each step forms pivot*a - lead*b in one accumulator
+    and divides it exactly by the previous pivot (Bareiss, Math. Comp. 22,
+    1968).  Back substitution computes the Cramer numerators det*tau_i, again
+    by exact divisions in Z; dividing them by the primitive part of det puts
+    tau over one common denominator, the content of det.  Rows beyond the
+    width act as consistency checks, and every original row's residual is
+    recomputed as one integer dot product.
     """
     width = system.width
     nrows = len(system.rows)
     if nrows < width:
         raise ValueError("system is underdetermined")
+    values = [[v._terms for v in (*row.coeffs, row.rhs)] for row in system.rows]
+    bound = 2 * sum(max((mono.weight for row in values for mono in row[c]),
+                        default=0) for c in range(width + 1))
+    monos = {mono for row in values for v in row for mono in v}
+    pack, unpack, guard = _key_codec(monos, bound)
+    keys = {mono: pack(mono) for mono in monos}
     cleared = []
-    for row in system.rows:
-        values = [v._terms for v in (*row.coeffs, row.rhs)]
-        denom = lcm(*(c.denominator for v in values for c in v.values()))
-        cleared.append([{mono: c.numerator * (denom // c.denominator)
-                         for mono, c in v.items()} for v in values])
+    for row in values:
+        denom = lcm(*(c.denominator for v in row for c in v.values()))
+        cleared.append([{keys[mono]: c.numerator * (denom // c.denominator)
+                         for mono, c in v.items()} for v in row])
     mat = [list(row) for row in cleared]
     indices = [row.n for row in system.rows]
     labels = list(indices)  # row labels, swapped with the rows
 
-    prev = {ONE_MONO: 1}
+    prev = {0: 1}  # key 0 is the monomial 1
     for col in range(width):
         pivot_row = None
         pivot_size = None
@@ -187,7 +235,8 @@ def fraction_free_solve(system: MomentSystem) -> TauVector:
             # rows with a zero leading entry still rescale, keeping every
             # entry an exact minor (the Bareiss divisibility invariant)
             for c in range(col + 1, width + 1):
-                row[c] = _exact_div(_dot(((pivot, row[c]), (lead, top[c]))), prev)
+                row[c] = _exact_div(_dot(((pivot, row[c]), (lead, top[c]))),
+                                    prev, guard, unpack)
             row[col] = {}
         prev = pivot
 
@@ -205,21 +254,21 @@ def fraction_free_solve(system: MomentSystem) -> TauVector:
         row = mat[i]
         pairs = [(det, row[width])]
         pairs.extend((row[c], neg_y[c]) for c in range(i + 1, width))
-        neg_y[i] = _negated(_exact_div(_dot(pairs), row[i]))
+        neg_y[i] = _negated(_exact_div(_dot(pairs), row[i], guard, unpack))
     # det = content * primitive part, and tau_i = (y_i / primitive) / content
     content = gcd(*det.values())
     primitive = {mono: c // content for mono, c in det.items()}
-    neg_num = [_exact_div(y, primitive) for y in neg_y]
+    neg_num = [_exact_div(y, primitive, guard, unpack) for y in neg_y]
 
-    scale = {ONE_MONO: content}
+    scale = {0: content}
     for row, label in zip(cleared, indices):
         pairs = [(scale, row[width])]
         pairs.extend(zip(row[:width], neg_num))
         if _dot(pairs):
             raise InconsistentSystem(f"row n={label} residual is nonzero")
 
-    entries = tuple(SymNumber({mono: Fraction(-c, content) for mono, c in x.items()})
-                    for x in neg_num)
+    entries = tuple(SymNumber({unpack(mono): Fraction(-c, content)
+                               for mono, c in x.items()}) for x in neg_num)
     return TauVector(system.k, system.m, entries)
 
 

@@ -1,5 +1,6 @@
 """Tests for the exact circle moments and shifted double sums."""
 
+import functools
 import random
 import sys
 import threading
@@ -168,6 +169,32 @@ def test_s_sum_reachability_exhaustive():
                 continue
             for m in (1, 2, 3):
                 s_sum(m, k1, k2)  # must not raise
+
+
+@functools.cache
+def _s_sum_recursive(m, k1, k2):
+    """The shifted double sum by the recursion the closed form replaced:
+    S(m, k1, k2) = (S(m, k1, k2-1) - S(m, k1-1, k2)) / m down to the base
+    cases, S(m, 1, 1) = H_{m,1}/m among them."""
+    if k2 == 0:
+        return zeta_value(k1)
+    if k1 == 0:
+        return zeta_value(k2) - SymNumber.from_rational(harmonic(m, k2))
+    if (k1, k2) == (1, 1):
+        return SymNumber.from_rational(harmonic(m, 1) / m)
+    return (_s_sum_recursive(m, k1, k2 - 1)
+            - _s_sum_recursive(m, k1 - 1, k2)) / Fraction(m)
+
+
+def test_s_sum_matches_recursion():
+    for m in range(1, 7):
+        for total in range(2, 25):
+            for k1 in range(0, total + 1):
+                k2 = total - k1
+                if (k1 == 0 and k2 < 2) or (k2 == 0 and k1 < 2):
+                    continue
+                assert s_sum(m, k1, k2) == _s_sum_recursive(m, k1, k2), \
+                    (m, k1, k2)
 
 
 def _s_sum_numeric(m, k1, k2, n_cut=400, expansion=30):

@@ -65,6 +65,20 @@ def test_tau_fast_flags_conjectural(capsys):
     assert "(conjectural)" not in out
 
 
+def test_tau_fast_verify_clears_conjectural_in_json(tmp_path, capsys):
+    # stdout JSON and the --out file carry the verified status, as the plain
+    # output does
+    for extra, expected in (((), True), (("--verify",), False)):
+        out_dir = tmp_path / f"out{len(extra)}"
+        code, out, _ = run(capsys, "tau", "--k", "5", "--m", "1", "--mode",
+                           "fast", *extra, "--format", "json", "--out",
+                           str(out_dir))
+        assert code == 0
+        assert json.loads(out)["conjectural"] is expected
+        data = json.loads((out_dir / "tau_5_1.json").read_text())
+        assert data["conjectural"] is expected
+
+
 def test_tau_fast_base_case_matches_direct(capsys):
     code, fast_out, _ = run(capsys, "tau", "--k", "2", "--m", "1",
                             "--mode", "fast")

@@ -1,5 +1,6 @@
 """Tests for the moment systems and both solving paths."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from dzeta import tausolver as ts
 from dzeta.pfseries import operator_order
-from dzeta.symfield import ExactDivisionError, SymNumber
+from dzeta.symfield import ExactDivisionError, SymNumber, _mono_divide, _mono_sort_key
 from reference_data import TAU_TABLES, q, z
 
 
@@ -154,35 +155,55 @@ _rationals = st.sampled_from([Fraction(a, b) for a in (-9, -4, -3, -2, -1, 1, 2,
                               for b in (1, 2, 3, 4, 5, 6, 9, 12)])
 
 
+def _mono(exps):
+    """P^a zeta(3)^b zeta(5)^c zeta(7)^d for exps = (a, b, c, d) or a prefix."""
+    value = SymNumber.p_power(exps[0])
+    for s, e in zip((3, 5, 7), exps[1:]):
+        for _ in range(e):
+            value = value * z(s)
+    return value
+
+
 def _poly(terms):
     total = SymNumber.zero()
-    for (a, b), coeff in terms:
-        term = SymNumber.p_power(a, coeff)
-        total = total + (term * z(3) if b else term)
+    for exps, coeff in terms:
+        total = total + _mono(exps) * coeff
     return total
 
 
-def _polys(min_terms):
-    """Sums of min_terms to 3 distinct monomials P^a zeta(3)^b, a <= 2, b <= 1."""
-    monos = st.sampled_from([(a, b) for a in range(3) for b in range(2)])
-    return st.lists(st.tuples(monos, _rationals), min_size=min_terms, max_size=3,
+def _polys(min_terms, monos):
+    """Sums of min_terms to 3 distinct monomials drawn from monos."""
+    return st.lists(st.tuples(st.sampled_from(monos), _rationals),
+                    min_size=min_terms, max_size=3,
                     unique_by=lambda t: t[0]).map(_poly)
 
 
-# built once: hypothesis re-analyses every new strategy object it is given
-_POLYS = {1: _polys(1), 2: _polys(2)}
-_VALUES = st.just(SymNumber.zero()) | _POLYS[1]
+def _family(monos):
+    """The polynomial strategies of one monomial family: entries with at
+    least one or two monomials, and values that may also be zero."""
+    polys = {1: _polys(1, monos), 2: _polys(2, monos)}
+    return polys, st.just(SymNumber.zero()) | polys[1]
+
+
+# built once: hypothesis re-analyses every new strategy object it is given.
+# P^a zeta(3)^b with a <= 2, b <= 1; and P^a zeta(3)^b zeta(5)^c zeta(7)^d
+# with a <= 1 and b, c, d <= 2, so the packed keys of the solver have several
+# zeta fields and a monomial can divide another in some fields but not all
+_ONE_ZETA = _family([(a, b) for a in range(3) for b in range(2)])
+_THREE_ZETAS = _family([(a, b, c, d) for a in range(2) for b in range(3)
+                        for c in range(3) for d in range(3)])
 
 
 @st.composite
-def _systems(draw):
+def _systems(draw, family=_ONE_ZETA):
     """A square or overdetermined system with mixed row denominators, zero
     entries and rows, and, when min_terms is 2, multi-monomial pivots.  The
     rhs comes from a drawn solution (consistent) or is drawn itself."""
+    polys, values = family
     width = draw(st.integers(1, 3))
     nrows = width + draw(st.integers(0, 2))
     min_terms = draw(st.sampled_from([1, 2]))
-    coeffs = [[draw(_POLYS[min_terms]) for _ in range(width)] for _ in range(nrows)]
+    coeffs = [[draw(polys[min_terms]) for _ in range(width)] for _ in range(nrows)]
     for r, c in draw(st.sets(st.tuples(st.integers(0, nrows - 1),
                                        st.integers(0, width - 1)), max_size=width)):
         coeffs[r][c] = SymNumber.zero()
@@ -193,11 +214,11 @@ def _systems(draw):
     if copy is not None:  # a dependent row
         src, dst, factor = copy
         coeffs[dst] = [value * factor for value in coeffs[src]]
-    solution = draw(st.none() | st.lists(_VALUES, min_size=width, max_size=width))
+    solution = draw(st.none() | st.lists(values, min_size=width, max_size=width))
     rows = []
     for n, row in enumerate(coeffs):
         if solution is None:
-            rhs = draw(_VALUES)
+            rhs = draw(values)
         else:
             rhs = SymNumber.zero()
             for coeff, value in zip(row, solution):
@@ -219,10 +240,7 @@ def _binomial_case():
     return ts.MomentSystem(0, 0, rows), solution
 
 
-@settings(max_examples=100, deadline=None)
-@given(_systems())
-@example(_binomial_case())
-def test_solve_matches_fraction_reference(case):
+def _check_against_reference(case):
     # a drawn rhs can put the solution outside the ring: ExactDivisionError
     system, solution = case
     try:
@@ -234,6 +252,51 @@ def test_solve_matches_fraction_reference(case):
     assert ts.fraction_free_solve(system).entries == expected
     if solution is not None:
         assert expected == tuple(solution)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_systems())
+@example(_binomial_case())
+def test_solve_matches_fraction_reference(case):
+    _check_against_reference(case)
+
+
+def _indivisible_case(extra):
+    """zeta(3)^2 zeta(5) x = zeta(3) zeta(5)^2 (+ extra on the left): the
+    quotient needs zeta(3)^-1, although zeta(5) divides with room."""
+    coeff = z(3) * z(3) * z(5) + extra
+    return ts.MomentSystem(0, 0, (ts.MomentRow(0, (coeff,), z(3) * z(5) * z(5)),)), None
+
+
+@settings(max_examples=100, deadline=None)
+@given(_systems(_THREE_ZETAS))
+@example(_indivisible_case(SymNumber.zero()))
+@example(_indivisible_case(z(7) * z(3) * 2))
+def test_solve_matches_fraction_reference_three_zetas(case):
+    _check_against_reference(case)
+
+
+def test_indivisible_monomial_is_named():
+    system, _ = _indivisible_case(SymNumber.zero())
+    with pytest.raises(ExactDivisionError, match=r"zetas=\(\(3, 1\), \(5, 2\)\)"):
+        ts.fraction_free_solve(system)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 3),
+                          st.integers(0, 3)), min_size=2, max_size=2))
+def test_packed_keys_match_monomial_arithmetic(pair):
+    a, b = (next(iter(_mono(exps)._terms)) for exps in pair)
+    bound = 2 * max(a.weight, b.weight)
+    pack, unpack, guard = ts._key_codec({a, b}, bound)
+    assert unpack(pack(a)) == a and unpack(pack(b)) == b
+    assert unpack(pack(a) + pack(b)) == a.mul(b)
+    assert (pack(a) < pack(b)) == (_mono_sort_key(a) < _mono_sort_key(b))
+    divides = ((pack(a) | guard) - pack(b)) & guard == guard
+    quotient = _mono_divide(a, b)
+    assert divides == (quotient is not None)
+    if divides:
+        assert unpack(pack(a) - pack(b)) == quotient
 
 
 def test_fast_base_case_is_direct():
@@ -268,6 +331,26 @@ def test_tau_invariants_through_15(m):
     # reality, weight homogeneity, the zero pattern, and the top entry
     for k in range(2, 16):
         assert ts.check_tau_invariants(ts.solve_tau_direct(k, m)) == [], (k, m)
+
+
+# SHA-256 of repr(list(entry._terms.items())) over every entry, m = 1 then 2,
+# k ascending.  The term order reaches the oracle's sums through
+# numverify.sym_to_mpf, so it is pinned, not only the values.
+_TERM_ORDER_SHA256 = {
+    "direct": "722c41861e827eb9d67c9a882a4ddf8677380d8ddb8fc1e59323d27c02a1198b",
+    "fast": "32d7ca8d471b5de2989fbfd5c0c923ef81b0bd5f4d35b47395ce4a9776a330d0",
+}
+
+
+def test_term_order_is_pinned():
+    for mode, solve, ks in (("direct", ts.solve_tau_direct, range(2, 17)),
+                            ("fast", ts.solve_tau_fast, range(3, 17))):
+        digest = hashlib.sha256()
+        for m in (1, 2):
+            for k in ks:
+                for entry in solve(k, m).entries:
+                    digest.update(repr(list(entry._terms.items())).encode())
+        assert digest.hexdigest() == _TERM_ORDER_SHA256[mode], mode
 
 
 @pytest.mark.parametrize("m", [1, 2])
