@@ -2,12 +2,12 @@
 
 The circle is parameterized as x = exp(2 pi i t) with t in (-1/2, 1/2], and
 log x = 2 pi i t is the single-valued branch used throughout.  Everything in
-this module is exact: log-power moments come from an integration-by-parts
-recursion whose coefficients are integers, and the infinite tails appearing
-in moments of the basis elements collapse to the shifted double sums
-S(m, k1, k2).  A partial-fraction split of each summand turns S into a
-closed form in O(k1 + k2) terms: zeta values plus harmonic numbers H_{m,t}.
-Each moment is gathered in one term map in one pass.
+this module is exact: log-power moments are polynomials in 1/p whose integer
+coefficients have a closed form, and the infinite tails appearing in moments
+of the basis elements collapse to the shifted double sums S(m, k1, k2).  A
+partial-fraction split of each summand turns S into a closed form in
+O(k1 + k2) terms: zeta values plus harmonic numbers H_{m,t}.  Each moment is
+gathered in one term map in one pass.
 
 Orientation convention: moments of the generating series (which lives in the
 original variable, the inverse of the disc variable) are plain coefficient
@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 from .pfseries import harmonic, operator_order, pi_coefficient, upper_block_specs
-from .symfield import ONE_MONO, SymNumber, zeta_value
+from .symfield import ONE_MONO, SymNumber, ZetaMonomial, zeta_value
 
 
 class DivergentSum(ArithmeticError):
@@ -34,24 +34,17 @@ class DivergentSum(ArithmeticError):
 # For p != 0, integrating by parts against x^p gives
 #   I_j(p) = (-1)^p (pi i)^(j-1) [j odd] / p  -  (j/p) I_(j-1)(p),
 # so I_j(p) = (-1)^p * J_j(1/p) for a polynomial J_j whose 1/p^r coefficient
-# is an integer times P^(j-r), P = pi i.  J_j is cached; its coefficients
-# also drive the tail reduction in basis_moment.
+# is c_r P^(j-r), P = pi i.  Unrolled, the recursion leaves the integers
+#   c_r = (-1)^(r-1) j!/(j-r+1)!  when j - r is even, else 0  (r >= 1),
+# and c_0 = 0.  They also drive the tail reduction in basis_moment.
 
 @functools.cache
-def log_moment_poly(j: int) -> tuple[SymNumber, ...]:
-    """Coefficients (by power of 1/p) of the p != 0 log-power moment."""
+def log_moment_poly(j: int) -> tuple[int, ...]:
+    """The integers c_r, r = 0..j, of the p != 0 log-power moment J_j."""
     if j < 0:
         raise ValueError("log power must be >= 0")
-    if j == 0:
-        return (SymNumber.zero(),)
-    prev = log_moment_poly(j - 1)
-    row = [SymNumber.zero() for _ in range(j + 1)]
-    for r in range(1, j + 1):  # shift by -j * (1/p) * J_{j-1}
-        if r - 1 < len(prev) and not prev[r - 1].is_zero():
-            row[r] = row[r] + prev[r - 1] * (-j)
-    if j % 2 == 1:  # boundary term, nonzero for odd log powers only
-        row[1] = row[1] + SymNumber.p_power(j - 1)
-    return tuple(row)
+    return (0,) + tuple((-1) ** (r - 1) * perm(j, r - 1) if (j - r) % 2 == 0
+                        else 0 for r in range(1, j + 1))
 
 
 def log_moment(p: int, j: int) -> SymNumber:
@@ -70,11 +63,8 @@ def log_moment(p: int, j: int) -> SymNumber:
     coeffs = log_moment_poly(j)
     sign = -1 if p % 2 else 1
     den = p ** j
-    terms = {}
-    for r in range(1, len(coeffs)):
-        for mono, c in coeffs[r]._terms.items():  # the one term c_r P^(j-r)
-            terms[mono] = Fraction(sign * c.numerator * p ** (j - r), den)
-    return SymNumber(terms)
+    return SymNumber({ZetaMonomial(j - r): Fraction(sign * c * p ** (j - r), den)
+                      for r, c in enumerate(coeffs) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -153,19 +143,19 @@ def basis_moment(k: int, m: int, i: int, n: int) -> SymNumber:
     terms = dict(log_moment(n, i)._terms)
     sign = -1 if n % 2 else 1
     for d, spec in upper_block_specs(k, m, i):
-        coeffs = log_moment_poly(d)
-        for r in range(1, d + 1):
-            for p_mono, c in coeffs[r]._terms.items():  # c_r P^(d-r)
-                if n >= 1:
-                    tail = s_sum(n, spec.power, r)
+        for r, c in enumerate(log_moment_poly(d)):  # c_r P^(d-r)
+            if not c:
+                continue
+            if n >= 1:
+                tail = s_sum(n, spec.power, r)
+            else:
+                tail = zeta_value(spec.power + r)
+            factor = c * sign * spec.scale
+            for mono, t in tail._terms.items():
+                key = ZetaMonomial(mono.pi_exp + d - r, mono.zetas)
+                value = terms.get(key, 0) + t * factor
+                if value:
+                    terms[key] = value
                 else:
-                    tail = zeta_value(spec.power + r)
-                factor = c * sign * spec.scale
-                for mono, t in tail._terms.items():
-                    key = p_mono.mul(mono)
-                    value = terms.get(key, 0) + t * factor
-                    if value:
-                        terms[key] = value
-                    else:
-                        del terms[key]
+                    del terms[key]
     return SymNumber(terms)

@@ -168,10 +168,6 @@ def identity_to_json_dict(rec: IdentityRecord, verified: Optional[bool] = None) 
 
 def render_identity(rec: IdentityRecord, fmt: str = "plain",
                     style: str = "even-zeta") -> str:
-    if fmt == "json":
-        import json
-
-        return json.dumps(identity_to_json_dict(rec), sort_keys=True)
     if rec.kind == "trivial":
         if fmt == "latex":
             return r"0 = 0 \text{ (no information at } \phi=\pm 1)"

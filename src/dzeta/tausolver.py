@@ -7,9 +7,9 @@ elimination works on maps from packed integer monomial keys to integer
 coefficients, so a monomial product is an integer addition, and hands back
 `SymNumber` values only in the solution.  Every row of a solved
 system has a structurally zero residual, computed as one integer dot
-product.  The fast path applies the observed coefficient recursion plus the
-zero-mode formula; it is marked conjectural until cross-checked against the
-direct solver.
+product.  The fast path is the observed coefficient rule plus the zero-mode
+row in closed form (heads by an x/sinh x convolution); it is marked
+conjectural until cross-checked against the direct solver.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from . import circle
 from .pfseries import operator_order
-from .symfield import ExactDivisionError, SymNumber, ZetaMonomial
+from .symfield import ExactDivisionError, SymNumber, ZetaMonomial, bernoulli
 
 
 class SingularSystem(Exception):
@@ -291,32 +291,56 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
     raise AssertionError("unreachable")
 
 
-@functools.cache
-def solve_tau_fast(k: int, m: int) -> TauVector:
-    """Recursive coefficient rule plus the zero-mode formula.
+def _tail_entry(base: tuple, k: int, i: int) -> SymNumber:
+    """tau[k][i] for i >= k-1 from tau[2] = base: (-1)^k (i-k+2)!/i! tau[2][i-k+2]."""
+    return base[i - k + 2] * Fraction((-1) ** k * factorial(i - k + 2), factorial(i))
 
-    Entry i comes from -1/i times entry i-1 at k-1; the head entry is minus
-    the weighted sum of the zero moments of the basis elements.  Results are
-    conjectural (the rule is verified, not proven) except for the base k = 2,
-    which is the direct solution.
+
+@functools.cache
+def _zero_mode_source(j: int, m: int) -> SymNumber:
+    """g(j) = -sum_{i >= j-1} tau[j][i] * (zero moment of basis element i), one
+    or two terms; g(2) = tau[2][0] in value and term order (zero-moment row)."""
+    base = solve_tau_direct(2, m).entries
+    g = SymNumber.zero()
+    for i in range(j - 1, operator_order(j, m)):
+        entry = _tail_entry(base, j, i)
+        if not entry.is_zero():
+            g = g - entry * circle.basis_moment(j, m, i, 0)
+    return g
+
+
+@functools.cache
+def _x_over_sinh(n: int) -> SymNumber:
+    """c_2n P^2n, with c_2n = (2 - 2^2n) B_2n/(2n)! the coefficients of x/sinh x."""
+    return SymNumber.p_power(2 * n, (2 - 4 ** n) * bernoulli(2 * n) / factorial(2 * n))
+
+
+@functools.cache
+def _head(j: int, m: int) -> SymNumber:
+    """h(j) = sum_n c_2n P^2n g(j-2n), deepest first: the rule's term order."""
+    return sum((_zero_mode_source(j - 2 * n, m) * _x_over_sinh(n)
+                for n in range((j - 2) // 2, -1, -1)), SymNumber.zero())
+
+
+def solve_tau_fast(k: int, m: int) -> TauVector:
+    """Closed-form coordinates: the coefficient rule plus the zero mode, unrolled.
+
+    The rule tau[k][i] = -tau[k-1][i-1]/i gives tau[k][i] = (-1)^i h(k-i)/i!
+    for i <= k-2, with heads h(j) = tau[j][0], and ties the entries i >= k-1
+    to the base k = 2.  The zero moment of basis element i < k is P^i/(i+1)
+    for even i and 0 for odd i, so the n = 0 moment row convolves the heads
+    with sinh(Pt)/(Pt); `_head` inverts it.  Nothing recurses and no vector
+    is kept.  Conjectural (the rule is verified, not proven) except for the
+    base k = 2, the direct solution.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if k == 2:
         return solve_tau_direct(2, m)
-    # fill the memo upward so the recursion stays two frames deep at any k
-    for j in range(3, k):
-        solve_tau_fast(j, m)
-    prev = solve_tau_fast(k - 1, m)
-    order = operator_order(k, m)
-    entries = [SymNumber.zero()] * order
-    for i in range(1, order):
-        entries[i] = prev.entries[i - 1] / Fraction(-i)
-    head = SymNumber.zero()
-    for i in range(1, order):
-        if not entries[i].is_zero():
-            head = head - entries[i] * circle.basis_moment(k, m, i, 0)
-    entries[0] = head
+    base = solve_tau_direct(2, m).entries
+    entries = [_head(k - i, m) / Fraction((-1) ** i * factorial(i))
+               for i in range(k - 1)]
+    entries += [_tail_entry(base, k, i) for i in range(k - 1, operator_order(k, m))]
     return TauVector(k, m, tuple(entries), provenance="fast", conjectural=True)
 
 

@@ -145,6 +145,30 @@ def test_log_moment_poly_concurrent_fill():
         assert value == expected[args]
 
 
+@functools.cache
+def _log_moment_poly_recursive(j):
+    """J_j by the integration-by-parts recursion the closed form replaced:
+    J_j = -j (1/p) J_(j-1) plus P^(j-1)/p for odd j."""
+    if j == 0:
+        return (SymNumber.zero(),)
+    prev = _log_moment_poly_recursive(j - 1)
+    row = [SymNumber.zero() for _ in range(j + 1)]
+    for r in range(1, j + 1):  # shift by -j * (1/p) * J_{j-1}
+        if r - 1 < len(prev) and not prev[r - 1].is_zero():
+            row[r] = row[r] + prev[r - 1] * (-j)
+    if j % 2 == 1:  # boundary term, nonzero for odd log powers only
+        row[1] = row[1] + SymNumber.p_power(j - 1)
+    return tuple(row)
+
+
+def test_log_moment_poly_matches_recursion():
+    for j in range(41):
+        coeffs = log_moment_poly(j)
+        assert all(isinstance(c, int) for c in coeffs)
+        assert [SymNumber.p_power(j - r, c) for r, c in enumerate(coeffs)] \
+            == list(_log_moment_poly_recursive(j)), j
+
+
 def test_harmonic_concurrent_growth():
     # t = 5 is an order no other test asks for, so the threads grow its table
     calls = [(n, 5) for n in (60, 120, 180, 240)] * 4

@@ -1,5 +1,6 @@
 """Tests for the moment systems and both solving paths."""
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dzeta import circle
 from dzeta import tausolver as ts
 from dzeta.pfseries import operator_order
 from dzeta.symfield import ExactDivisionError, SymNumber, _mono_divide, _mono_sort_key
@@ -318,6 +320,41 @@ def test_fast_k8_m2_head():
     assert fast.entries[0] == q(-49363, 1280) * z(10)
 
 
+@functools.cache
+def _solve_tau_fast_recursive(k: int, m: int) -> ts.TauVector:
+    """The fast path as the memoised recursion the closed form replaced:
+    entry i is -1/i times entry i-1 at k-1, and the head is minus the
+    weighted sum of the zero moments of the basis elements."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if k == 2:
+        return ts.solve_tau_direct(2, m)
+    # fill the memo upward so the recursion stays two frames deep at any k
+    for j in range(3, k):
+        _solve_tau_fast_recursive(j, m)
+    prev = _solve_tau_fast_recursive(k - 1, m)
+    order = operator_order(k, m)
+    entries = [SymNumber.zero()] * order
+    for i in range(1, order):
+        entries[i] = prev.entries[i - 1] / Fraction(-i)
+    head = SymNumber.zero()
+    for i in range(1, order):
+        if not entries[i].is_zero():
+            head = head - entries[i] * circle.basis_moment(k, m, i, 0)
+    entries[0] = head
+    return ts.TauVector(k, m, tuple(entries), provenance="fast", conjectural=True)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_fast_closed_form_matches_recursion(m):
+    # values and dict term order: the order reaches the oracle's sums
+    for k in range(3, 61):
+        fast, ref = ts.solve_tau_fast(k, m), _solve_tau_fast_recursive(k, m)
+        assert (fast.provenance, fast.conjectural) == ("fast", True)
+        assert ([list(e._terms.items()) for e in fast.entries]
+                == [list(e._terms.items()) for e in ref.entries]), k
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_fast_top_entries(m):
     for k in range(2, 13):
@@ -409,13 +446,19 @@ def test_conjecture_cache_label_survives_a_wrapper(monkeypatch):
 
 
 def test_fast_path_depth_does_not_grow_with_k():
-    # a fresh interpreter starts from a cold memo; with the default limit the
-    # same call at k = 500 used to end in RecursionError
-    code = ("import sys; sys.setrecursionlimit(120)\n"
+    # a fresh interpreter starts from cold memos; nothing on the fast path
+    # recurses, and no full vector is kept, so memory stays flat in k (the
+    # memoised recursion this replaced peaked near 100 MB at k = 200).  The
+    # peak is the child's own VmHWM: ru_maxrss would carry over the peak of
+    # the test process that forked it.
+    code = ("import re, sys; sys.setrecursionlimit(120)\n"
             "from dzeta import tausolver\n"
-            "print(tausolver.solve_tau_fast(150, 1).order)")
+            "print(tausolver.solve_tau_fast(200, 1).order)\n"
+            "print(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1])")
     env = dict(os.environ, PYTHONPATH=str(Path(ts.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(operator_order(150, 1))]
+    order, peak_kb = proc.stdout.split()
+    assert order == str(operator_order(200, 1))
+    assert int(peak_kb) < 60 * 1024, f"peak RSS {int(peak_kb) // 1024} MB"
