@@ -20,8 +20,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import identities, numverify, pfseries, tausolver
 from .symfield import render, to_json_dict
@@ -35,8 +35,7 @@ EXIT_PRECISION_UNREACHABLE = 5
 EXIT_BROKEN_PIPE = 141
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     k: int = 2
     k_max: int | None = None
     m_set: tuple[int, ...] = (1, 2)
@@ -340,7 +339,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on a usage error, which is EXIT_SINGULAR here
         return EXIT_OK if not exc.code else EXIT_BAD_CONFIG
     command = args.pop("command")
-    names = {f.name for f in fields(RunConfig)}
+    names = RunConfig._fields
     cfg = RunConfig(**{n: v for n, v in args.items() if n in names})
     problems = cfg.validate()
     if problems:

@@ -12,9 +12,8 @@ class, leaving the empty identity 0 = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import circle, tausolver
 from .pfseries import (HarmonicTailSeries, bottom_block_rewritten, operator_order,
@@ -89,8 +88,7 @@ def eval_basis_at(k: int, m: int, i: int, point: int) -> tuple[SymNumber, Fracti
     return total, unknown_coeff
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(NamedTuple):
     kind: str  # "dzv" | "alt" | "trivial"
     k: int
     m: int
@@ -183,8 +181,7 @@ def render_identity(rec: IdentityRecord, fmt: str = "plain",
 # ---------------------------------------------------------------------------
 # The introductory example: the alternating weight-2 series.
 
-@dataclass(frozen=True)
-class FourierIdentity:
+class FourierIdentity(NamedTuple):
     """sum (-1)^n cos(2 pi n t)/n^2 = constant + linear*t + quadratic*t^2."""
 
     constant: SymNumber

@@ -5,8 +5,10 @@ falsify.  Zeta values come from an Euler-Maclaurin tail with an explicit
 remainder bound; the weighted harmonic sums use the digamma/trigamma
 asymptotics so a short partial sum plus closed-form power/log tails reaches
 any reasonable precision; alternating sums use repeated pair averaging with a
-bracketing-based error estimate.  Working precision always carries guard bits
-beyond the requested digits, so reported tail bounds dominate rounding.
+bracketing-based error estimate, whose bracketing is checked numerically, not
+proven.  Working precision carries guard bits beyond the requested digits; that
+this rounding budget stays below the reported tail bounds is a heuristic, not a
+bound.
 
 Each kernel tries growing term budgets and extends one running partial sum
 across them rather than restarting it; the averaging triangle works on raw
@@ -16,25 +18,42 @@ bit-identical to the plain mpf loops kept as the reference in the test suite.
 
 Big floats are mpmath `mpf` values; pi and Euler's constant come from mpmath's
 standard arbitrary-precision constants (pi is cross-checked against the
-series for the weight-2 sum in the test suite).
+series for the weight-2 sum in the test suite).  mpmath is imported on the
+first oracle call (`_load`), so commands that never reach the oracle never
+load it.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
-
-import mpmath
-from mpmath import mpf
-from mpmath.libmp import (fzero, from_int, mpf_abs, mpf_add, mpf_div,
-                          mpf_pow_int, mpf_shift, mpf_sub, round_nearest)
 
 from .identities import FourierIdentity, IdentityRecord
 from .symfield import SymNumber, bernoulli
 
 _GUARD_BITS = 48
+
+# bound by `_load` on the first oracle call
+mpmath = mpf = None
+fzero = from_int = mpf_abs = mpf_add = mpf_div = None
+mpf_pow_int = mpf_shift = mpf_sub = round_nearest = None
+
+
+def _load() -> None:
+    """Import mpmath and bind its names here, once.
+
+    Every kernel a caller can reach first calls this before it touches
+    mpmath; `_to_mpf` is only used under `_workprec`, which calls it.
+    """
+    global mpmath, mpf, fzero, from_int, mpf_abs, mpf_add, mpf_div
+    global mpf_pow_int, mpf_shift, mpf_sub, round_nearest
+    if mpf is not None:
+        return
+    import mpmath
+    from mpmath.libmp import (fzero, from_int, mpf_abs, mpf_add, mpf_div,
+                              mpf_pow_int, mpf_shift, mpf_sub, round_nearest)
+    from mpmath import mpf  # bound last: the guard above reads it
 
 
 def _to_mpf(value) -> mpf:
@@ -51,6 +70,7 @@ class PrecisionUnreachable(ArithmeticError):
 
 
 def _workprec(digits: int):
+    _load()
     return mpmath.workprec(int(digits * 3.33) + _GUARD_BITS)
 
 
@@ -66,6 +86,7 @@ def _powerlog_tail(c_log, c_const, r: int, x0, step: int = 1,
     Euler-Maclaurin in j with the periodized-Bernoulli remainder bound
     |R| <= 4 (2 pi)^(-2J) int |h^(2J)|; requires r >= 2 and x0 >= 1.
     """
+    _load()
     return _powerlog_tail_at(c_log, c_const, r, x0, step, levels,
                              mpmath.mp.prec)
 
@@ -118,6 +139,7 @@ def zeta_num(s: int, digits: int) -> mpf:
 def _zeta_with_bound(s: int, digits: int) -> _TailResult:
     if s < 2:
         raise ValueError("s must be >= 2")
+    _load()
     target = mpf(10) ** (-digits)
     with _workprec(digits):
         for n_terms in (24, 48, 96, 192):
@@ -138,6 +160,7 @@ def _dzv_with_bound(k: int, m: int, digits: int) -> _TailResult:
     """
     if k < 2 or m not in (1, 2):
         raise ValueError("need k >= 2 and m in {1, 2}")
+    _load()
     target = mpf(10) ** (-digits)
     corrections = 6
     with _workprec(digits):
@@ -205,6 +228,7 @@ def _bracket(row: list, prec: int) -> tuple:
     alternates gives (value, bound), bound being its gap.  Halving is an exact
     shift, so each average rounds once, as (a + b) / 2 on mpf values does.
     """
+    _load()
     value = mpf_shift(mpf_add(row[-1], row[-2], prec, round_nearest), -1)
     bound = mpf_abs(mpf_sub(row[-1], row[-2], prec, round_nearest))
     while len(row) > 2:
@@ -230,6 +254,7 @@ def _alt_with_bound(k: int, m: int, digits: int) -> _TailResult:
     """
     if k < 2 or m not in (1, 2):
         raise ValueError("need k >= 2 and m in {1, 2}")
+    _load()
     target = mpf(10) ** (-digits)
 
     with _workprec(digits):
@@ -296,8 +321,7 @@ def sym_to_mpf(x: SymNumber, digits: int) -> mpf:
 # ---------------------------------------------------------------------------
 # Reports.
 
-@dataclass(frozen=True)
-class NumericReport:
+class NumericReport(NamedTuple):
     identity: str
     lhs: str
     rhs: str

@@ -10,7 +10,6 @@ constants only enter downstream (moments and boundary evaluation).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import NamedTuple
@@ -75,8 +74,7 @@ def operator_order(k: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 # Operators.
 
-@dataclass(frozen=True)
-class PFOperator:
+class PFOperator(NamedTuple):
     """sum_j p_j(x) theta^j with integer polynomial coefficients.
 
     `coeffs[j]` is the dense coefficient tuple of p_j, constant term first.
@@ -236,8 +234,7 @@ def bottom_block_rewritten(k: int, m: int, i: int):
 # ---------------------------------------------------------------------------
 # Truncated log series.
 
-@dataclass(frozen=True)
-class LogSeries:
+class LogSeries(NamedTuple):
     """sum_d blocks[d] * log(x)^d with each block a truncated power series.
 
     Coefficients `blocks[d][n]` are exact rationals; every block shares one

@@ -15,9 +15,7 @@ conjectural until cross-checked against the direct solver.
 from __future__ import annotations
 
 import functools
-import inspect
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import NamedTuple
@@ -43,8 +41,7 @@ class MomentRow(NamedTuple):
     rhs: SymNumber
 
 
-@dataclass(frozen=True)
-class MomentSystem:
+class MomentSystem(NamedTuple):
     k: int
     m: int
     rows: tuple[MomentRow, ...]
@@ -54,8 +51,7 @@ class MomentSystem:
         return len(self.rows[0].coeffs)
 
 
-@dataclass(frozen=True)
-class TauVector:
+class TauVector(NamedTuple):
     """Exact coordinates of the generating series in the canonical basis."""
 
     k: int
@@ -375,8 +371,7 @@ class ConjectureCheck(NamedTuple):
     direct_cached: bool = False  # direct solve came from the memo table
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     m: int
     k_max: int
     checks: tuple[ConjectureCheck, ...]
@@ -408,8 +403,9 @@ def check_conjecture(k_max: int, m: int, k_min: int = 3) -> ConjectureReport:
     if k_max < 3:
         return ConjectureReport(m, k_max, ())
     # the memo table, also when an outside wrapper (a tracer) rebound the name
-    memo = inspect.unwrap(solve_tau_direct,
-                          stop=lambda f: hasattr(f, "cache_info"))
+    memo = solve_tau_direct
+    while not hasattr(memo, "cache_info"):
+        memo = memo.__wrapped__
     checks = []
     for k in range(max(k_min, 3), k_max + 1):
         hits = memo.cache_info().hits

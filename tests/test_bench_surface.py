@@ -9,6 +9,7 @@ them uses breaks the benchmark, so these tests fail first.  They only read
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,19 @@ def test_tracer_entry_points_resolve():
     assert missing == []
     # the tracer reads the direct solver's memo counters
     assert hasattr(tausolver.solve_tau_direct, "cache_info")
+
+
+def test_importing_the_cli_loads_every_traced_layer():
+    # the tracer looks each layer up as sys.modules["dzeta.<layer>"] after
+    # `import dzeta.cli`; a layer imported lazily would break `--trace 1`
+    layers = _tracer_module().LAYERS
+    code = ("import sys, dzeta.cli\n"
+            f"print([n for n in {layers!r} if 'dzeta.' + n not in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(BENCH.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_tracer_reads_the_terms_record():

@@ -7,9 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
-from dzeta import cli, tausolver
+from dzeta import cli, numverify, tausolver
 
 # Outputs recorded before the coefficient field moved from Q(i) to
 # Q[P, zeta(3), ...] with P = i*pi, timestamps blanked.  Rerecord them only
@@ -388,3 +389,58 @@ def test_outputs_byte_identical_to_golden(tmp_path, capsys, name, args):
     for file in golden_dir.iterdir():
         assert _blank_timestamp((out_dir / file.name).read_bytes()) \
             == file.read_bytes(), file.name
+
+
+# ---------------------------------------------------------------------------
+# Cold start: what a fresh interpreter imports.
+
+_UNUSED_BY_EXACT_COMMANDS = ("mpmath", "dataclasses", "inspect")
+
+
+def _fresh(code: str) -> str:
+    """Run `code` in a new interpreter on this package; return its last line."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("args", [
+    ["tau", "--k", "3", "--m", "1"],
+    ["basis-check", "--k", "2", "--m", "1", "--trunc", "50"],
+])
+def test_exact_commands_never_import_the_oracle(args):
+    # mpmath is imported on the first oracle call, and the package uses
+    # neither dataclasses nor inspect
+    last = _fresh("import sys\nfrom dzeta.cli import main\n"
+                  f"code = main({args!r})\n"
+                  f"print(code, [n for n in {_UNUSED_BY_EXACT_COMMANDS!r} "
+                  "if n in sys.modules])")
+    assert last == "0 []"
+
+
+def test_verify_imports_the_oracle():
+    last = _fresh("import sys\nfrom dzeta.cli import main\n"
+                  "code = main(['verify', '--k', '2', '--m', '1'])\n"
+                  "print(code, 'mpmath' in sys.modules)")
+    assert last == "0 True"
+
+
+def test_powerlog_tail_works_as_the_first_oracle_call():
+    with numverify._workprec(30):
+        expected = repr(numverify._powerlog_tail(0, 1, 2, 10))
+    assert _fresh("from dzeta import numverify\n"
+                  "with numverify._workprec(30):\n"
+                  "    print(repr(numverify._powerlog_tail(0, 1, 2, 10)))") \
+        == expected
+
+
+def test_bracket_works_as_the_first_oracle_call():
+    # the rows are raw mpf tuples, so the child builds them with mpmath before
+    # numverify has bound any mpmath name
+    sums = (1, 0.5, 0.75, 0.625, 0.6875, 0.65625)
+    expected = repr(numverify._bracket([mpmath.mpf(x)._mpf_ for x in sums], 53))
+    assert _fresh("import mpmath\nfrom dzeta import numverify\n"
+                  f"row = [mpmath.mpf(x)._mpf_ for x in {sums!r}]\n"
+                  "print(repr(numverify._bracket(row, 53)))") == expected
