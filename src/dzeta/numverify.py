@@ -11,9 +11,13 @@ this rounding budget stays below the reported tail bounds is a heuristic, not a
 bound.
 
 Each kernel tries growing term budgets and extends one running partial sum
-across them rather than restarting it; the averaging triangle works on raw
-`mpmath.libmp` tuples; power/log tails are memoised per working precision.
-All three only remove repeated work: every value, bound and message is
+across them rather than restarting it; the two harmonic kernels take their
+summands H_{n,m}/(n+1)^k from one shared table (`_terms`), which grows one
+harmonic prefix per (m, precision) for every k and keeps the latest k's
+summands for the alternating sum that follows the weighted one; the
+averaging triangle works on raw `mpmath.libmp` tuples and reads its gap signs
+from exact integers; power/log tails are memoised per working precision.  All
+of these only remove repeated work: every value, bound and message is
 bit-identical to the plain mpf loops kept as the reference in the test suite.
 
 Big floats are mpmath `mpf` values; pi and Euler's constant come from mpmath's
@@ -150,6 +154,41 @@ def _zeta_with_bound(s: int, digits: int) -> _TailResult:
     raise PrecisionUnreachable(f"zeta({s}) to {digits} digits")
 
 
+# One-key tables shared by the two summation kernels: the harmonic prefix
+# H_{n,m} at one (m, prec), shared by every k, and the terms H_{n,m}/(n+1)^k
+# at one (k, m, prec), which the alternating sum reuses from the weighted sum
+# just run for the same (k, m).  A new key replaces the old entry.
+_HARMONIC: dict = {}
+_TERMS: dict = {}
+
+
+def _one_key_list(table: dict, key) -> list:
+    if key not in table:
+        table.clear()
+        table[key] = []
+    return table[key]
+
+
+def _terms(k: int, m: int, prec: int, count: int) -> list:
+    """Raw tuples of H_{n,m}/(n+1)^k for n = 1..count (or more) at `prec`.
+
+    Rounded exactly as h += n^-m and h / (n+1)^k on mpf values.
+    """
+    terms = _one_key_list(_TERMS, (k, m, prec))
+    if len(terms) < count:
+        rnd = round_nearest
+        hs = _one_key_list(_HARMONIC, (m, prec))
+        h = hs[-1] if hs else fzero
+        for n in range(len(hs) + 1, count + 1):
+            h = mpf_add(h, mpf_pow_int(from_int(n), -m, prec, rnd), prec, rnd)
+            hs.append(h)
+        for n in range(len(terms) + 1, count + 1):
+            terms.append(mpf_div(hs[n - 1],
+                                 mpf_pow_int(from_int(n + 1), k, prec, rnd),
+                                 prec, rnd))
+    return terms
+
+
 def _dzv_with_bound(k: int, m: int, digits: int) -> _TailResult:
     """Weighted harmonic sum  sum_{n>=1} H_{n,m} / (n+1)^k.
 
@@ -164,14 +203,14 @@ def _dzv_with_bound(k: int, m: int, digits: int) -> _TailResult:
     target = mpf(10) ** (-digits)
     corrections = 6
     with _workprec(digits):
+        prec = mpmath.mp.prec
         best_bound = None
-        partial = mpf(0)
-        h = mpf(0)
+        partial = fzero
         # each budget extends the previous budget's partial sum
         for first, cutoff in ((1, 64), (64, 128), (128, 256)):
+            terms = _terms(k, m, prec, cutoff - 1)
             for n in range(first, cutoff):
-                h += mpf(n) ** (-m)
-                partial += h / mpf(n + 1) ** k
+                partial = mpf_add(partial, terms[n - 1], prec, round_nearest)
             u0 = cutoff + 1  # tail starts at u = cutoff + 1, i.e. n = cutoff
             bound = mpf(0)
             if m == 1:
@@ -207,7 +246,7 @@ def _dzv_with_bound(k: int, m: int, digits: int) -> _TailResult:
                 bound += 2 * b_next * (rem.value + rem.bound)
             best_bound = bound if best_bound is None else min(best_bound, bound)
             if bound < target:
-                return _TailResult(+(partial + tail), +bound)
+                return _TailResult(+(mpmath.mp.make_mpf(partial) + tail), +bound)
     achieved = int(-mpmath.log10(best_bound)) if best_bound and best_bound > 0 else 0
     raise PrecisionUnreachable(
         f"dzv({k},{m}) tail bound {mpmath.nstr(best_bound, 3)} exceeds "
@@ -227,18 +266,24 @@ def _bracket(row: list, prec: int) -> tuple:
     alternate in sign); the last pair of the deepest level that still
     alternates gives (value, bound), bound being its gap.  Halving is an exact
     shift, so each average rounds once, as (a + b) / 2 on mpf values does.
+    The gap signs are read from the row's mantissas written as integers at
+    its smallest exponent: a difference rounded to nearest has the sign of
+    the exact one and is zero only when that is, so only the last gap, which
+    becomes the bound, is rounded.
     """
     _load()
     value = mpf_shift(mpf_add(row[-1], row[-2], prec, round_nearest), -1)
     bound = mpf_abs(mpf_sub(row[-1], row[-2], prec, round_nearest))
     while len(row) > 2:
-        gaps = [mpf_sub(b, a, prec, round_nearest) for a, b in zip(row, row[1:])]
-        signs = [g[0] for g in gaps if g != fzero]  # sign bit of the tuple
+        low = min(x[2] for x in row)
+        ints = [(-man if sign else man) << (exp - low)
+                for sign, man, exp, _ in row]
+        signs = [d > 0 for d in (b - a for a, b in zip(ints, ints[1:])) if d]
         if any(a == b for a, b in zip(signs, signs[1:])):
             break  # alternation lost: stop at the last valid bracket
         # entries straddle the limit; the last pair brackets tightest
         value = mpf_shift(mpf_add(row[-1], row[-2], prec, round_nearest), -1)
-        bound = mpf_abs(gaps[-1])
+        bound = mpf_abs(mpf_sub(row[-1], row[-2], prec, round_nearest))
         if bound == fzero:
             break
         row = [mpf_shift(mpf_add(a, b, prec, round_nearest), -1)
@@ -250,7 +295,7 @@ def _alt_with_bound(k: int, m: int, digits: int) -> _TailResult:
     """Alternating sum  sum_{n>=1} (-1)^n H_{n,m} / (n+1)^k.
 
     Repeated pair averaging (`_bracket`) of the last partial sums, at three
-    term budgets that share one list of partial sums.
+    term budgets, each extending the previous budget's running sum.
     """
     if k < 2 or m not in (1, 2):
         raise ValueError("need k >= 2 and m in {1, 2}")
@@ -260,8 +305,8 @@ def _alt_with_bound(k: int, m: int, digits: int) -> _TailResult:
     with _workprec(digits):
         prec = mpmath.mp.prec
         rnd = round_nearest
-        sums = []  # raw partial sums, each budget extending the last one's
-        h = acc = fzero
+        acc = fzero
+        first = 1
         # Windows stay shallow relative to the start index: bracketing needs
         # the window-depth finite differences of the terms to stay monotone,
         # which the log-growth factor only guarantees for ln(start) above the
@@ -270,18 +315,18 @@ def _alt_with_bound(k: int, m: int, digits: int) -> _TailResult:
         best = None
         previous = None
         for n_terms, window in ((240, 40), (480, 80), (960, 160)):
-            # rounded exactly as h += n^-m and acc += (-1)^n h / (n+1)^k on
-            # mpf values; round-to-nearest is symmetric, so subtracting the
-            # term rounds as adding its negation does
-            for n in range(len(sums) + 1, n_terms + 1):
-                h = mpf_add(h, mpf_pow_int(from_int(n), -m, prec, rnd),
-                            prec, rnd)
-                term = mpf_div(h, mpf_pow_int(from_int(n + 1), k, prec, rnd),
-                               prec, rnd)
-                acc = (mpf_sub if n % 2 else mpf_add)(acc, term, prec, rnd)
-                sums.append(acc)
-            est = _TailResult(*map(mpmath.mp.make_mpf,
-                                   _bracket(sums[-(window + 1):], prec)))
+            terms = _terms(k, m, prec, n_terms)
+            row = []  # the budget's last window + 1 partial sums
+            # rounded exactly as acc += (-1)^n term on mpf values;
+            # round-to-nearest is symmetric, so subtracting the term rounds
+            # as adding its negation does
+            for n in range(first, n_terms + 1):
+                acc = (mpf_sub if n % 2 else mpf_add)(acc, terms[n - 1],
+                                                      prec, rnd)
+                if n >= n_terms - window:
+                    row.append(acc)
+            first = n_terms + 1
+            est = _TailResult(*map(mpmath.mp.make_mpf, _bracket(row, prec)))
             if previous is not None:
                 bound = max(est.bound, abs(est.value - previous.value))
                 if best is None or bound < best.bound:
@@ -374,14 +419,19 @@ def verify_identity_numeric(rec: IdentityRecord, digits: int = 12,
         )
 
 
+_SPOT_CHECK_MAX_TERMS = 4096
+
+
 def fourier_spot_check(samples, digits: int = 12, tolerance: float = 1e-10,
                        identity: Optional[FourierIdentity] = None) -> NumericReport:
     """Check sum (-1)^n cos(2 pi n t)/n^2 against its closed quadratic form.
 
     Samples must be rational; the summand is then periodic in n over residue
     classes, and each class tail is a closed-form power tail, so the
-    summation error bound is explicit.  Raises PrecisionUnreachable when that
-    bound exceeds 10^-digits.
+    summation error bound is explicit.  The cutoff starts at
+    max(128, 8 * period) and doubles until that bound is at most 10^-digits;
+    raises PrecisionUnreachable when it is not within _SPOT_CHECK_MAX_TERMS
+    terms (about 71 digits).
     """
     ts = [Fraction(t) for t in samples]
     with _workprec(digits):
@@ -393,38 +443,47 @@ def fourier_spot_check(samples, digits: int = 12, tolerance: float = 1e-10,
             const = -mpmath.pi ** 2 / 12
             lin = mpf(0)
             quad = mpmath.pi ** 2
-        worst_abs = mpf(0)
+        target = mpf(10) ** (-digits)
         worst_bound = mpf(0)
-        lhs_texts = []
-        rhs_texts = []
+        cuts = []  # (t, n_cut, class tails) per sample
         for t in ts:
             q = t.denominator
             period = q if q % 2 == 0 else 2 * q  # lcm(2, q): sign and cosine
             n_cut = max(128, 8 * period)
-            partial = mpmath.fsum(
-                (-1) ** n * mpmath.cospi(_to_mpf(2 * n * t)) / mpf(n) ** 2
-                for n in range(1, n_cut + 1))
-            tail = mpf(0)
-            bound = mpf(0)
-            for r in range(1, period + 1):
-                n_first = n_cut + r
-                w = (-1) ** n_first * mpmath.cospi(_to_mpf(2 * n_first * t))
-                if w == 0:
-                    continue
-                piece = _powerlog_tail(0, 1, 2, mpf(n_first) / period, step=1)
-                tail += w * piece.value / period ** 2
-                bound += abs(w) * piece.bound / period ** 2
-            lhs = partial + tail
-            rhs = const + lin * _to_mpf(t) + quad * _to_mpf(t) ** 2
-            worst_abs = max(worst_abs, abs(lhs - rhs))
+            while True:
+                tail = mpf(0)
+                bound = mpf(0)
+                for r in range(1, period + 1):
+                    n_first = n_cut + r
+                    w = (-1) ** n_first * mpmath.cospi(_to_mpf(2 * n_first * t))
+                    if w == 0:
+                        continue
+                    piece = _powerlog_tail(0, 1, 2, mpf(n_first) / period,
+                                           step=1)
+                    tail += w * piece.value / period ** 2
+                    bound += abs(w) * piece.bound / period ** 2
+                if bound <= target or 2 * n_cut > _SPOT_CHECK_MAX_TERMS:
+                    break
+                n_cut *= 2
             worst_bound = max(worst_bound, bound)
-            lhs_texts.append(mpmath.nstr(lhs, digits))
-            rhs_texts.append(mpmath.nstr(rhs, digits))
-        if worst_bound > mpf(10) ** (-digits):
+            cuts.append((t, n_cut, tail))
+        if worst_bound > target:
             raise PrecisionUnreachable(
                 f"fourier spot check tail bound {mpmath.nstr(worst_bound, 3)} "
                 f"exceeds 10^-{digits} within the term budget",
                 achieved_digits=int(-mpmath.log10(worst_bound)))
+        worst_abs = mpf(0)
+        lhs_texts = []
+        rhs_texts = []
+        for t, n_cut, tail in cuts:
+            partial = mpmath.fsum(
+                (-1) ** n * mpmath.cospi(_to_mpf(2 * n * t)) / mpf(n) ** 2
+                for n in range(1, n_cut + 1))
+            lhs = partial + tail
+            rhs = const + lin * _to_mpf(t) + quad * _to_mpf(t) ** 2
+            worst_abs = max(worst_abs, abs(lhs - rhs))
+            lhs_texts.append(mpmath.nstr(lhs, digits))
+            rhs_texts.append(mpmath.nstr(rhs, digits))
         passed = bool(worst_abs <= tolerance and worst_bound <= tolerance / 10)
         return NumericReport(
             identity="fourier-alternating-weight2",

@@ -227,8 +227,18 @@ def test_unreachable_precision_exit_code(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("digits", ["29", "60"])
+def test_toy_high_precision_passes(capsys, digits):
+    # the spot check's cutoff doubles past its first budget of 128 terms,
+    # which stops at a tail bound of 1.94e-29
+    code, out, _ = run(capsys, "toy", "--digits", digits)
+    assert code == 0
+    assert "pass" in out
+
+
 def test_toy_unreachable_precision_exit_code(capsys):
-    code, out, err = run(capsys, "toy", "--digits", "60")
+    # past the spot check's largest term budget (about 71 digits)
+    code, out, err = run(capsys, "toy", "--digits", "80")
     assert code == cli.EXIT_PRECISION_UNREACHABLE == 5
     assert out == ""
     assert "Traceback" not in err

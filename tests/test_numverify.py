@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_add, mpf_shift,
+                          mpf_sub, round_nearest)
 
-from dzeta import identities as ids, numverify as nv, tausolver as ts
+from dzeta import cli, identities as ids, numverify as nv, tausolver as ts
 from dzeta.numverify import (PrecisionUnreachable, _TailResult,
                              _powerlog_tail, _to_mpf, _workprec)
 from dzeta.symfield import SymNumber, bernoulli
@@ -307,6 +311,94 @@ def test_kernel_bit_identical_to_reference(kernel, reference, k):
         for digits in (12, 30, 40, 60):
             assert _outcome(kernel, k, m, digits) \
                 == _outcome(reference, k, m, digits), (m, digits)
+
+
+def test_shared_tables_bit_identical_in_any_call_order():
+    # alt before dzv, k descending, and m and digits switching between calls,
+    # so every call meets tables left behind by a different key
+    calls = [(nv._alt_with_bound, _alt_reference, 9, 2, 12),
+             (nv._dzv_with_bound, _dzv_reference, 9, 2, 30),
+             (nv._alt_with_bound, _alt_reference, 7, 1, 30),
+             (nv._dzv_with_bound, _dzv_reference, 7, 2, 12),
+             (nv._alt_with_bound, _alt_reference, 7, 2, 12),
+             (nv._dzv_with_bound, _dzv_reference, 5, 1, 12),
+             (nv._alt_with_bound, _alt_reference, 4, 1, 30),
+             (nv._dzv_with_bound, _dzv_reference, 4, 1, 30),
+             (nv._alt_with_bound, _alt_reference, 3, 2, 30),
+             (nv._dzv_with_bound, _dzv_reference, 2, 1, 12),
+             (nv._alt_with_bound, _alt_reference, 2, 1, 12)]
+    for kernel, reference, k, m, digits in calls:
+        assert _outcome(kernel, k, m, digits) \
+            == _outcome(reference, k, m, digits), (kernel.__name__, k, m, digits)
+
+
+def test_shared_tables_hold_one_key(capsys):
+    code = cli.main(["verify", "--mode", "fast", "--k", "2", "--k-max", "16",
+                     "--m", "1,2", "--digits", "30"])
+    capsys.readouterr()
+    assert code == cli.EXIT_OK
+    assert len(nv._HARMONIC) <= 1
+    assert len(nv._TERMS) <= 1
+
+
+def _bracket_reference(row: list, prec: int) -> tuple:
+    """Repeated pair averaging of partial sums, on raw mpf tuples at `prec`.
+
+    At every level consecutive averaged values must keep bracketing the limit
+    (they do for terms whose finite differences are monotone, which holds
+    here beyond small n and is checked numerically: the nonzero gaps must
+    alternate in sign); the last pair of the deepest level that still
+    alternates gives (value, bound), bound being its gap.  Halving is an exact
+    shift, so each average rounds once, as (a + b) / 2 on mpf values does.
+    """
+    value = mpf_shift(mpf_add(row[-1], row[-2], prec, round_nearest), -1)
+    bound = mpf_abs(mpf_sub(row[-1], row[-2], prec, round_nearest))
+    while len(row) > 2:
+        gaps = [mpf_sub(b, a, prec, round_nearest) for a, b in zip(row, row[1:])]
+        signs = [g[0] for g in gaps if g != fzero]  # sign bit of the tuple
+        if any(a == b for a, b in zip(signs, signs[1:])):
+            break  # alternation lost: stop at the last valid bracket
+        # entries straddle the limit; the last pair brackets tightest
+        value = mpf_shift(mpf_add(row[-1], row[-2], prec, round_nearest), -1)
+        bound = mpf_abs(gaps[-1])
+        if bound == fzero:
+            break
+        row = [mpf_shift(mpf_add(a, b, prec, round_nearest), -1)
+               for a, b in zip(row, row[1:])]
+    return value, bound
+
+
+@st.composite
+def _bracket_rows(draw):
+    """Raw-tuple rows: alternating partial sums or free values, at mixed
+    exponents, with repeated neighbours (zero gaps) and mixed signs."""
+    n = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        # partial sums of an alternating series around a signed base, so
+        # the averaging goes deep
+        acc = draw(st.integers(-2 ** 160, 2 ** 160))
+        steps = sorted(draw(st.lists(st.integers(0, 2 ** 120),
+                                     min_size=n, max_size=n)), reverse=True)
+        values = []
+        for i, step in enumerate(steps):
+            acc += step if i % 2 else -step
+            values.append(acc)
+    else:
+        values = draw(st.lists(st.integers(-2 ** 200, 2 ** 200),
+                               min_size=n, max_size=n))
+    exps = draw(st.lists(st.integers(-260, 40), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        exps = [exps[0]] * n
+    row = [from_man_exp(v, e) for v, e in zip(values, exps)]
+    for i in draw(st.lists(st.integers(1, n - 1), max_size=3)):
+        row[i] = row[i - 1]  # an equal neighbour: a zero gap
+    return row
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bracket_rows(), st.integers(20, 200))
+def test_bracket_matches_reference(row, prec):
+    assert nv._bracket(row, prec) == _bracket_reference(row, prec)
 
 
 def test_powerlog_tail_memo_is_keyed_on_precision():
