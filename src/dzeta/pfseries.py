@@ -5,12 +5,19 @@ of solutions on the unit disc in the inverse variable.
 The operator family is indexed by (k, m) with m in {1, 2}: order k+2 for m=1
 and k+3 for m=2.  All series coefficients here are exact rationals; symbolic
 constants only enter downstream (moments and boundary evaluation).
+
+The checks run on small integers.  Operator application scales each column
+of a log series (one power of x across its log blocks) by that column's own
+denominator, not by one denominator for the whole series, and the recursion
+check clears three coefficients at a time.  The basis elements share one zero
+row and one unit row per truncation order.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, lcm
 from typing import NamedTuple
 
@@ -25,6 +32,20 @@ class ChartMismatch(ValueError):
 
 CHART_PHI = "phi"
 CHART_INV = "inverse-phi"
+
+_ZERO = Fraction(0)
+
+
+@cache
+def _zero_row(trunc: int) -> tuple[Fraction, ...]:
+    """The zero block at truncation `trunc`, one shared tuple per order."""
+    return (_ZERO,) * (trunc + 1)
+
+
+@cache
+def _unit_row(trunc: int) -> tuple[Fraction, ...]:
+    """The block of the constant 1 at truncation `trunc`, shared likewise."""
+    return (Fraction(1),) + (_ZERO,) * trunc
 
 
 def _trim(poly: tuple[int, ...]) -> tuple[int, ...]:
@@ -256,8 +277,7 @@ class LogSeries(NamedTuple):
 
     @classmethod
     def zero(cls, chart: str, trunc: int, log_degree: int = 0) -> "LogSeries":
-        row = (Fraction(0),) * (trunc + 1)
-        return cls(chart, tuple(row for _ in range(log_degree + 1)), trunc)
+        return cls(chart, (_zero_row(trunc),) * (log_degree + 1), trunc)
 
     @classmethod
     def from_blocks(cls, chart, blocks, valid_order=None) -> "LogSeries":
@@ -286,7 +306,7 @@ class LogSeries(NamedTuple):
         if self.trunc != other.trunc:
             raise ValueError("truncation orders differ")
         top = max(self.log_degree, other.log_degree)
-        zero_row = (Fraction(0),) * (self.trunc + 1)
+        zero_row = _zero_row(self.trunc)
         nblocks = []
         for d in range(top + 1):
             a = self.blocks[d] if d <= self.log_degree else zero_row
@@ -327,48 +347,56 @@ def canonical_basis(k: int, m: int, trunc: int, form: str = "direct") -> list[Lo
     if form not in ("direct", "rewritten"):
         raise ValueError(f"unknown form {form!r}")
     order = operator_order(k, m)
-    zero_row = (Fraction(0),) * (trunc + 1)
-    one_row = (Fraction(1),) + (Fraction(0),) * trunc
+    zero_row, one_row = _zero_row(trunc), _unit_row(trunc)
     out = []
     for i in range(order):
         blocks = [zero_row] * i + [one_row]
         if i >= k:
-            # series attached to lower log powers
-            rows = {d: [Fraction(0)] * (trunc + 1)
-                    for d in range(i)}
+            # series attached to lower log powers; each block assigned once
             for d, spec in upper_block_specs(k, m, i):
-                for n in range(1, trunc + 1):
-                    rows[d][n] += spec.coefficient(n)
+                blocks[d] = _series_row(spec.coefficient, trunc)
             if form == "direct":
-                for n in range(1, trunc + 1):
-                    rows[0][n] += basis_coefficient(k, m, i, n)
+                blocks[0] = _series_row(
+                    lambda n: basis_coefficient(k, m, i, n), trunc)
             else:
-                for spec in bottom_block_rewritten(k, m, i):
-                    for n in range(1, trunc + 1):
-                        rows[0][n] += spec.coefficient(n)
-            blocks = [tuple(rows[d]) for d in range(i)] + [one_row]
+                specs = bottom_block_rewritten(k, m, i)
+                blocks[0] = _series_row(
+                    lambda n: sum(spec.coefficient(n) for spec in specs), trunc)
         out.append(LogSeries(CHART_INV, tuple(blocks), trunc))
     return out
+
+
+def _series_row(coefficient, trunc: int) -> tuple[Fraction, ...]:
+    """A block with zero constant term and coefficient(n) at x^n, n >= 1."""
+    return (_ZERO,) + tuple(coefficient(n) for n in range(1, trunc + 1))
 
 
 def apply_operator(op: PFOperator, s: LogSeries) -> LogSeries:
     """Exact image of a truncated log series under the operator.
 
-    The work runs on integer rows: every coefficient is scaled once by the
-    common denominator of the input, and the image is divided by it at the end.
+    The work runs on integer rows, one denominator per column: theta never
+    mixes columns, so column n is scaled by the lcm D_n of its own
+    denominators.  Each power x^e of the coefficient polynomials gets its own
+    accumulator in that scale; the shift by x^e then moves column n - e onto
+    column n once, multiplied by L_n / D_{n-e} with L_n = lcm(D_{n-deg..n}),
+    and the image entry at n is the accumulated integer over L_n.
     """
     if op.chart != s.chart:
         raise ChartMismatch(f"operator chart {op.chart!r} vs series {s.chart!r}")
     trunc = s.trunc
-    denom = lcm(*{c.denominator for block in s.blocks for c in block})
-    power = [[c.numerator * (denom // c.denominator) for c in block]
-             for block in s.blocks]
-    acc = [[0] * (trunc + 1)]
     deg = op.max_coeff_degree()
+    den_rows = [[c.denominator for c in block] for block in s.blocks]
+    dens = list(map(lcm, *den_rows))
+    power = [[c.numerator * (den // q) for c, q, den in zip(block, qs, dens)]
+             for block, qs in zip(s.blocks, den_rows)]
+    acc = [[] for _ in range(deg + 1)]  # acc[e][d]: sum_j p_j[e] * row d of theta^j
+    nblocks = 1
     valid_order = s.valid_order - deg
     for j, poly in enumerate(op.coeffs):
-        if j > 0:  # theta: row d becomes n*row_d[n] + (d+1)*row_{d+1}[n]
+        if j > 0:  # theta: row d becomes n*row_d[n] + (d+1)*row_{d+1}[n],
+            # and stays as it is when both rows are zero
             power = [[n * c + (d + 1) * x for n, (c, x) in enumerate(zip(row, nxt))]
+                     if any(row) or any(nxt) else row
                      for d, (row, nxt) in enumerate(zip(power, power[1:]))] \
                 + [[n * c for n, c in enumerate(power[-1])]]
             while len(power) > 1 and not any(power[-1]):
@@ -376,58 +404,88 @@ def apply_operator(op: PFOperator, s: LogSeries) -> LogSeries:
         if not any(poly):
             continue
         valid_order = min(valid_order, trunc - deg)
-        acc.extend([0] * (trunc + 1) for _ in range(len(power) - len(acc)))
-        for row, target in zip(power, acc):
-            if not any(row):
+        nblocks = max(nblocks, len(power))
+        for e, c in enumerate(poly):
+            if not c:
                 continue
-            for e, c in enumerate(poly):
-                if c:
-                    target[e:] = [a + c * x for a, x in zip(target[e:], row)]
-    blocks = tuple(tuple(Fraction(c, denom) for c in row) for row in acc)
+            rows = acc[e]
+            rows.extend([0] * (trunc + 1) for _ in range(len(power) - len(rows)))
+            for d, row in enumerate(power):
+                if any(row):
+                    rows[d] = [a + c * x for a, x in zip(rows[d], row)]
+    # scale[n] = L_n, the lcm of the column denominators the shifts bring to n
+    scale = list(map(lcm, *([1] * e + dens[:trunc + 1 - e] for e in range(deg + 1))))
+    image = [[0] * (trunc + 1) for _ in range(nblocks)]
+    for e, rows in enumerate(acc):
+        ratio = [big // den for big, den in zip(scale[e:], dens)]
+        for target, row in zip(image, rows):
+            target[e:] = [a + r * x for a, r, x in zip(target[e:], ratio, row)]
+    blocks = tuple(tuple(Fraction(c, big) if c else _ZERO for c, big in zip(row, scale))
+                   for row in image)
     return LogSeries(s.chart, blocks, valid_order)
+
+
+# Three-term recursions of the closed-form coefficient families, for n >= 2:
+#     w_-(n) f[n-1] + w_0(n) f[n] + w_+(n) f[n+1] + num(n) / den(n) = 0.
+# Families b, c and d are the levels k, k+1 and k+2 of `basis_coefficient`
+# (d only for m = 2) and share one set of weights.  `pk[n]` is n^k.
+
+def _pi_weights(pk: list[int], m: int, n: int) -> tuple[int, int, int]:
+    return ((n - 1) ** m * pk[n - 1], (n ** m + (n - 1) ** m) * pk[n],
+            n ** m * pk[n + 1])
+
+
+def _basis_weights(pk: list[int], m: int, n: int) -> tuple[int, int, int]:
+    return (n ** m * pk[n - 1], (n ** m + (n + 1) ** m) * pk[n],
+            (n + 1) ** m * pk[n + 1])
+
+
+# family -> (weights, inhomogeneous term (num, den) as a function of (k, n),
+# or None)
+_RECURSIONS = {
+    "a": (_pi_weights, None),
+    "b": (_basis_weights, None),
+    "c": (_basis_weights,
+          lambda k, n: ((-1) ** (n + 1) * k * factorial(k + 1), n * (n - 1))),
+    "d": (_basis_weights,
+          lambda k, n: ((-1) ** n * k * (k + 1) * factorial(k + 2) * (2 * n * n - 1),
+                        2 * n * n * (n - 1) ** 2)),
+}
 
 
 def recursion_closure_violations(k: int, m: int, trunc: int) -> list[str]:
     """Check that every closed-form coefficient family satisfies its
-    three-term recursion exactly through the truncation order."""
+    three-term recursion exactly through the truncation order.
+
+    Each residual is tested as an integer: f[n-1], f[n] and f[n+1] are
+    cleared by the lcm of their denominators, and the inhomogeneous term is
+    cross-multiplied into the sum.
+    """
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if m not in (1, 2):
+        raise ValueError("m must be 1 or 2")
+    families = {"a": [_ZERO, _ZERO] + [pi_coefficient(k, m, n)
+                                       for n in range(2, trunc + 1)]}
+    for name, level in zip("bcd", range(k, k + m + 1)):
+        families[name] = [_ZERO] + [basis_coefficient(k, m, level, n)
+                                    for n in range(1, trunc + 1)]
+    # per family: name, weights, inhomogeneous term, numerators, denominators
+    checks = [(name, *_RECURSIONS[name], [c.numerator for c in f],
+               [c.denominator for c in f]) for name, f in families.items()]
+    pk = [n ** k for n in range(trunc + 2)]
     problems = []
-    a = {1: Fraction(0)}
-    a.update({n: pi_coefficient(k, m, n) for n in range(2, trunc + 1)})
-    b = {n: basis_coefficient(k, m, k, n) for n in range(1, trunc + 1)}
-    c = {n: basis_coefficient(k, m, k + 1, n) for n in range(1, trunc + 1)}
-    d = {n: basis_coefficient(k, m, k + 2, n)
-         for n in range(1, trunc + 1)} if m == 2 else None
     for n in range(2, trunc):
-        if m == 1:
-            checks = [
-                ("a", (n - 1) ** (k + 1) * a[n - 1]
-                 + n ** k * (2 * n - 1) * a[n] + n * (n + 1) ** k * a[n + 1]),
-                ("b", (n - 1) ** k * n * b[n - 1]
-                 + n ** k * (2 * n + 1) * b[n] + (n + 1) ** (k + 1) * b[n + 1]),
-                ("c", (n + 1) ** (k + 1) * c[n + 1]
-                 + n ** k * (2 * n + 1) * c[n] + (n - 1) ** k * n * c[n - 1]
-                 + Fraction((-1) ** (n + 1) * k * factorial(k + 1),
-                            n * (n - 1))),
-            ]
-        else:
-            quad = n ** k * (2 * n * n + 2 * n + 1)
-            checks = [
-                ("a", (n - 1) ** (k + 2) * a[n - 1]
-                 + n ** k * (2 * n * n - 2 * n + 1) * a[n]
-                 + n * n * (n + 1) ** k * a[n + 1]),
-                ("b", (n - 1) ** k * n * n * b[n - 1] + quad * b[n]
-                 + (n + 1) ** (k + 2) * b[n + 1]),
-                ("c", (n + 1) ** (k + 2) * c[n + 1] + quad * c[n]
-                 + (n - 1) ** k * n * n * c[n - 1]
-                 + Fraction((-1) ** (n + 1) * k * factorial(k + 1),
-                            n * (n - 1))),
-                ("d", (n + 1) ** (k + 2) * d[n + 1] + quad * d[n]
-                 + (n - 1) ** k * n * n * d[n - 1]
-                 + Fraction((-1) ** n * k * (k + 1) * factorial(k + 2)
-                            * (2 * n * n - 1),
-                            2 * n * n * (n - 1) ** 2)),
-            ]
-        for name, residual in checks:
+        for name, weights, inhomogeneous, nums, dens in checks:
+            lo, mid, hi = dens[n - 1], dens[n], dens[n + 1]
+            common = lcm(lo, mid, hi)
+            w_lo, w_mid, w_hi = weights(pk, m, n)
+            residual = (w_lo * nums[n - 1] * (common // lo)
+                        + w_mid * nums[n] * (common // mid)
+                        + w_hi * nums[n + 1] * (common // hi))
+            if inhomogeneous is not None:
+                num, den = inhomogeneous(k, n)
+                residual = residual * den + num * common
             if residual:
                 problems.append(
                     f"{name}-recursion fails at (k={k}, m={m}, n={n})")

@@ -10,7 +10,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from dzeta import cli, numverify, tausolver
+from dzeta import cli, numverify, pfseries, tausolver
 
 # Outputs recorded before the coefficient field moved from Q(i) to
 # Q[P, zeta(3), ...] with P = i*pi, timestamps blanked.  Rerecord them only
@@ -194,6 +194,29 @@ def test_basis_check_cli(capsys):
                        "--m", "1", "--trunc", "60")
     assert code == 0
     assert "(k=2, m=1): ok" in out
+
+
+def test_basis_check_reports_a_perturbed_closed_form(capsys, monkeypatch):
+    # one wrong coefficient of the level-k block breaks its recursion at three
+    # n, the annihilation of basis element k, and the agreement of the forms
+    original = pfseries.basis_coefficient
+
+    def perturbed(k, m, level, n):
+        value = original(k, m, level, n)
+        return value + 1 if (k, m, level, n) == (3, 1, 3, 20) else value
+
+    monkeypatch.setattr(pfseries, "basis_coefficient", perturbed)
+    code, out, err = run(capsys, "basis-check", "--k", "2", "--k-max", "3",
+                         "--m", "1", "--trunc", "50")
+    assert code == cli.EXIT_INCONSISTENT == 3
+    assert out == "(k=2, m=1): ok\n(k=3, m=1): FAIL\n"
+    assert err.splitlines() == [
+        "b-recursion fails at (k=3, m=1, n=19)",
+        "b-recursion fails at (k=3, m=1, n=20)",
+        "b-recursion fails at (k=3, m=1, n=21)",
+        "basis (3,1) element 3 not annihilated",
+        "basis forms disagree for (3,1)",
+    ]
 
 
 def test_tau_out_file_schema(tmp_path, capsys):

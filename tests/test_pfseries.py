@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dzeta import pfseries
 from dzeta.pfseries import (CHART_INV, CHART_PHI, ChartMismatch, LevelOutOfRange,
-                            LogSeries, PFOperator, apply_operator,
-                            basis_coefficient, canonical_basis, harmonic,
-                            pf_operator, pi_coefficient, pi_series)
+                            LogSeries, PFOperator, PureAltSeries,
+                            apply_operator, basis_coefficient, canonical_basis,
+                            harmonic, pf_operator, pi_coefficient, pi_series,
+                            recursion_closure_violations)
 
 
 # -- Harmonic numbers --------------------------------------------------------
@@ -158,6 +160,36 @@ def test_recursion_closure(k, m):
                 + Fraction((-1) ** n * k * (k + 1) * factorial(k + 2)
                            * (2 * n * n - 1),
                            2 * n * n * (n - 1) ** 2) == 0
+    assert recursion_closure_violations(k, m, N) == []
+
+
+@pytest.mark.parametrize("k,m", [(1, 1), (0, 1), (-3, 2), (3, 3), (3, 0)])
+def test_recursion_closure_rejects_missing_family(k, m):
+    # like pf_operator: a plain ValueError, not LevelOutOfRange from a lookup
+    with pytest.raises(ValueError) as info:
+        recursion_closure_violations(k, m, 60)
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("family,m", [("a", 1), ("a", 2), ("b", 1), ("b", 2),
+                                      ("c", 1), ("c", 2), ("d", 2)])
+def test_recursion_closure_reports_a_perturbed_coefficient(family, m,
+                                                           monkeypatch):
+    # f[n0] enters the residuals at n0-1, n0 and n0+1 and no others
+    k, n0 = 4, 17
+    if family == "a":
+        original = pfseries.pi_coefficient
+        monkeypatch.setattr(pfseries, "pi_coefficient", lambda k_, m_, n: (
+            original(k_, m_, n) + (Fraction(1, 7) if n == n0 else 0)))
+    else:
+        level = k + "bcd".index(family)
+        original = pfseries.basis_coefficient
+        monkeypatch.setattr(pfseries, "basis_coefficient", lambda k_, m_, lv, n: (
+            original(k_, m_, lv, n) + (Fraction(1, 7) if (lv, n) == (level, n0)
+                                       else 0)))
+    assert recursion_closure_violations(k, m, 40) == [
+        f"{family}-recursion fails at (k={k}, m={m}, n={n})"
+        for n in (n0 - 1, n0, n0 + 1)]
 
 
 # -- Canonical basis ---------------------------------------------------------
@@ -192,6 +224,27 @@ def test_basis_m2_log2_block():
 @pytest.mark.parametrize("k,m", [(2, 1), (4, 1), (3, 2), (5, 2)])
 def test_basis_forms_agree(k, m):
     assert canonical_basis(k, m, 80) == canonical_basis(k, m, 80, form="rewritten")
+
+
+@pytest.mark.parametrize("k,m", [(3, 1), (4, 2)])
+def test_basis_forms_differ_for_a_perturbed_rewritten_block(k, m, monkeypatch):
+    # the forms share their zero and unit rows, so the check must still see
+    # a change in one log-free block
+    original = pfseries.bottom_block_rewritten
+
+    def perturbed(k_, m_, i):
+        specs = original(k_, m_, i)
+        if i == k_ + 1:
+            specs += (PureAltSeries(Fraction(1, 3), k_ + 4),)
+        return specs
+
+    N = 40
+    direct = canonical_basis(k, m, N)
+    monkeypatch.setattr(pfseries, "bottom_block_rewritten", perturbed)
+    rewritten = canonical_basis(k, m, N, form="rewritten")
+    assert direct != rewritten
+    assert [i for i, (a, b) in enumerate(zip(direct, rewritten)) if a != b] \
+        == [k + 1]
 
 
 def test_basis_blocks_are_rational():
@@ -294,13 +347,13 @@ def _operator_and_series(draw):
         op = PFOperator(len(coeffs) - 1, chart, coeffs)
     trunc = draw(st.integers(4, 10))
     log_degree = draw(st.integers(0, 3))
-    # one denominator per block; the numerators reduce it to mixed ones
-    numerators = st.lists(st.integers(-50, 50), min_size=trunc + 1,
-                          max_size=trunc + 1)
-    blocks = tuple(tuple(Fraction(a, q) for a in draw(numerators))
-                   for q in draw(st.lists(st.integers(1, 60),
-                                          min_size=log_degree + 1,
-                                          max_size=log_degree + 1)))
+    # one denominator per entry, so that columns have different denominators,
+    # and some all-zero blocks, which theta passes over
+    entries = st.lists(st.builds(Fraction, st.integers(-50, 50),
+                                 st.integers(1, 60)),
+                       min_size=trunc + 1, max_size=trunc + 1)
+    row = st.one_of(st.just([Fraction(0)] * (trunc + 1)), entries)
+    blocks = tuple(tuple(draw(row)) for _ in range(log_degree + 1))
     valid_order = draw(st.integers(trunc - 3, trunc + 2))
     return op, LogSeries(chart, blocks, valid_order)
 
