@@ -236,25 +236,12 @@ def cmd_check_conjecture(cfg: RunConfig) -> int:
 
 
 def cmd_basis_check(cfg: RunConfig) -> int:
-    """Recursion closure, operator annihilation, and basis-form agreement."""
+    """Print ok or FAIL per (k, m) from `pfseries.basis_violations`, then
+    every message on stderr."""
     failures = []
-    trunc = cfg.trunc
     for m in cfg.m_set:
         for k in cfg.k_range():
-            local = pfseries.recursion_closure_violations(k, m, trunc)
-            op = pfseries.pf_operator(k, m, pfseries.CHART_INV)
-            direct = pfseries.canonical_basis(k, m, trunc)
-            for i, element in enumerate(direct):
-                image = pfseries.apply_operator(op, element)
-                if not image.is_zero_through(image.valid_order):
-                    local.append(f"basis ({k},{m}) element {i} not annihilated")
-            op_phi = pfseries.pf_operator(k, m, pfseries.CHART_PHI)
-            image = pfseries.apply_operator(op_phi, pfseries.pi_series(k, m, trunc))
-            if not image.is_zero_through(image.valid_order):
-                local.append(f"series ({k},{m}) not annihilated")
-            rewritten = pfseries.canonical_basis(k, m, trunc, form="rewritten")
-            if direct != rewritten:
-                local.append(f"basis forms disagree for ({k},{m})")
+            local = pfseries.basis_violations(k, m, cfg.trunc)
             print(f"(k={k}, m={m}): " + ("ok" if not local else "FAIL"))
             failures.extend(local)
     for f in failures:

@@ -325,27 +325,21 @@ class LogSeries(NamedTuple):
         return self.blocks[log_power][n]
 
 
-def pi_series(k: int, m: int, trunc: int, chart: str = CHART_PHI) -> LogSeries:
+def pi_series(k: int, m: int, trunc: int) -> LogSeries:
     """The generating series as a truncated power series in the original chart."""
-    if chart != CHART_PHI:
-        raise ValueError("the generating series lives in the original chart")
     row = [Fraction(0), Fraction(0)]
     row.extend(pi_coefficient(k, m, n) for n in range(2, trunc + 1))
     return LogSeries(CHART_PHI, (tuple(row),), trunc)
 
 
-def canonical_basis(k: int, m: int, trunc: int, form: str = "direct") -> list[LogSeries]:
+def canonical_basis(k: int, m: int, trunc: int) -> list[LogSeries]:
     """All solutions of the (k, m) operator on the inverse-variable disc.
 
-    Pure log powers for i < k, then the mixed log-plus-series elements.  The
-    `direct` form expands the closed-form block coefficients; `rewritten`
-    expands the harmonic-recurrence presentation.  Both expand to the same
-    series.
+    Pure log powers for i < k, then the mixed log-plus-series elements, whose
+    log-free blocks expand the closed-form coefficients.
     """
     if trunc < 2:
         raise ValueError("truncation must be >= 2")
-    if form not in ("direct", "rewritten"):
-        raise ValueError(f"unknown form {form!r}")
     order = operator_order(k, m)
     zero_row, one_row = _zero_row(trunc), _unit_row(trunc)
     out = []
@@ -355,13 +349,7 @@ def canonical_basis(k: int, m: int, trunc: int, form: str = "direct") -> list[Lo
             # series attached to lower log powers; each block assigned once
             for d, spec in upper_block_specs(k, m, i):
                 blocks[d] = _series_row(spec.coefficient, trunc)
-            if form == "direct":
-                blocks[0] = _series_row(
-                    lambda n: basis_coefficient(k, m, i, n), trunc)
-            else:
-                specs = bottom_block_rewritten(k, m, i)
-                blocks[0] = _series_row(
-                    lambda n: sum(spec.coefficient(n) for spec in specs), trunc)
+            blocks[0] = _series_row(lambda n: basis_coefficient(k, m, i, n), trunc)
         out.append(LogSeries(CHART_INV, tuple(blocks), trunc))
     return out
 
@@ -453,26 +441,21 @@ _RECURSIONS = {
 }
 
 
-def recursion_closure_violations(k: int, m: int, trunc: int) -> list[str]:
+def recursion_closure_violations(k: int, m: int, series: LogSeries,
+                                 basis: list[LogSeries]) -> list[str]:
     """Check that every closed-form coefficient family satisfies its
     three-term recursion exactly through the truncation order.
 
-    Each residual is tested as an integer: f[n-1], f[n] and f[n+1] are
-    cleared by the lcm of their denominators, and the inhomogeneous term is
-    cross-multiplied into the sum.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if m not in (1, 2):
-        raise ValueError("m must be 1 or 2")
-    families = {"a": [_ZERO, _ZERO] + [pi_coefficient(k, m, n)
-                                       for n in range(2, trunc + 1)]}
-    for name, level in zip("bcd", range(k, k + m + 1)):
-        families[name] = [_ZERO] + [basis_coefficient(k, m, level, n)
-                                    for n in range(1, trunc + 1)]
+    Family a is the row of `series`; b, c and d are the log-free rows of
+    basis elements k, k+1 and k+2.  Each residual is tested as an integer:
+    f[n-1], f[n] and f[n+1] are cleared by the lcm of their denominators, and
+    the inhomogeneous term is cross-multiplied into the sum."""
+    families = {"a": series.blocks[0]}
+    families.update(zip("bcd", (element.blocks[0] for element in basis[k:])))
     # per family: name, weights, inhomogeneous term, numerators, denominators
     checks = [(name, *_RECURSIONS[name], [c.numerator for c in f],
                [c.denominator for c in f]) for name, f in families.items()]
+    trunc = series.trunc
     pk = [n ** k for n in range(trunc + 2)]
     problems = []
     for n in range(2, trunc):
@@ -489,4 +472,30 @@ def recursion_closure_violations(k: int, m: int, trunc: int) -> list[str]:
             if residual:
                 problems.append(
                     f"{name}-recursion fails at (k={k}, m={m}, n={n})")
+    return problems
+
+
+def basis_violations(k: int, m: int, trunc: int) -> list[str]:
+    """Every check of the (k, m) series and basis on rows built once, in order:
+    recursion closure, annihilation of each basis element and of the series,
+    and at most one message if a mixed element's log-free row differs from
+    its `bottom_block_rewritten` expansion (both forms take their upper
+    blocks from `upper_block_specs`)."""
+    op = pf_operator(k, m, CHART_INV)  # ValueError for k < 2 or m not in {1, 2}
+    series = pi_series(k, m, trunc)
+    basis = canonical_basis(k, m, trunc)
+    problems = recursion_closure_violations(k, m, series, basis)
+    for i, element in enumerate(basis):
+        image = apply_operator(op, element)
+        if not image.is_zero_through(image.valid_order):
+            problems.append(f"basis ({k},{m}) element {i} not annihilated")
+    image = apply_operator(pf_operator(k, m, CHART_PHI), series)
+    if not image.is_zero_through(image.valid_order):
+        problems.append(f"series ({k},{m}) not annihilated")
+    for i in range(k, len(basis)):
+        specs = bottom_block_rewritten(k, m, i)
+        if basis[i].blocks[0] != _series_row(
+                lambda n: sum(spec.coefficient(n) for spec in specs), trunc):
+            problems.append(f"basis forms disagree for ({k},{m})")
+            break
     return problems

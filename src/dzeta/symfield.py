@@ -483,19 +483,22 @@ def from_json_dict(data: dict) -> SymNumber:
     try:
         for term in data["terms"]:
             e = term.get("pi", 0)
-            if not isinstance(e, int) or e < 0:
+            if type(e) is not int or e < 0:
                 raise ValueError(f"pi exponent {e!r} is not an integer >= 0")
             zetas = []
             for key, exp in term["zeta"].items():
                 s = int(key)
                 if key != str(s) or s < 3 or s % 2 == 0:
                     raise ValueError(f"zeta({key}) is not an odd zeta value >= 3")
-                if not isinstance(exp, int) or exp < 1:
+                if type(exp) is not int or exp < 1:
                     raise ValueError(f"exponent {exp!r} of zeta({key}) is not >= 1")
                 zetas.append((s, exp))
             if term.get("unknown") is not None:
                 raise ValueError(f"unknown {term['unknown']!r} in a known value")
-            re, im = Fraction(term["coeff"]["re"]), Fraction(term["coeff"]["im"])
+            parts = term["coeff"]["re"], term["coeff"]["im"]
+            if not all(isinstance(part, str) for part in parts):
+                raise ValueError(f"coefficient {parts!r} is not a pair of strings")
+            re, im = map(Fraction, parts)
             # the pi^e coefficient c * i^e is real for even e, imaginary for odd e
             c, rest = (im, re) if e % 2 else (re, im)
             if rest:

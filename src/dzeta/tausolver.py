@@ -392,7 +392,7 @@ class ConjectureReport(NamedTuple):
 
 
 def check_conjecture(k_max: int, m: int, k_min: int = 3) -> ConjectureReport:
-    """Compare the fast recursion against the direct solver for
+    """Compare the closed-form fast path against the direct solver for
     k = max(k_min, 3)..k_max.
 
     A mismatch would be a mathematical finding rather than a bug, provided the

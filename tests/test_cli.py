@@ -219,6 +219,28 @@ def test_basis_check_reports_a_perturbed_closed_form(capsys, monkeypatch):
     ]
 
 
+def test_basis_check_reports_a_perturbed_series_coefficient(capsys, monkeypatch):
+    # one wrong coefficient of the generating series breaks its recursion at
+    # three n and its annihilation; the basis is untouched
+    original = pfseries.pi_coefficient
+
+    def perturbed(k, m, n):
+        value = original(k, m, n)
+        return value + 1 if (k, m, n) == (3, 1, 20) else value
+
+    monkeypatch.setattr(pfseries, "pi_coefficient", perturbed)
+    code, out, err = run(capsys, "basis-check", "--k", "2", "--k-max", "3",
+                         "--m", "1", "--trunc", "50")
+    assert code == cli.EXIT_INCONSISTENT == 3
+    assert out == "(k=2, m=1): ok\n(k=3, m=1): FAIL\n"
+    assert err == "".join(line + "\n" for line in [
+        "a-recursion fails at (k=3, m=1, n=19)",
+        "a-recursion fails at (k=3, m=1, n=20)",
+        "a-recursion fails at (k=3, m=1, n=21)",
+        "series (3,1) not annihilated",
+    ])
+
+
 def test_tau_out_file_schema(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code, _, _ = run(capsys, "tau", "--k", "2", "--m", "1", "--out",

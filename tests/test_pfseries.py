@@ -1,5 +1,6 @@
 """Tests for operators, series coefficients, and the canonical basis."""
 
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 from dzeta import pfseries
 from dzeta.pfseries import (CHART_INV, CHART_PHI, ChartMismatch, LevelOutOfRange,
                             LogSeries, PFOperator, PureAltSeries,
-                            apply_operator, basis_coefficient, canonical_basis,
-                            harmonic, pf_operator, pi_coefficient, pi_series,
-                            recursion_closure_violations)
+                            apply_operator, basis_coefficient, basis_violations,
+                            bottom_block_rewritten, canonical_basis, harmonic,
+                            operator_order, pf_operator, pi_coefficient,
+                            pi_series, recursion_closure_violations)
 
 
 # -- Harmonic numbers --------------------------------------------------------
@@ -160,14 +162,20 @@ def test_recursion_closure(k, m):
                 + Fraction((-1) ** n * k * (k + 1) * factorial(k + 2)
                            * (2 * n * n - 1),
                            2 * n * n * (n - 1) ** 2) == 0
-    assert recursion_closure_violations(k, m, N) == []
+    # the check reads the rows the series and the basis built
+    series, basis = pi_series(k, m, N), canonical_basis(k, m, N)
+    assert list(series.blocks[0][1:]) == [a[n] for n in range(1, N + 1)]
+    assert [list(element.blocks[0][1:]) for element in basis[k:]] \
+        == [[f[n] for n in range(1, N + 1)] for f in ((b, c) if m == 1 else (b, c, d))]
+    assert recursion_closure_violations(k, m, series, basis) == []
+    assert basis_violations(k, m, N) == []
 
 
 @pytest.mark.parametrize("k,m", [(1, 1), (0, 1), (-3, 2), (3, 3), (3, 0)])
 def test_recursion_closure_rejects_missing_family(k, m):
     # like pf_operator: a plain ValueError, not LevelOutOfRange from a lookup
     with pytest.raises(ValueError) as info:
-        recursion_closure_violations(k, m, 60)
+        basis_violations(k, m, 60)
     assert type(info.value) is ValueError
 
 
@@ -187,9 +195,11 @@ def test_recursion_closure_reports_a_perturbed_coefficient(family, m,
         monkeypatch.setattr(pfseries, "basis_coefficient", lambda k_, m_, lv, n: (
             original(k_, m_, lv, n) + (Fraction(1, 7) if (lv, n) == (level, n0)
                                        else 0)))
-    assert recursion_closure_violations(k, m, 40) == [
-        f"{family}-recursion fails at (k={k}, m={m}, n={n})"
-        for n in (n0 - 1, n0, n0 + 1)]
+    expected = [f"{family}-recursion fails at (k={k}, m={m}, n={n})"
+                for n in (n0 - 1, n0, n0 + 1)]
+    assert recursion_closure_violations(k, m, pi_series(k, m, 40),
+                                        canonical_basis(k, m, 40)) == expected
+    assert basis_violations(k, m, 40)[:3] == expected
 
 
 # -- Canonical basis ---------------------------------------------------------
@@ -221,30 +231,67 @@ def test_basis_m2_log2_block():
     assert top.coefficient(5, 0) == 1
 
 
+def _rewritten_row(k, m, i, N):
+    specs = bottom_block_rewritten(k, m, i)
+    return [Fraction(0)] + [sum(spec.coefficient(n) for spec in specs)
+                            for n in range(1, N + 1)]
+
+
 @pytest.mark.parametrize("k,m", [(2, 1), (4, 1), (3, 2), (5, 2)])
 def test_basis_forms_agree(k, m):
-    assert canonical_basis(k, m, 80) == canonical_basis(k, m, 80, form="rewritten")
+    # the upper blocks come from upper_block_specs in both forms, and the
+    # pure log powers i < k carry no series, so the log-free rows of the
+    # mixed elements are all the forms can differ in
+    N = 80
+    basis = canonical_basis(k, m, N)
+    for i, element in enumerate(basis):
+        expected = _rewritten_row(k, m, i, N) if i >= k \
+            else [Fraction(i == 0)] + [Fraction(0)] * N
+        assert list(element.blocks[0]) == expected, i
+    assert basis_violations(k, m, N) == []
 
 
 @pytest.mark.parametrize("k,m", [(3, 1), (4, 2)])
 def test_basis_forms_differ_for_a_perturbed_rewritten_block(k, m, monkeypatch):
-    # the forms share their zero and unit rows, so the check must still see
-    # a change in one log-free block
+    # the check must see a change in the log-free block of each mixed
+    # element, and report it once however many elements differ
     original = pfseries.bottom_block_rewritten
-
-    def perturbed(k_, m_, i):
-        specs = original(k_, m_, i)
-        if i == k_ + 1:
-            specs += (PureAltSeries(Fraction(1, 3), k_ + 4),)
-        return specs
-
     N = 40
-    direct = canonical_basis(k, m, N)
-    monkeypatch.setattr(pfseries, "bottom_block_rewritten", perturbed)
-    rewritten = canonical_basis(k, m, N, form="rewritten")
-    assert direct != rewritten
-    assert [i for i, (a, b) in enumerate(zip(direct, rewritten)) if a != b] \
-        == [k + 1]
+    mixed = range(k, operator_order(k, m))
+    for bad in [{i} for i in mixed] + [set(mixed)]:
+        def perturbed(k_, m_, i, bad=bad):
+            specs = original(k_, m_, i)
+            if i in bad:
+                specs += (PureAltSeries(Fraction(1, 3), k_ + 4),)
+            return specs
+
+        monkeypatch.setattr(pfseries, "bottom_block_rewritten", perturbed)
+        assert basis_violations(k, m, N) == [f"basis forms disagree for ({k},{m})"]
+    monkeypatch.setattr(pfseries, "bottom_block_rewritten", original)
+    assert basis_violations(k, m, N) == []
+
+
+@pytest.mark.parametrize("k,m", [(4, 1), (3, 2)])
+def test_basis_violations_builds_each_coefficient_once(k, m, monkeypatch):
+    calls = Counter()
+    basis_original, pi_original = pfseries.basis_coefficient, pfseries.pi_coefficient
+
+    def counted_basis(k_, m_, level, n):
+        calls[level, n] += 1
+        return basis_original(k_, m_, level, n)
+
+    def counted_pi(k_, m_, n):
+        calls[n] += 1
+        return pi_original(k_, m_, n)
+
+    monkeypatch.setattr(pfseries, "basis_coefficient", counted_basis)
+    monkeypatch.setattr(pfseries, "pi_coefficient", counted_pi)
+    N = 30
+    assert basis_violations(k, m, N) == []
+    expected = Counter({(level, n): 1 for level in range(k, k + m + 1)
+                        for n in range(1, N + 1)})
+    expected.update(range(2, N + 1))
+    assert calls == expected
 
 
 def test_basis_blocks_are_rational():

@@ -269,11 +269,18 @@ def test_coefficients_outside_the_field_raise():
     _json_term(unknown={"kind": "alt", "k": 3, "m": 0}),
     _json_term(unknown={"kind": "dzv", "k": 2.0, "m": 1}),
     _json_term(unknown={"kind": "dzv", "k": 2, "m": 1}),  # a well-formed label
+    _json_term(pi=True, re="0", im="1"),  # bool is an int subclass in Python
+    _json_term(zeta={"3": True}),
+    _json_term(re=0.5),  # the schema writes strings
+    _json_term(re=True),
+    _json_term(re=1),
+    _json_term(im=0.0),
 )] + [{}], ids=["negative-pi", "float-pi", "even-zeta", "zeta-1", "zeta-key-03",
                "zeta-exp-0", "zeta-exp-negative", "unknown-kind", "real-odd-pi",
                "complex-even-pi", "no-zeta", "no-coeff", "no-coeff-im",
                "unknown-no-kind", "unknown-k-text", "unknown-k-1", "unknown-m-0",
-               "unknown-k-float", "unknown-label", "no-terms"])
+               "unknown-k-float", "unknown-label", "bool-pi", "bool-zeta-exp",
+               "float-re", "bool-re", "int-re", "float-im", "no-terms"])
 def test_non_canonical_json_raises(data):
     with pytest.raises(ValueError):
         sf.from_json_dict(data)
