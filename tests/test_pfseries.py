@@ -231,12 +231,6 @@ def test_basis_m2_log2_block():
     assert top.coefficient(5, 0) == 1
 
 
-def _rewritten_row(k, m, i, N):
-    specs = bottom_block_rewritten(k, m, i)
-    return [Fraction(0)] + [sum(spec.coefficient(n) for spec in specs)
-                            for n in range(1, N + 1)]
-
-
 @pytest.mark.parametrize("k,m", [(2, 1), (4, 1), (3, 2), (5, 2)])
 def test_basis_forms_agree(k, m):
     # the upper blocks come from upper_block_specs in both forms, and the
@@ -245,8 +239,9 @@ def test_basis_forms_agree(k, m):
     N = 80
     basis = canonical_basis(k, m, N)
     for i, element in enumerate(basis):
-        expected = _rewritten_row(k, m, i, N) if i >= k \
-            else [Fraction(i == 0)] + [Fraction(0)] * N
+        specs = bottom_block_rewritten(k, m, i)  # () for i < k
+        expected = [Fraction(i == 0)] + [sum(spec.coefficient(n) for spec in specs)
+                                         for n in range(1, N + 1)]
         assert list(element.blocks[0]) == expected, i
     assert basis_violations(k, m, N) == []
 
