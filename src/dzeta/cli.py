@@ -34,6 +34,10 @@ EXIT_BAD_CONFIG = 4
 EXIT_PRECISION_UNREACHABLE = 5
 EXIT_BROKEN_PIPE = 141
 
+# The oracle's term budgets stop near 38 digits (derive, verify) and 71 (toy),
+# so a larger request can only exit 5, and a huge one takes minutes to do so.
+MAX_DIGITS = 1000
+
 
 class RunConfig(NamedTuple):
     k: int = 2
@@ -59,8 +63,8 @@ class RunConfig(NamedTuple):
             problems.append("k-max must be >= k")
         if not self.m_set or any(m not in (1, 2) for m in self.m_set):
             problems.append("m must be a subset of {1,2}")
-        if self.digits < 10:
-            problems.append("digits must be >= 10")
+        if not 10 <= self.digits <= MAX_DIGITS:
+            problems.append(f"digits must be between 10 and {MAX_DIGITS}")
         if self.trunc < 50:
             problems.append("truncation must be >= 50")
         if not 0 < self.tolerance < 1:  # also false for nan

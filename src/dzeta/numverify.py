@@ -14,11 +14,14 @@ Each kernel tries growing term budgets and extends one running partial sum
 across them rather than restarting it; the two harmonic kernels take their
 summands H_{n,m}/(n+1)^k from one shared table (`_terms`), which grows one
 harmonic prefix per (m, precision) for every k and keeps the latest k's
-summands for the alternating sum that follows the weighted one; the
-averaging triangle works on raw `mpmath.libmp` tuples and reads its gap signs
-from exact integers; power/log tails are memoised per working precision.  All
-of these only remove repeated work: every value, bound and message is
-bit-identical to the plain mpf loops kept as the reference in the test suite.
+summands for the alternating sum that follows the weighted one.  Both
+running sums (`_extend`) and the averaging triangle (`_bracket`) are Python
+ints at one exponent: each exact sum is rounded once by `_round`, to the
+working precision with ties to even, as mpf_add rounds it, and the gap signs
+are int comparisons.  Power/log tails and their Bernoulli ratios are
+memoised per working precision.  All of these only remove repeated work:
+every value, bound and message is bit-identical to the plain mpf loops kept
+as the reference in the test suite.
 
 Big floats are mpmath `mpf` values; pi and Euler's constant come from mpmath's
 standard arbitrary-precision constants (pi is cross-checked against the
@@ -40,8 +43,8 @@ _GUARD_BITS = 48
 
 # bound by `_load` on the first oracle call
 mpmath = mpf = None
-fzero = from_int = mpf_abs = mpf_add = mpf_div = None
-mpf_pow_int = mpf_shift = mpf_sub = round_nearest = None
+fzero = from_int = from_man_exp = mpf_add = mpf_div = None
+mpf_pow_int = round_nearest = None
 
 
 def _load() -> None:
@@ -50,13 +53,13 @@ def _load() -> None:
     Every kernel a caller can reach first calls this before it touches
     mpmath; `_to_mpf` is only used under `_workprec`, which calls it.
     """
-    global mpmath, mpf, fzero, from_int, mpf_abs, mpf_add, mpf_div
-    global mpf_pow_int, mpf_shift, mpf_sub, round_nearest
+    global mpmath, mpf, fzero, from_int, from_man_exp, mpf_add, mpf_div
+    global mpf_pow_int, round_nearest
     if mpf is not None:
         return
     import mpmath
-    from mpmath.libmp import (fzero, from_int, mpf_abs, mpf_add, mpf_div,
-                              mpf_pow_int, mpf_shift, mpf_sub, round_nearest)
+    from mpmath.libmp import (fzero, from_int, from_man_exp, mpf_add, mpf_div,
+                              mpf_pow_int, round_nearest)
     from mpmath import mpf  # bound last: the guard above reads it
 
 
@@ -126,11 +129,18 @@ def _powerlog_tail_at(c_log, c_const, r, x0, step, levels, prec):
         for i in range(1, levels + 1):
             p = 2 * i - 1
             deriv = (step ** p) * x0 ** (-r - p) * (A[p] * ln0 + B[p])
-            total -= _to_mpf(bernoulli(2 * i)) / mpmath.factorial(2 * i) * deriv
+            total -= _bernoulli_ratio(i, prec) * deriv
         p = 2 * levels
         abs_integral = integral(abs(A[p]), abs(B[p]) + abs(A[p]), r + p)
         bound = 4 * (step / (2 * mpmath.pi)) ** (2 * levels) * abs_integral / step
         return _TailResult(total, abs(bound))
+
+
+@functools.cache
+def _bernoulli_ratio(i: int, prec: int) -> mpf:
+    """B_2i/(2i)! at `prec` bits, rounded as `_powerlog_tail_at` rounds it."""
+    with mpmath.workprec(prec):
+        return _to_mpf(bernoulli(2 * i)) / mpmath.factorial(2 * i)
 
 
 def zeta_num(s: int, digits: int) -> mpf:
@@ -189,6 +199,48 @@ def _terms(k: int, m: int, prec: int, count: int) -> list:
     return terms
 
 
+def _round(x: int, prec: int) -> int:
+    """x rounded to `prec` significant bits, ties to even, at x's exponent.
+
+    An int at a fixed exponent holds any sum of two values at that exponent
+    exactly, so rounding it once gives what mpf_add/mpf_sub return for
+    operands of at most `prec` bits, as every sum here has.  (For wider
+    operands far apart, mpf_add perturbs rather than adds the smaller one,
+    which can round differently.)
+    """
+    shift = x.bit_length() - prec
+    if shift <= 0:
+        return x
+    unit = 1 << shift
+    rest = x & (unit - 1)  # x mod unit, also for x < 0
+    x -= rest
+    half = unit >> 1
+    if rest > half or rest == half and x & unit:
+        x += unit
+    return x
+
+
+def _extend(acc: int, low: int, terms: list, first: int, last: int,
+            prec: int, alternating: bool = False) -> tuple:
+    """Extend the running sum `acc`, an int at exponent `low`, by the terms
+    n = first..last, each partial sum rounded once to `prec` bits as
+    acc += t (or acc += (-1)^n t) does on mpf values.
+
+    Returns the partial sums for n = first..last and their exponent, the
+    least of `low` and the terms' exponents; `acc` is shifted to it exactly.
+    """
+    chunk = terms[first - 1:last]
+    new_low = min(low, *(t[2] for t in chunk))
+    acc <<= low - new_low
+    sums = []
+    for n, (sign, man, exp, _) in enumerate(chunk, first):
+        t = man << (exp - new_low)
+        acc = _round(acc - t if sign ^ (alternating and n & 1) else acc + t,
+                     prec)
+        sums.append(acc)
+    return sums, new_low
+
+
 def _dzv_with_bound(k: int, m: int, digits: int) -> _TailResult:
     """Weighted harmonic sum  sum_{n>=1} H_{n,m} / (n+1)^k.
 
@@ -205,12 +257,12 @@ def _dzv_with_bound(k: int, m: int, digits: int) -> _TailResult:
     with _workprec(digits):
         prec = mpmath.mp.prec
         best_bound = None
-        partial = fzero
+        partial = low = 0
         # each budget extends the previous budget's partial sum
         for first, cutoff in ((1, 64), (64, 128), (128, 256)):
             terms = _terms(k, m, prec, cutoff - 1)
-            for n in range(first, cutoff):
-                partial = mpf_add(partial, terms[n - 1], prec, round_nearest)
+            sums, low = _extend(partial, low, terms, first, cutoff - 1, prec)
+            partial = sums[-1]
             u0 = cutoff + 1  # tail starts at u = cutoff + 1, i.e. n = cutoff
             bound = mpf(0)
             if m == 1:
@@ -246,7 +298,8 @@ def _dzv_with_bound(k: int, m: int, digits: int) -> _TailResult:
                 bound += 2 * b_next * (rem.value + rem.bound)
             best_bound = bound if best_bound is None else min(best_bound, bound)
             if bound < target:
-                return _TailResult(+(mpmath.mp.make_mpf(partial) + tail), +bound)
+                partial = mpmath.mp.make_mpf(from_man_exp(partial, low))
+                return _TailResult(+(partial + tail), +bound)
     achieved = int(-mpmath.log10(best_bound)) if best_bound and best_bound > 0 else 0
     raise PrecisionUnreachable(
         f"dzv({k},{m}) tail bound {mpmath.nstr(best_bound, 3)} exceeds "
@@ -257,38 +310,36 @@ def dzv_num(k: int, m: int, digits: int) -> mpf:
     return _dzv_with_bound(k, m, digits).value
 
 
-def _bracket(row: list, prec: int) -> tuple:
-    """Repeated pair averaging of partial sums, on raw mpf tuples at `prec`.
+def _bracket(row: list, low: int, prec: int) -> tuple:
+    """Repeated pair averaging of partial sums given as ints at exponent
+    `low`, each of at most `prec` bits; returns raw mpf tuples.
 
     At every level consecutive averaged values must keep bracketing the limit
     (they do for terms whose finite differences are monotone, which holds
     here beyond small n and is checked numerically: the nonzero gaps must
     alternate in sign); the last pair of the deepest level that still
-    alternates gives (value, bound), bound being its gap.  Halving is an exact
-    shift, so each average rounds once, as (a + b) / 2 on mpf values does.
-    The gap signs are read from the row's mantissas written as integers at
-    its smallest exponent: a difference rounded to nearest has the sign of
-    the exact one and is zero only when that is, so only the last gap, which
-    becomes the bound, is rounded.
+    alternates gives (value, bound), bound being its gap.  Each sum and gap
+    is exact and rounds once (`_round`), and halving lowers the exponent by
+    one, so every average rounds as (a + b) / 2 on mpf values does; the gap
+    signs are exact int comparisons.
     """
     _load()
-    value = mpf_shift(mpf_add(row[-1], row[-2], prec, round_nearest), -1)
-    bound = mpf_abs(mpf_sub(row[-1], row[-2], prec, round_nearest))
+    value = _round(row[-1] + row[-2], prec)
+    bound = abs(_round(row[-1] - row[-2], prec))
+    exp = low
     while len(row) > 2:
-        low = min(x[2] for x in row)
-        ints = [(-man if sign else man) << (exp - low)
-                for sign, man, exp, _ in row]
-        signs = [d > 0 for d in (b - a for a, b in zip(ints, ints[1:])) if d]
+        signs = [b > a for a, b in zip(row, row[1:]) if a != b]
         if any(a == b for a, b in zip(signs, signs[1:])):
             break  # alternation lost: stop at the last valid bracket
         # entries straddle the limit; the last pair brackets tightest
-        value = mpf_shift(mpf_add(row[-1], row[-2], prec, round_nearest), -1)
-        bound = mpf_abs(mpf_sub(row[-1], row[-2], prec, round_nearest))
-        if bound == fzero:
+        value = _round(row[-1] + row[-2], prec)
+        bound = abs(_round(row[-1] - row[-2], prec))
+        exp = low
+        if not bound:
             break
-        row = [mpf_shift(mpf_add(a, b, prec, round_nearest), -1)
-               for a, b in zip(row, row[1:])]
-    return value, bound
+        row = [_round(a + b, prec) for a, b in zip(row, row[1:])]
+        low -= 1
+    return from_man_exp(value, exp - 1), from_man_exp(bound, exp)
 
 
 def _alt_with_bound(k: int, m: int, digits: int) -> _TailResult:
@@ -304,8 +355,7 @@ def _alt_with_bound(k: int, m: int, digits: int) -> _TailResult:
 
     with _workprec(digits):
         prec = mpmath.mp.prec
-        rnd = round_nearest
-        acc = fzero
+        acc = low = 0
         first = 1
         # Windows stay shallow relative to the start index: bracketing needs
         # the window-depth finite differences of the terms to stay monotone,
@@ -316,17 +366,13 @@ def _alt_with_bound(k: int, m: int, digits: int) -> _TailResult:
         previous = None
         for n_terms, window in ((240, 40), (480, 80), (960, 160)):
             terms = _terms(k, m, prec, n_terms)
-            row = []  # the budget's last window + 1 partial sums
-            # rounded exactly as acc += (-1)^n term on mpf values;
-            # round-to-nearest is symmetric, so subtracting the term rounds
-            # as adding its negation does
-            for n in range(first, n_terms + 1):
-                acc = (mpf_sub if n % 2 else mpf_add)(acc, terms[n - 1],
-                                                      prec, rnd)
-                if n >= n_terms - window:
-                    row.append(acc)
+            sums, low = _extend(acc, low, terms, first, n_terms, prec,
+                                alternating=True)
+            acc = sums[-1]
             first = n_terms + 1
-            est = _TailResult(*map(mpmath.mp.make_mpf, _bracket(row, prec)))
+            # averaging the budget's last window + 1 partial sums
+            est = _TailResult(*map(mpmath.mp.make_mpf,
+                                   _bracket(sums[-(window + 1):], low, prec)))
             if previous is not None:
                 bound = max(est.bound, abs(est.value - previous.value))
                 if best is None or bound < best.bound:

@@ -87,6 +87,10 @@ def harmonic(n: int, t: int) -> Fraction:
 
 
 def operator_order(k: int, m: int) -> int:
+    """Order of the (k, m) operator; every basis, moment and boundary routine
+    asks for it first, so this is where k and m are checked."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
     if m not in (1, 2):
         raise ValueError("m must be 1 or 2")
     return k + 2 if m == 1 else k + 3
@@ -134,8 +138,6 @@ class PFOperator(NamedTuple):
 
 def pf_operator(k: int, m: int, chart: str = CHART_PHI) -> PFOperator:
     """The annihilating operator of the (k, m) generating series."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
     order = operator_order(k, m)
     coeffs = [()] * (order + 1)
     if m == 1:

@@ -7,7 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import mpmath
 import pytest
 
 from dzeta import cli, numverify, pfseries, tausolver
@@ -100,6 +99,21 @@ def test_bad_config_exit_code(capsys):
         code, _, err = run(capsys, "derive", "--k", "4", "--m", "1", "--tol", tol)
         assert code == cli.EXIT_BAD_CONFIG
         assert "bad configuration:" in err
+
+
+def test_digits_above_the_limit_is_bad_config(capsys):
+    # past the oracle's term budgets every run exits 5; a huge request is
+    # refused before it spends minutes getting there
+    code, out, err = run(capsys, "derive", "--k", "2", "--k-max", "3", "--m",
+                         "1", "--digits", str(cli.MAX_DIGITS + 1))
+    assert code == cli.EXIT_BAD_CONFIG
+    assert out == ""
+    assert err == "bad configuration: digits must be between 10 and " \
+        f"{cli.MAX_DIGITS}\n"
+    code, _, err = run(capsys, "verify", "--k", "2", "--m", "1", "--digits",
+                       str(cli.MAX_DIGITS))
+    assert code == cli.EXIT_PRECISION_UNREACHABLE
+    assert err.startswith("precision unreachable: ")
 
 
 def test_singular_system_exit_code(capsys, monkeypatch):
@@ -492,10 +506,10 @@ def test_powerlog_tail_works_as_the_first_oracle_call():
 
 
 def test_bracket_works_as_the_first_oracle_call():
-    # the rows are raw mpf tuples, so the child builds them with mpmath before
-    # numverify has bound any mpmath name
-    sums = (1, 0.5, 0.75, 0.625, 0.6875, 0.65625)
-    expected = repr(numverify._bracket([mpmath.mpf(x)._mpf_ for x in sums], 53))
-    assert _fresh("import mpmath\nfrom dzeta import numverify\n"
-                  f"row = [mpmath.mpf(x)._mpf_ for x in {sums!r}]\n"
-                  "print(repr(numverify._bracket(row, 53)))") == expected
+    # the row holds ints at one exponent and the result is raw mpf tuples,
+    # built by mpmath names that numverify has not bound yet
+    sums = [32, 16, 24, 20, 22, 21]  # 1, 1/2, 3/4, 5/8, 11/16, 21/32 at 2^-5
+    expected = repr(numverify._bracket(sums, -5, 53))
+    assert _fresh("from dzeta import numverify\n"
+                  f"print(repr(numverify._bracket({sums!r}, -5, 53)))") \
+        == expected

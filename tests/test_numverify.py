@@ -398,7 +398,68 @@ def _bracket_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(_bracket_rows(), st.integers(20, 200))
 def test_bracket_matches_reference(row, prec):
-    assert nv._bracket(row, prec) == _bracket_reference(row, prec)
+    low = min(x[2] for x in row)
+    ints = [(-man if sign else man) << (exp - low) for sign, man, exp, _ in row]
+    assert nv._bracket(ints, low, prec) == _bracket_reference(row, prec)
+
+
+@pytest.mark.parametrize("x,rounded", [
+    (0b101, 0b100), (0b111, 0b1000),  # ties: even quotient kept, odd one up
+    (0b1011, 0b1100), (0b1001, 0b1000),  # nearest
+    (-0b101, -0b100), (-0b111, -0b1000), (-0b1011, -0b1100),
+    (0b11, 0b11), (0, 0),  # no rounding
+])
+def test_round_ties_to_even(x, rounded):
+    assert nv._round(x, 2) == rounded
+
+
+@st.composite
+def _round_cases(draw):
+    """(a, b, prec): raw tuples of at most `prec` bits each, whose sum is a
+    tie, carries into the next binade, needs no rounding, cancels, or is
+    free; both signs and mixed exponents."""
+    prec = draw(st.integers(20, 200))
+    e = draw(st.integers(-300, 40))
+    sign = draw(st.sampled_from([1, -1]))
+    shape = draw(st.sampled_from(["tie", "carry", "exact", "cancel", "free"]))
+    if shape == "tie":
+        # q 2^e +- 2^(e-1) lies halfway between two prec-bit neighbours,
+        # one with an odd and one with an even quotient
+        q = draw(st.integers(2 ** (prec - 1), 2 ** prec - 1))
+        half = draw(st.sampled_from([1, -1]))
+        a, b = from_man_exp(sign * q, e), from_man_exp(sign * half, e - 1)
+    elif shape == "carry":
+        # the largest prec-bit mantissa plus at least half its unit rounds
+        # to 2^(prec + e)
+        j = draw(st.integers(0, prec - 1))
+        a = from_man_exp(sign * (2 ** prec - 1), e)
+        b = from_man_exp(sign * draw(st.integers(2 ** j, 2 ** (j + 1) - 1)),
+                         e - 1 - j)
+    elif shape == "exact":
+        x, y = (draw(st.integers(-2 ** (prec - 1), 2 ** (prec - 1)))
+                for _ in range(2))
+        a, b = from_man_exp(x, e), from_man_exp(y, e)
+    elif shape == "cancel":
+        x = sign * draw(st.integers(1, 2 ** prec - 1))
+        a, b = from_man_exp(x, e), from_man_exp(-x, e)
+    else:
+        x, y = (draw(st.integers(1 - 2 ** prec, 2 ** prec - 1))
+                for _ in range(2))
+        a, b = from_man_exp(x, e), from_man_exp(y, draw(st.integers(-300, 40)))
+    return a, b, prec
+
+
+@settings(max_examples=500, deadline=None)
+@given(_round_cases())
+def test_round_matches_mpf_add_and_sub(case):
+    a, b, prec = case
+    low = min(a[2], b[2])
+    x, y = ((-man if sign else man) << (exp - low)
+            for sign, man, exp, _ in (a, b))
+    assert from_man_exp(nv._round(x + y, prec), low) \
+        == mpf_add(a, b, prec, round_nearest)
+    assert from_man_exp(nv._round(x - y, prec), low) \
+        == mpf_sub(a, b, prec, round_nearest)
 
 
 def test_powerlog_tail_memo_is_keyed_on_precision():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dzeta import pfseries
+from dzeta import circle, identities, pfseries
 from dzeta.pfseries import (CHART_INV, CHART_PHI, ChartMismatch, LevelOutOfRange,
                             LogSeries, PFOperator, PureAltSeries,
                             apply_operator, basis_coefficient, basis_violations,
@@ -169,6 +169,20 @@ def test_recursion_closure(k, m):
         == [[f[n] for n in range(1, N + 1)] for f in ((b, c) if m == 1 else (b, c, d))]
     assert recursion_closure_violations(k, m, series, basis) == []
     assert basis_violations(k, m, N) == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: operator_order(k, 1),
+    lambda k: pf_operator(k, 2),
+    lambda k: canonical_basis(k, 1, 10),
+    lambda k: circle.basis_moment(k, 1, 0, 0),
+    lambda k: identities.eval_basis_at(k, 1, 0, -1),
+], ids=["operator_order", "pf_operator", "canonical_basis", "basis_moment",
+        "eval_basis_at"])
+@pytest.mark.parametrize("k", [1, 0, -2])
+def test_public_functions_reject_k_below_two(call, k):
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        call(k)
 
 
 @pytest.mark.parametrize("k,m", [(1, 1), (0, 1), (-3, 2), (3, 3), (3, 0)])
