@@ -10,11 +10,14 @@ proven.  Working precision carries guard bits beyond the requested digits; that
 this rounding budget stays below the reported tail bounds is a heuristic, not a
 bound.
 
-Each kernel tries growing term budgets and extends one running partial sum
-across them rather than restarting it; the two harmonic kernels take their
-summands H_{n,m}/(n+1)^k from one shared table (`_terms`), which grows one
-harmonic prefix per (m, precision) for every k and keeps the latest k's
-summands for the alternating sum that follows the weighted one.  Both
+Each kernel tries growing term budgets.  The zeta kernel re-sums at each
+budget; the two harmonic kernels extend one running partial sum across them
+and take their summands H_{n,m}/(n+1)^k from one shared table (`_terms`),
+which grows one harmonic prefix per (m, precision) for every k and keeps the
+latest k's summands for the alternating sum that follows the weighted one.
+The weighted sum's tail comes from one expansion table per m (`_expansion`):
+each row adds its closed-form tail to the value and its tail bound to the
+bound, and the first omitted term adds to the bound only.  Both
 running sums (`_extend`) and the averaging triangle (`_bracket`) are Python
 ints at one exponent: each exact sum is rounded once by `_round`, to the
 working precision with ties to even, as mpf_add rounds it, and the gap signs
@@ -241,21 +244,43 @@ def _extend(acc: int, low: int, terms: list, first: int, last: int,
     return sums, new_low
 
 
+def _expansion(k: int, m: int) -> tuple:
+    """Rows (coeff, log, r), each the term coeff ln(u)^log / u^r, of the
+    summand H_{u-1,m}/u^k for large u, and (rem_coeff, rem_power): the
+    remainder is at most rem_coeff / u^rem_power for real u > 0.
+
+    m = 1: psi(u) + euler = ln u + euler - 1/(2u) - sum B_2i/(2i u^2i);
+    m = 2: zeta(2) - psi'(u) = zeta(2) - 1/u - 1/(2u^2) - sum B_2i/u^(2i+1)
+    (DLMF 5.11.2 and its derivative; the first omitted term bounds the
+    remainder, DLMF 5.11(ii), and m = 2 doubles it).  Coefficients are
+    rounded at the working precision.
+    """
+    corrections = 6
+    n = 2 * corrections + 2  # the first omitted B_n
+    *b, b_n = (_to_mpf(bernoulli(2 * i)) for i in range(1, corrections + 2))
+    if m == 1:
+        rows = [(1, 1, k), (+mpmath.euler, 0, k), (-0.5, 0, k + 1)]
+        rows += [(-(c / (2 * i)), 0, k + 2 * i) for i, c in enumerate(b, 1)]
+        return rows, abs(b_n) / n, k + n
+    rows = [(mpmath.pi ** 2 / 6, 0, k), (-1, 0, k + 1), (-0.5, 0, k + 2)]
+    rows += [(-c, 0, k + 2 * i + 1) for i, c in enumerate(b, 1)]
+    return rows, 2 * abs(b_n), k + n + 1
+
+
 def _dzv_with_bound(k: int, m: int, digits: int) -> _TailResult:
     """Weighted harmonic sum  sum_{n>=1} H_{n,m} / (n+1)^k.
 
-    Shifted to u = n+1 the summand is (psi(u) + euler)/u^k for m = 1 and
-    (zeta(2) - psi'(u))/u^k for m = 2; inserting the digamma/trigamma
-    asymptotics (remainders bounded by the first omitted term) leaves
-    closed-form power and power-log tails.
+    A partial sum up to the cutoff, then the closed-form power or power-log
+    tail of each `_expansion` row in u = n+1, which enters the value and
+    the bound together; the remainder row enters the bound.
     """
     if k < 2 or m not in (1, 2):
         raise ValueError("need k >= 2 and m in {1, 2}")
     _load()
     target = mpf(10) ** (-digits)
-    corrections = 6
     with _workprec(digits):
         prec = mpmath.mp.prec
+        rows, rem_coeff, rem_power = _expansion(k, m)
         best_bound = None
         partial = low = 0
         # each budget extends the previous budget's partial sum
@@ -264,38 +289,13 @@ def _dzv_with_bound(k: int, m: int, digits: int) -> _TailResult:
             sums, low = _extend(partial, low, terms, first, cutoff - 1, prec)
             partial = sums[-1]
             u0 = cutoff + 1  # tail starts at u = cutoff + 1, i.e. n = cutoff
-            bound = mpf(0)
-            if m == 1:
-                tail_t = [_powerlog_tail(0, 1, k + j, u0)
-                          for j in (0, 1, *range(2, 2 * corrections + 1, 2))]
-                tail_log = _powerlog_tail(1, 0, k, u0)
-                tail = tail_log.value + mpmath.euler * tail_t[0].value \
-                    - tail_t[1].value / 2
-                bound += tail_log.bound + mpmath.euler * tail_t[0].bound \
-                    + tail_t[1].bound / 2
-                for idx, i in enumerate(range(1, corrections + 1)):
-                    b2i = _to_mpf(bernoulli(2 * i))
-                    tail -= b2i / (2 * i) * tail_t[2 + idx].value
-                    bound += abs(b2i) / (2 * i) * tail_t[2 + idx].bound
-                rem = _powerlog_tail(0, 1, k + 2 * corrections + 2, u0)
-                b_next = abs(_to_mpf(bernoulli(2 * corrections + 2)))
-                bound += b_next / (2 * corrections + 2) \
-                    * (rem.value + rem.bound)
-            else:
-                zeta2 = mpmath.pi ** 2 / 6
-                t_k = _powerlog_tail(0, 1, k, u0)
-                t_k1 = _powerlog_tail(0, 1, k + 1, u0)
-                t_k2 = _powerlog_tail(0, 1, k + 2, u0)
-                tail = zeta2 * t_k.value - t_k1.value - t_k2.value / 2
-                bound += zeta2 * t_k.bound + t_k1.bound + t_k2.bound / 2
-                for i in range(1, corrections + 1):
-                    b2i = _to_mpf(bernoulli(2 * i))
-                    t = _powerlog_tail(0, 1, k + 2 * i + 1, u0)
-                    tail -= b2i * t.value
-                    bound += abs(b2i) * t.bound
-                rem = _powerlog_tail(0, 1, k + 2 * corrections + 3, u0)
-                b_next = abs(_to_mpf(bernoulli(2 * corrections + 2)))
-                bound += 2 * b_next * (rem.value + rem.bound)
+            tail = bound = mpf(0)
+            for coeff, log, r in rows:
+                t = _powerlog_tail(log, 1 - log, r, u0)
+                tail += coeff * t.value
+                bound += abs(coeff) * t.bound
+            rem = _powerlog_tail(0, 1, rem_power, u0)
+            bound += rem_coeff * (rem.value + rem.bound)
             best_bound = bound if best_bound is None else min(best_bound, bound)
             if bound < target:
                 partial = mpmath.mp.make_mpf(from_man_exp(partial, low))
@@ -423,16 +423,8 @@ class NumericReport(NamedTuple):
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_error": repr(self.abs_error),
-            "rel_error": repr(self.rel_error),
-            "tail_bound": repr(self.tail_bound),
-            "tolerance": repr(self.tolerance),
-            "passed": self.passed,
-        }
+        return {name: repr(value) if isinstance(value, float) else value
+                for name, value in self._asdict().items()}
 
 
 def verify_identity_numeric(rec: IdentityRecord, digits: int = 12,

@@ -287,6 +287,11 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
     raise AssertionError("unreachable")
 
 
+# the memo's counters, bound here so that a wrapper rebinding the name
+# (a tracer) does not hide them from `check_conjecture`
+_direct_cache_info = solve_tau_direct.cache_info
+
+
 def _tail_entry(base: tuple, k: int, i: int) -> SymNumber:
     """tau[k][i] for i >= k-1 from tau[2] = base: (-1)^k (i-k+2)!/i! tau[2][i-k+2]."""
     return base[i - k + 2] * Fraction((-1) ** k * factorial(i - k + 2), factorial(i))
@@ -402,17 +407,13 @@ def check_conjecture(k_max: int, m: int, k_min: int = 3) -> ConjectureReport:
     """
     if k_max < 3:
         return ConjectureReport(m, k_max, ())
-    # the memo table, also when an outside wrapper (a tracer) rebound the name
-    memo = solve_tau_direct
-    while not hasattr(memo, "cache_info"):
-        memo = memo.__wrapped__
     checks = []
     for k in range(max(k_min, 3), k_max + 1):
-        hits = memo.cache_info().hits
+        hits = _direct_cache_info().hits
         t0 = time.perf_counter()
         direct = solve_tau_direct(k, m)
         t1 = time.perf_counter()
-        cached = memo.cache_info().hits > hits
+        cached = _direct_cache_info().hits > hits
         fast = solve_tau_fast(k, m)
         t2 = time.perf_counter()
         matches = direct.entries == fast.entries

@@ -77,6 +77,24 @@ def test_dzv_tail_bound_honest():
         assert abs(a - b) < mpmath.mpf(10) ** -15
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("k", [2, 5, 16])
+@pytest.mark.parametrize("u", [65, 129, 257])
+def test_expansion_within_its_remainder(k, m, u):
+    # the summand from mpmath's digamma/trigamma; at 30 digits the rounding
+    # stays below the remainder, which at 12 digits it does not
+    with _workprec(30):
+        rows, rem_coeff, rem_power = nv._expansion(k, m)
+        u = mpf(u)
+        series = mpmath.fsum(c * mpmath.ln(u) ** log / u ** r
+                             for c, log, r in rows)
+        if m == 1:
+            summand = (mpmath.digamma(u) + mpmath.euler) / u ** k
+        else:
+            summand = (mpmath.zeta(2) - mpmath.psi(1, u)) / u ** k
+        assert abs(series - summand) <= rem_coeff / u ** rem_power
+
+
 def test_dzv_precision_unreachable():
     with pytest.raises(nv.PrecisionUnreachable):
         nv.dzv_num(2, 1, 60)  # past the ~38-digit cap of the fixed budget
@@ -370,21 +388,23 @@ def _bracket_reference(row: list, prec: int) -> tuple:
 
 @st.composite
 def _bracket_rows(draw):
-    """Raw-tuple rows: alternating partial sums or free values, at mixed
-    exponents, with repeated neighbours (zero gaps) and mixed signs."""
+    """(row, prec): raw-tuple rows of at most `prec` bits each, as `_bracket`
+    takes them, alternating partial sums or free values, at mixed exponents,
+    with repeated neighbours (zero gaps) and mixed signs."""
+    prec = draw(st.integers(20, 200))
     n = draw(st.integers(2, 12))
     if draw(st.booleans()):
         # partial sums of an alternating series around a signed base, so
-        # the averaging goes deep
-        acc = draw(st.integers(-2 ** 160, 2 ** 160))
-        steps = sorted(draw(st.lists(st.integers(0, 2 ** 120),
+        # the averaging goes deep; |acc| + step < 2^prec
+        acc = draw(st.integers(-2 ** (prec - 1), 2 ** (prec - 1)))
+        steps = sorted(draw(st.lists(st.integers(0, 2 ** (prec * 3 // 4)),
                                      min_size=n, max_size=n)), reverse=True)
         values = []
         for i, step in enumerate(steps):
             acc += step if i % 2 else -step
             values.append(acc)
     else:
-        values = draw(st.lists(st.integers(-2 ** 200, 2 ** 200),
+        values = draw(st.lists(st.integers(1 - 2 ** prec, 2 ** prec - 1),
                                min_size=n, max_size=n))
     exps = draw(st.lists(st.integers(-260, 40), min_size=n, max_size=n))
     if draw(st.booleans()):
@@ -392,12 +412,13 @@ def _bracket_rows(draw):
     row = [from_man_exp(v, e) for v, e in zip(values, exps)]
     for i in draw(st.lists(st.integers(1, n - 1), max_size=3)):
         row[i] = row[i - 1]  # an equal neighbour: a zero gap
-    return row
+    return row, prec
 
 
 @settings(max_examples=300, deadline=None)
-@given(_bracket_rows(), st.integers(20, 200))
-def test_bracket_matches_reference(row, prec):
+@given(_bracket_rows())
+def test_bracket_matches_reference(case):
+    row, prec = case
     low = min(x[2] for x in row)
     ints = [(-man if sign else man) << (exp - low) for sign, man, exp, _ in row]
     assert nv._bracket(ints, low, prec) == _bracket_reference(row, prec)

@@ -445,6 +445,13 @@ def test_conjecture_cache_label_survives_a_wrapper(monkeypatch):
     assert ts.check_conjecture(3, 1).checks[0].direct_cached
 
 
+def test_conjecture_cache_label_survives_a_wrapper_without_wrapped(monkeypatch):
+    original = ts.solve_tau_direct
+    monkeypatch.setattr(ts, "solve_tau_direct", lambda k, m: original(k, m))
+    ts.check_conjecture(3, 1)
+    assert ts.check_conjecture(3, 1).checks[0].direct_cached
+
+
 def test_fast_path_depth_does_not_grow_with_k():
     # a fresh interpreter starts from cold memos; nothing on the fast path
     # recurses, and no full vector is kept, so memory stays flat in k (the
