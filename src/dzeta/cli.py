@@ -147,17 +147,17 @@ def cmd_tau(cfg: RunConfig, verify: bool = False) -> int:
                     raise tausolver.InconsistentSystem(
                         f"fast/direct mismatch at (k={k}, m={m})")
                 conjectural = False
+            if cfg.fmt == "json" or cfg.out_dir:
+                payload = _tau_payload(tau, cfg, conjectural)
             if cfg.fmt == "json":
-                print(json.dumps(_tau_payload(tau, cfg, conjectural),
-                                 sort_keys=True))
+                print(json.dumps(payload, sort_keys=True))
             else:
                 flag = " (conjectural)" if conjectural else ""
                 print(f"# coordinates for (k={k}, m={m}), {tau.provenance}{flag}")
                 for i, value in enumerate(tau.entries):
                     print(f"tau[{k},{m}][{i}] = {render(value, 'plain', cfg.style)}")
             if cfg.out_dir:
-                _write_json(cfg.out_dir, f"tau_{k}_{m}.json",
-                            _tau_payload(tau, cfg, conjectural))
+                _write_json(cfg.out_dir, f"tau_{k}_{m}.json", payload)
     return EXIT_OK
 
 
@@ -171,7 +171,7 @@ def _derive_records(cfg: RunConfig):
 
 def cmd_derive(cfg: RunConfig, do_verify: bool = True) -> int:
     reports = []
-    records = []
+    entries = []  # report.json's identities, each without text or timestamp
     for rec in _derive_records(cfg):
         verified = None
         if rec.kind != "trivial" and do_verify:
@@ -179,31 +179,30 @@ def cmd_derive(cfg: RunConfig, do_verify: bool = True) -> int:
                                                        cfg.tolerance)
             reports.append(report)
             verified = report.passed
-        records.append((rec, verified))
+        if cfg.fmt == "json" or cfg.out_dir:
+            data = identities.identity_to_json_dict(rec, verified)
+        if cfg.fmt == "plain" or cfg.out_dir:
+            text = identities.render_identity(rec, "plain", cfg.style)
         if cfg.fmt == "plain":
             tag = {"dzv": "value", "alt": "alternating", "trivial": "trivial"}
             suffix = ""
             if verified is not None:
                 suffix = "  [numeric ok]" if verified else "  [NUMERIC FAIL]"
             print(f"(k={rec.k}, m={rec.m}, point={rec.point:+d}) "
-                  f"{tag[rec.kind]}: "
-                  f"{identities.render_identity(rec, 'plain', cfg.style)}{suffix}")
+                  f"{tag[rec.kind]}: {text}{suffix}")
         else:
-            print(json.dumps(identities.identity_to_json_dict(rec, verified),
-                             sort_keys=True))
+            print(json.dumps(data, sort_keys=True))
         if cfg.out_dir:
+            entries.append(data)
             name = f"identity_{rec.k}_{rec.m}_{'m1' if rec.point < 0 else 'p1'}.json"
-            payload = identities.identity_to_json_dict(rec, verified)
-            payload["text"] = identities.render_identity(rec, "plain", cfg.style)
-            payload["timestamp"] = _stamp()
-            _write_json(cfg.out_dir, name, payload)
+            _write_json(cfg.out_dir, name,
+                        {**data, "text": text, "timestamp": _stamp()})
     if cfg.out_dir:
         _write_json(cfg.out_dir, "report.json", {
-            "identities": [identities.identity_to_json_dict(r, v)
-                           for r, v in records],
+            "identities": entries,
             "numeric_reports": [r.to_json_dict() for r in reports],
             "summary": {
-                "identities": len(records),
+                "identities": len(entries),
                 "verified": sum(1 for r in reports if r.passed),
                 "failed": sum(1 for r in reports if not r.passed),
             },

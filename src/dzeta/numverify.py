@@ -11,8 +11,9 @@ this rounding budget stays below the reported tail bounds is a heuristic, not a
 bound.
 
 Each kernel tries growing term budgets.  The zeta kernel re-sums at each
-budget; the two harmonic kernels extend one running partial sum across them
-and take their summands H_{n,m}/(n+1)^k from one shared table (`_terms`),
+budget, doubling from 24 terms while within `_ZETA_MAX_TERMS`; the two
+harmonic kernels extend one running partial sum across their budgets and take
+their summands H_{n,m}/(n+1)^k from one shared table (`_terms`),
 which grows one harmonic prefix per (m, precision) for every k and keeps the
 latest k's summands for the alternating sum that follows the weighted one.
 The weighted sum's tail comes from one expansion table per m (`_expansion`):
@@ -152,6 +153,9 @@ def zeta_num(s: int, digits: int) -> mpf:
     return value
 
 
+_ZETA_MAX_TERMS = 16384  # budgets double from 24; 12,288 terms reach ~110 digits
+
+
 @functools.cache
 def _zeta_with_bound(s: int, digits: int) -> _TailResult:
     if s < 2:
@@ -159,27 +163,28 @@ def _zeta_with_bound(s: int, digits: int) -> _TailResult:
     _load()
     target = mpf(10) ** (-digits)
     with _workprec(digits):
-        for n_terms in (24, 48, 96, 192):
+        n_terms = 24
+        while n_terms <= _ZETA_MAX_TERMS:
             partial = mpmath.fsum(mpf(n) ** (-s) for n in range(1, n_terms + 1))
             tail = _powerlog_tail(0, 1, s, n_terms + 1)
             if tail.bound < target:
                 return _TailResult(+(partial + tail.value), +tail.bound)
+            n_terms *= 2
     raise PrecisionUnreachable(f"zeta({s}) to {digits} digits")
 
 
-# One-key tables shared by the two summation kernels: the harmonic prefix
-# H_{n,m} at one (m, prec), shared by every k, and the terms H_{n,m}/(n+1)^k
-# at one (k, m, prec), which the alternating sum reuses from the weighted sum
-# just run for the same (k, m).  A new key replaces the old entry.
-_HARMONIC: dict = {}
-_TERMS: dict = {}
+# One-key tables, lists that `_terms` grows: the harmonic prefix H_{n,m} at one
+# (m, prec), shared by every k, and the terms H_{n,m}/(n+1)^k at one (k, m,
+# prec), which the alternating sum reuses from the weighted sum just run for
+# the same (k, m).  A new key replaces the old entry.
+@functools.lru_cache(maxsize=1)
+def _harmonic_list(m: int, prec: int) -> list:
+    return []
 
 
-def _one_key_list(table: dict, key) -> list:
-    if key not in table:
-        table.clear()
-        table[key] = []
-    return table[key]
+@functools.lru_cache(maxsize=1)
+def _terms_list(k: int, m: int, prec: int) -> list:
+    return []
 
 
 def _terms(k: int, m: int, prec: int, count: int) -> list:
@@ -187,10 +192,10 @@ def _terms(k: int, m: int, prec: int, count: int) -> list:
 
     Rounded exactly as h += n^-m and h / (n+1)^k on mpf values.
     """
-    terms = _one_key_list(_TERMS, (k, m, prec))
+    terms = _terms_list(k, m, prec)
     if len(terms) < count:
         rnd = round_nearest
-        hs = _one_key_list(_HARMONIC, (m, prec))
+        hs = _harmonic_list(m, prec)
         h = hs[-1] if hs else fzero
         for n in range(len(hs) + 1, count + 1):
             h = mpf_add(h, mpf_pow_int(from_int(n), -m, prec, rnd), prec, rnd)

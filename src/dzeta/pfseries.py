@@ -127,13 +127,7 @@ class PFOperator(NamedTuple):
         return PFOperator(self.order, chart, tuple(flipped))
 
     def max_coeff_degree(self) -> int:
-        deg = 0
-        for poly in self.coeffs:
-            for d in range(len(poly) - 1, -1, -1):
-                if poly[d]:
-                    deg = max(deg, d)
-                    break
-        return deg
+        return max([0] + [len(_trim(poly)) - 1 for poly in self.coeffs])
 
 
 def pf_operator(k: int, m: int, chart: str = CHART_PHI) -> PFOperator:
@@ -261,13 +255,14 @@ class LogSeries(NamedTuple):
     """sum_d blocks[d] * log(x)^d with each block a truncated power series.
 
     Coefficients `blocks[d][n]` are exact rationals; every block shares one
-    truncation order.  `valid_order` marks how far coefficients are trusted:
-    operator application reduces it by the coefficient degree.
+    truncation order, and every coefficient through it is exact.  Operator
+    images stay exact through that order: coefficient polynomials have only
+    nonnegative powers of x and theta acts on one column at a time, so image
+    column n reads only columns n - deg .. n of the input.
     """
 
     chart: str
     blocks: tuple[tuple[Fraction, ...], ...]
-    valid_order: int
 
     @property
     def trunc(self) -> int:
@@ -279,14 +274,11 @@ class LogSeries(NamedTuple):
 
     @classmethod
     def zero(cls, chart: str, trunc: int, log_degree: int = 0) -> "LogSeries":
-        return cls(chart, (_zero_row(trunc),) * (log_degree + 1), trunc)
+        return cls(chart, (_zero_row(trunc),) * (log_degree + 1))
 
     @classmethod
-    def from_blocks(cls, chart, blocks, valid_order=None) -> "LogSeries":
-        blocks = tuple(tuple(Fraction(c) for c in b) for b in blocks)
-        if valid_order is None:
-            valid_order = len(blocks[0]) - 1
-        return cls(chart, blocks, valid_order)
+    def from_blocks(cls, chart, blocks) -> "LogSeries":
+        return cls(chart, tuple(tuple(Fraction(c) for c in b) for b in blocks))
 
     def theta(self) -> "LogSeries":
         """x d/dx; acts as n on x^n and lowers one log power per product rule."""
@@ -300,7 +292,7 @@ class LogSeries(NamedTuple):
             nblocks.append(tuple(row))
         while len(nblocks) > 1 and not any(nblocks[-1]):
             nblocks.pop()
-        return LogSeries(self.chart, tuple(nblocks), self.valid_order)
+        return LogSeries(self.chart, tuple(nblocks))
 
     def __add__(self, other: "LogSeries") -> "LogSeries":
         if self.chart != other.chart:
@@ -314,12 +306,10 @@ class LogSeries(NamedTuple):
             a = self.blocks[d] if d <= self.log_degree else zero_row
             b = other.blocks[d] if d <= other.log_degree else zero_row
             nblocks.append(tuple(x + y for x, y in zip(a, b)))
-        return LogSeries(self.chart, tuple(nblocks),
-                         min(self.valid_order, other.valid_order))
+        return LogSeries(self.chart, tuple(nblocks))
 
-    def is_zero_through(self, order: int) -> bool:
-        order = min(order, self.trunc)
-        return all(not block[n] for block in self.blocks for n in range(order + 1))
+    def is_zero(self) -> bool:
+        return not any(map(any, self.blocks))
 
     def coefficient(self, log_power: int, n: int) -> Fraction:
         if log_power > self.log_degree:
@@ -331,7 +321,7 @@ def pi_series(k: int, m: int, trunc: int) -> LogSeries:
     """The generating series as a truncated power series in the original chart."""
     row = [Fraction(0), Fraction(0)]
     row.extend(pi_coefficient(k, m, n) for n in range(2, trunc + 1))
-    return LogSeries(CHART_PHI, (tuple(row),), trunc)
+    return LogSeries(CHART_PHI, (tuple(row),))
 
 
 def canonical_basis(k: int, m: int, trunc: int) -> list[LogSeries]:
@@ -352,7 +342,7 @@ def canonical_basis(k: int, m: int, trunc: int) -> list[LogSeries]:
             for d, spec in upper_block_specs(k, m, i):
                 blocks[d] = _series_row(spec.coefficient, trunc)
             blocks[0] = _series_row(lambda n: basis_coefficient(k, m, i, n), trunc)
-        out.append(LogSeries(CHART_INV, tuple(blocks), trunc))
+        out.append(LogSeries(CHART_INV, tuple(blocks)))
     return out
 
 
@@ -362,7 +352,8 @@ def _series_row(coefficient, trunc: int) -> tuple[Fraction, ...]:
 
 
 def apply_operator(op: PFOperator, s: LogSeries) -> LogSeries:
-    """Exact image of a truncated log series under the operator.
+    """Exact image of a truncated log series under the operator, through the
+    series' own truncation order (see `LogSeries`).
 
     The work runs on integer rows, one denominator per column: theta never
     mixes columns, so column n is scaled by the lcm D_n of its own
@@ -381,7 +372,6 @@ def apply_operator(op: PFOperator, s: LogSeries) -> LogSeries:
              for block, qs in zip(s.blocks, den_rows)]
     acc = [[] for _ in range(deg + 1)]  # acc[e][d]: sum_j p_j[e] * row d of theta^j
     nblocks = 1
-    valid_order = s.valid_order - deg
     for j, poly in enumerate(op.coeffs):
         if j > 0:  # theta: row d becomes n*row_d[n] + (d+1)*row_{d+1}[n],
             # and stays as it is when both rows are zero
@@ -393,7 +383,6 @@ def apply_operator(op: PFOperator, s: LogSeries) -> LogSeries:
                 power.pop()
         if not any(poly):
             continue
-        valid_order = min(valid_order, trunc - deg)
         nblocks = max(nblocks, len(power))
         for e, c in enumerate(poly):
             if not c:
@@ -412,7 +401,7 @@ def apply_operator(op: PFOperator, s: LogSeries) -> LogSeries:
             target[e:] = [a + r * x for a, r, x in zip(target[e:], ratio, row)]
     blocks = tuple(tuple(Fraction(c, big) if c else _ZERO for c, big in zip(row, scale))
                    for row in image)
-    return LogSeries(s.chart, blocks, valid_order)
+    return LogSeries(s.chart, blocks)
 
 
 # Three-term recursions of the closed-form coefficient families, for n >= 2:
@@ -479,8 +468,9 @@ def recursion_closure_violations(k: int, m: int, series: LogSeries,
 
 def basis_violations(k: int, m: int, trunc: int) -> list[str]:
     """Every check of the (k, m) series and basis on rows built once, in order:
-    recursion closure, annihilation of each basis element and of the series,
-    and at most one message if a mixed element's log-free row differs from
+    recursion closure, annihilation of each basis element and of the series
+    in every column through `trunc` (the images are exact that far), and at
+    most one message if a mixed element's log-free row differs from
     its `bottom_block_rewritten` expansion (both forms take their upper
     blocks from `upper_block_specs`)."""
     op = pf_operator(k, m, CHART_INV)  # ValueError for k < 2 or m not in {1, 2}
@@ -489,10 +479,10 @@ def basis_violations(k: int, m: int, trunc: int) -> list[str]:
     problems = recursion_closure_violations(k, m, series, basis)
     for i, element in enumerate(basis):
         image = apply_operator(op, element)
-        if not image.is_zero_through(image.valid_order):
+        if not image.is_zero():
             problems.append(f"basis ({k},{m}) element {i} not annihilated")
     image = apply_operator(pf_operator(k, m, CHART_PHI), series)
-    if not image.is_zero_through(image.valid_order):
+    if not image.is_zero():
         problems.append(f"series ({k},{m}) not annihilated")
     for i in range(k, len(basis)):
         specs = bottom_block_rewritten(k, m, i)

@@ -477,9 +477,10 @@ def from_json_dict(data: dict) -> SymNumber:
     integer >= 0, a zeta key that is not an odd integer >= 3 written in
     decimal, a zeta exponent below 1, an ``unknown`` other than null (the ring
     holds known values only), a re/im pair that is not a rational multiple of
-    i^e and so lies outside the field, or a missing or mistyped key.
+    i^e and so lies outside the field, a zero coefficient, a monomial given
+    twice, or a missing or mistyped key.
     """
-    out = SymNumber.zero()
+    out = {}
     try:
         for term in data["terms"]:
             e = term.get("pi", 0)
@@ -504,8 +505,12 @@ def from_json_dict(data: dict) -> SymNumber:
             if rest:
                 raise ValueError(f"coefficient {re} + {im}*i of pi^{e} is not a "
                                  f"rational multiple of i^{e}")
+            if not c:
+                raise ValueError(f"zero coefficient of pi^{e}")
             mono = ZetaMonomial(e, tuple(sorted(zetas)))
-            out = out + SymNumber.from_term(mono, _i_sign(e) * c)
+            if mono in out:
+                raise ValueError(f"monomial {mono} given twice")
+            out[mono] = _i_sign(e) * c
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed JSON value: {exc!r}") from exc
-    return out
+    return SymNumber(out)

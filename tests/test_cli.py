@@ -173,6 +173,48 @@ def test_derive_json_deterministic(tmp_path, capsys):
         assert a == b
 
 
+def _count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_derive_builds_each_artifact_once(tmp_path, capsys, monkeypatch):
+    calls = {"identity_to_json_dict": 0, "render_identity": 0}
+    for name in calls:
+        _count_calls(monkeypatch, cli.identities, name, calls)
+    out_dir = tmp_path / "out"
+    code, out, _ = run(capsys, "derive", "--k", "2", "--k-max", "3", "--m", "1",
+                       "--no-verify", "--format", "json", "--out", str(out_dir))
+    assert code == 0
+    assert calls == {"identity_to_json_dict": 4, "render_identity": 4}
+    report = json.loads((out_dir / "report.json").read_text())
+    assert [json.loads(line) for line in out.splitlines()] == report["identities"]
+    for entry in report["identities"]:
+        assert "text" not in entry and "timestamp" not in entry
+    written = json.loads((out_dir / "identity_2_1_m1.json").read_text())
+    assert written.pop("text") == "zeta(2,1) = zeta(3)"
+    written.pop("timestamp")
+    assert written == report["identities"][0]
+
+
+def test_tau_builds_each_payload_once(tmp_path, capsys, monkeypatch):
+    calls = {"_tau_payload": 0}
+    _count_calls(monkeypatch, cli, "_tau_payload", calls)
+    out_dir = tmp_path / "out"
+    code, out, _ = run(capsys, "tau", "--k", "2", "--k-max", "3", "--m", "1,2",
+                       "--format", "json", "--out", str(out_dir))
+    assert code == 0
+    assert calls == {"_tau_payload": 4}
+    assert [json.loads(line) for line in out.splitlines()] \
+        == [json.loads((out_dir / f"tau_{k}_{m}.json").read_text())
+            for m in (1, 2) for k in (2, 3)]
+
+
 def test_check_conjecture_cli(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code, out, _ = run(capsys, "check-conjecture", "--k", "2", "--k-max", "5",
@@ -235,24 +277,24 @@ def test_basis_check_reports_a_perturbed_closed_form(capsys, monkeypatch):
 
 def test_basis_check_reports_a_perturbed_series_coefficient(capsys, monkeypatch):
     # one wrong coefficient of the generating series breaks its recursion at
-    # three n and its annihilation; the basis is untouched
+    # n0-1, n0 and n0+1 (those below the truncation order 50) and its
+    # annihilation, also in the last two columns; the basis is untouched
     original = pfseries.pi_coefficient
+    for n0 in (20, 49, 50):
+        def perturbed(k, m, n, n0=n0):
+            value = original(k, m, n)
+            return value + 1 if (k, m, n) == (3, 1, n0) else value
 
-    def perturbed(k, m, n):
-        value = original(k, m, n)
-        return value + 1 if (k, m, n) == (3, 1, 20) else value
-
-    monkeypatch.setattr(pfseries, "pi_coefficient", perturbed)
-    code, out, err = run(capsys, "basis-check", "--k", "2", "--k-max", "3",
-                         "--m", "1", "--trunc", "50")
-    assert code == cli.EXIT_INCONSISTENT == 3
-    assert out == "(k=2, m=1): ok\n(k=3, m=1): FAIL\n"
-    assert err == "".join(line + "\n" for line in [
-        "a-recursion fails at (k=3, m=1, n=19)",
-        "a-recursion fails at (k=3, m=1, n=20)",
-        "a-recursion fails at (k=3, m=1, n=21)",
-        "series (3,1) not annihilated",
-    ])
+        monkeypatch.setattr(pfseries, "pi_coefficient", perturbed)
+        code, out, err = run(capsys, "basis-check", "--k", "2", "--k-max", "3",
+                             "--m", "1", "--trunc", "50")
+        assert code == cli.EXIT_INCONSISTENT == 3
+        assert out == "(k=2, m=1): ok\n(k=3, m=1): FAIL\n"
+        assert err == "".join(line + "\n" for line in [
+            *(f"a-recursion fails at (k=3, m=1, n={n})"
+              for n in (n0 - 1, n0, n0 + 1) if n < 50),
+            "series (3,1) not annihilated",
+        ]), n0
 
 
 def test_tau_out_file_schema(tmp_path, capsys):

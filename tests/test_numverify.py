@@ -58,6 +58,43 @@ def test_zeta_self_consistency_doubling(s):
         assert abs(low - high) < mpmath.mpf(10) ** -20
 
 
+@pytest.mark.parametrize("s", [2, 3, 5])
+@pytest.mark.parametrize("digits", [60, 108])
+def test_zeta_past_its_first_budgets_within_bound(s, digits):
+    # 192 terms stop near 59 digits; 108 is digits + 8 for a 100-digit check
+    value, bound = nv._zeta_with_bound(s, digits)
+    with mpmath.workprec(int(digits * 3.33) + 100):
+        assert abs(value - mpmath.zeta(s)) <= bound
+
+
+def _zeta_reference(s, digits):
+    """The zeta kernel with only its first four budgets, or None where they
+    fall short."""
+    target = mpf(10) ** (-digits)
+    with nv._workprec(digits):
+        for n_terms in (24, 48, 96, 192):
+            partial = mpmath.fsum(mpf(n) ** (-s) for n in range(1, n_terms + 1))
+            tail = nv._powerlog_tail(0, 1, s, n_terms + 1)
+            if tail.bound < target:
+                return +(partial + tail.value), +tail.bound
+    return None
+
+
+def test_zeta_first_budgets_bit_identical():
+    # every value and bound the first four budgets reach is unchanged by the
+    # budgets after them
+    reached = 0
+    for s in range(2, 21):
+        for digits in range(10, 60):
+            expected = _zeta_reference(s, digits)
+            if expected is not None:
+                value, bound = nv._zeta_with_bound.__wrapped__(s, digits)
+                assert (value._mpf_, bound._mpf_) \
+                    == (expected[0]._mpf_, expected[1]._mpf_), (s, digits)
+                reached += 1
+    assert reached > 900
+
+
 def test_dzv_21_matches_zeta3():
     with mpmath.workprec(120):
         assert abs(nv.dzv_num(2, 1, 12) - nv.zeta_num(3, 20)) < 1e-12
@@ -355,8 +392,8 @@ def test_shared_tables_hold_one_key(capsys):
                      "--m", "1,2", "--digits", "30"])
     capsys.readouterr()
     assert code == cli.EXIT_OK
-    assert len(nv._HARMONIC) <= 1
-    assert len(nv._TERMS) <= 1
+    assert nv._harmonic_list.cache_info().currsize <= 1
+    assert nv._terms_list.cache_info().currsize <= 1
 
 
 def _bracket_reference(row: list, prec: int) -> tuple:

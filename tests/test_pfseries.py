@@ -222,7 +222,7 @@ def test_basis_constant_solution():
     basis = canonical_basis(3, 1, 20)
     w0 = basis[0]
     assert w0.coefficient(0, 0) == 1
-    assert w0.is_zero_through(0) is False
+    assert w0.is_zero() is False
     assert all(w0.coefficient(0, n) == 0 for n in range(1, 21))
 
 
@@ -317,22 +317,24 @@ def test_annihilation_smoke(k, m):
     op = pf_operator(k, m, CHART_INV)
     for element in canonical_basis(k, m, N):
         image = apply_operator(op, element)
-        assert image.is_zero_through(image.valid_order)
-        assert image.valid_order == N - 2
+        assert image.is_zero()
     op_phi = pf_operator(k, m, CHART_PHI)
     image = apply_operator(op_phi, pi_series(k, m, N))
-    assert image.is_zero_through(image.valid_order)
+    assert image.is_zero()
 
 
 def test_annihilation_detects_wrong_series():
+    # images are exact through the truncation order, so a wrong coefficient
+    # shows in the last columns too
     N = 30
     op = pf_operator(2, 1, CHART_PHI)
     series = pi_series(2, 1, N)
-    blocks = [list(series.blocks[0])]
-    blocks[0][7] += Fraction(1, 3)
-    corrupted = LogSeries(CHART_PHI, (tuple(blocks[0]),), N)
-    image = apply_operator(op, corrupted)
-    assert not image.is_zero_through(image.valid_order)
+    for n0 in (7, N - 1, N):
+        blocks = [list(series.blocks[0])]
+        blocks[0][n0] += Fraction(1, 3)
+        corrupted = LogSeries(CHART_PHI, (tuple(blocks[0]),))
+        image = apply_operator(op, corrupted)
+        assert not image.is_zero(), n0
 
 
 def test_apply_operator_chart_mismatch():
@@ -345,7 +347,7 @@ def test_apply_operator_zero_series():
     op = pf_operator(2, 1, CHART_INV)
     zero = LogSeries.zero(CHART_INV, 15, log_degree=2)
     image = apply_operator(op, zero)
-    assert image.is_zero_through(image.valid_order)
+    assert image.is_zero()
 
 
 def test_theta_action():
@@ -373,22 +375,19 @@ def _apply_reference(op, s):
     coefficient polynomial and added, truncated at the series' order."""
     trunc = s.trunc
     blocks = [[Fraction(0)] * (trunc + 1)]
-    valid_order = s.valid_order - op.max_coeff_degree()
     power = s
     for j, poly in enumerate(op.coeffs):
         if j > 0:
             power = power.theta()
         if not any(poly):
             continue
-        deg = max(e for e, c in enumerate(poly) if c)
-        valid_order = min(valid_order, trunc - deg)
         while len(blocks) < len(power.blocks):
             blocks.append([Fraction(0)] * (trunc + 1))
         for d, block in enumerate(power.blocks):
             for e, c in enumerate(poly):
                 for n in range(trunc + 1 - e):
                     blocks[d][n + e] += c * block[n]
-    return LogSeries(s.chart, tuple(tuple(b) for b in blocks), valid_order)
+    return LogSeries(s.chart, tuple(tuple(b) for b in blocks))
 
 
 @st.composite
@@ -410,8 +409,7 @@ def _operator_and_series(draw):
                        min_size=trunc + 1, max_size=trunc + 1)
     row = st.one_of(st.just([Fraction(0)] * (trunc + 1)), entries)
     blocks = tuple(tuple(draw(row)) for _ in range(log_degree + 1))
-    valid_order = draw(st.integers(trunc - 3, trunc + 2))
-    return op, LogSeries(chart, blocks, valid_order)
+    return op, LogSeries(chart, blocks)
 
 
 @settings(max_examples=100, deadline=None)

@@ -26,8 +26,7 @@ RECORDS = {
     pfseries.PFOperator: dict(order=1, chart=pfseries.CHART_INV,
                               coeffs=((0, 1), (1,))),
     pfseries.LogSeries: dict(chart=pfseries.CHART_PHI,
-                             blocks=((Fraction(1), Fraction(1, 2)),),
-                             valid_order=1),
+                             blocks=((Fraction(1), Fraction(1, 2)),)),
     tausolver.MomentSystem: dict(
         k=2, m=1, rows=(tausolver.MomentRow(0, (_ZETA3,), _ZETA3),)),
     tausolver.TauVector: dict(k=2, m=1, entries=(_ZETA3, SymNumber.zero()),
@@ -40,6 +39,7 @@ RECORDS = {
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_record_is_an_immutable_value(cls):
     kwargs = RECORDS[cls]
+    assert tuple(kwargs) == cls._fields
     record, twin = cls(**kwargs), cls(**kwargs)
     assert {name: getattr(record, name) for name in kwargs} == kwargs
     assert record == twin

@@ -275,12 +275,17 @@ def test_coefficients_outside_the_field_raise():
     _json_term(re=True),
     _json_term(re=1),
     _json_term(im=0.0),
-)] + [{}], ids=["negative-pi", "float-pi", "even-zeta", "zeta-1", "zeta-key-03",
-               "zeta-exp-0", "zeta-exp-negative", "unknown-kind", "real-odd-pi",
-               "complex-even-pi", "no-zeta", "no-coeff", "no-coeff-im",
-               "unknown-no-kind", "unknown-k-text", "unknown-k-1", "unknown-m-0",
-               "unknown-k-float", "unknown-label", "bool-pi", "bool-zeta-exp",
-               "float-re", "bool-re", "int-re", "float-im", "no-terms"])
+    _json_term(re="0"),  # to_json_dict drops zero terms
+)] + [
+    {},
+    {"terms": [_json_term(zeta={"3": 1})] * 2},  # would read as 2*zeta(3)
+], ids=["negative-pi", "float-pi", "even-zeta", "zeta-1", "zeta-key-03",
+        "zeta-exp-0", "zeta-exp-negative", "unknown-kind", "real-odd-pi",
+        "complex-even-pi", "no-zeta", "no-coeff", "no-coeff-im",
+        "unknown-no-kind", "unknown-k-text", "unknown-k-1", "unknown-m-0",
+        "unknown-k-float", "unknown-label", "bool-pi", "bool-zeta-exp",
+        "float-re", "bool-re", "int-re", "float-im", "zero-coeff",
+        "no-terms", "repeated-monomial"])
 def test_non_canonical_json_raises(data):
     with pytest.raises(ValueError):
         sf.from_json_dict(data)
