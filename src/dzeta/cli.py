@@ -5,8 +5,9 @@ Each subcommand accepts only the flags it reads (`COMMANDS`); any other is a
 usage error.  Exit codes: 0 ok, 1 numeric verification failure, 2 singular
 system, 3 inconsistent system or identity, 4 bad configuration, usage error or
 unwritable `--out`, 5 numeric precision unreachable within the oracle's term
-budget, 141 stdout closed by the reader (as by `| head`; 128 + SIGPIPE, with no
-traceback).  Each failure of the solver, the oracle or `--out` prints one
+budget, 141 stdout closed by the reader of a command that itself succeeded
+(as by `| head`; 128 + SIGPIPE, with no traceback; a failure keeps its own
+code).  Each failure of the solver, the oracle or `--out` prints one
 `<kind>: <message>` line on stderr (`FAILURES`).  All JSON artifacts are
 written atomically and are byte-identical across reruns except for the
 timestamp field and the `direct_seconds`/`fast_seconds` timings of
@@ -342,19 +343,22 @@ def main(argv=None) -> int:
         # looked up at call time, so that wrappers set on this module apply
         cmd = globals()["cmd_" + command.replace("-", "_")]
         code = cmd(cfg, **{n: v for n, v in args.items() if n not in names})
-        sys.stdout.flush()  # a reader that closed stdout early is seen here
-        return code
     except BrokenPipeError:
-        # a closed stdout, not an --out failure; fd 1 now points at devnull,
-        # so the flush at interpreter exit cannot raise again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, 1)
-        os.close(devnull)
-        return EXIT_BROKEN_PIPE
+        code = EXIT_BROKEN_PIPE  # a closed stdout, not an --out failure
     except tuple(FAILURES) as exc:
         code, kind = next(v for cls, v in FAILURES.items() if isinstance(exc, cls))
         print(f"{kind}: {exc}", file=sys.stderr)
-        return code
+    try:
+        sys.stdout.flush()  # a reader that closed stdout early is seen here
+    except BrokenPipeError:
+        # fd 1 now points at devnull, so the flush at interpreter exit cannot
+        # raise again; a failure keeps its own code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        if code == EXIT_OK:
+            code = EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -10,22 +10,23 @@ proven.  Working precision carries guard bits beyond the requested digits; that
 this rounding budget stays below the reported tail bounds is a heuristic, not a
 bound.
 
-Each kernel tries growing term budgets.  The zeta kernel re-sums at each
-budget, doubling from 24 terms while within `_ZETA_MAX_TERMS`; the two
-harmonic kernels extend one running partial sum across their budgets and take
-their summands H_{n,m}/(n+1)^k from one shared table (`_terms`),
-which grows one harmonic prefix per (m, precision) for every k and keeps the
-latest k's summands for the alternating sum that follows the weighted one.
-The weighted sum's tail comes from one expansion table per m (`_expansion`):
-each row adds its closed-form tail to the value and its tail bound to the
-bound, and the first omitted term adds to the bound only.  Both
-running sums (`_extend`) and the averaging triangle (`_bracket`) are Python
-ints at one exponent: each exact sum is rounded once by `_round`, to the
-working precision with ties to even, as mpf_add rounds it, and the gap signs
-are int comparisons.  Power/log tails and their Bernoulli ratios are
-memoised per working precision.  All of these only remove repeated work:
-every value, bound and message is bit-identical to the plain mpf loops kept
-as the reference in the test suite.
+Each kernel tries growing term budgets.  The zeta kernel doubles its budget
+from 24 terms while within `_ZETA_MAX_TERMS`, extending one list of terms
+n^-s across its budgets and `fsum`-ing it at each; the two harmonic kernels
+extend one running partial sum across their budgets and take their summands
+H_{n,m}/(n+1)^k from one shared table (`_terms`), which grows one harmonic
+prefix per (m, precision) for every k and keeps the latest k's summands for
+the alternating sum that follows the weighted one.  The weighted sum's tail
+comes from one expansion table per m (`_expansion`): each row adds its
+closed-form tail to the value and its tail bound to the bound, and the first
+omitted term adds to the bound only.  Both running sums (`_extend`) and the
+averaging triangle (`_bracket`) are Python ints at one exponent: each exact
+sum is rounded once by `_round`, to the working precision with ties to even,
+as mpf_add rounds it, and the gap signs are int comparisons.  Power/log
+tails and their Bernoulli ratios are memoised on an explicit `prec`
+argument.  All of these only remove repeated work: every value, bound and
+message is bit-identical to the plain mpf loops kept as the reference in the
+test suite.
 
 Big floats are mpmath `mpf` values; pi and Euler's constant come from mpmath's
 standard arbitrary-precision constants (pi is cross-checked against the
@@ -90,22 +91,15 @@ class _TailResult(NamedTuple):
     bound: mpf  # rigorous bound on the estimation error
 
 
-def _powerlog_tail(c_log, c_const, r: int, x0, step: int = 1,
-                   levels: int = 14) -> _TailResult:
-    """sum_{j>=0} f(x0 + step*j) for f(y) = y^-r (c_log ln y + c_const).
+@functools.cache
+def _powerlog_tail(c_log, c_const, r: int, x0, prec: int) -> _TailResult:
+    """sum_{j>=0} f(x0 + j) for f(y) = y^-r (c_log ln y + c_const).
 
-    Euler-Maclaurin in j with the periodized-Bernoulli remainder bound
+    Euler-Maclaurin in j at `prec` bits; periodized-Bernoulli remainder bound
     |R| <= 4 (2 pi)^(-2J) int |h^(2J)|; requires r >= 2 and x0 >= 1.
     """
+    levels = 14
     _load()
-    return _powerlog_tail_at(c_log, c_const, r, x0, step, levels,
-                             mpmath.mp.prec)
-
-
-@functools.cache
-def _powerlog_tail_at(c_log, c_const, r, x0, step, levels, prec):
-    # keyed on the working precision too, so a tail computed for a short
-    # request is never handed to a longer one
     with mpmath.workprec(prec):
         if r < 2:
             raise ValueError("tail requires decay exponent >= 2")
@@ -128,21 +122,21 @@ def _powerlog_tail_at(c_log, c_const, r, x0, step, levels, prec):
             base = x0 ** (1 - power) / (power - 1)
             return base * (a_coeff * (ln0 + mpf(1) / (power - 1)) + b_coeff)
 
-        total = integral(c_log, c_const, r) / step
+        total = integral(c_log, c_const, r)
         total += (x0 ** (-r)) * (c_log * ln0 + c_const) / 2
         for i in range(1, levels + 1):
             p = 2 * i - 1
-            deriv = (step ** p) * x0 ** (-r - p) * (A[p] * ln0 + B[p])
+            deriv = x0 ** (-r - p) * (A[p] * ln0 + B[p])
             total -= _bernoulli_ratio(i, prec) * deriv
         p = 2 * levels
         abs_integral = integral(abs(A[p]), abs(B[p]) + abs(A[p]), r + p)
-        bound = 4 * (step / (2 * mpmath.pi)) ** (2 * levels) * abs_integral / step
+        bound = 4 * (1 / (2 * mpmath.pi)) ** (2 * levels) * abs_integral
         return _TailResult(total, abs(bound))
 
 
 @functools.cache
 def _bernoulli_ratio(i: int, prec: int) -> mpf:
-    """B_2i/(2i)! at `prec` bits, rounded as `_powerlog_tail_at` rounds it."""
+    """B_2i/(2i)! at `prec` bits, rounded as `_powerlog_tail` rounds it."""
     with mpmath.workprec(prec):
         return _to_mpf(bernoulli(2 * i)) / mpmath.factorial(2 * i)
 
@@ -163,10 +157,13 @@ def _zeta_with_bound(s: int, digits: int) -> _TailResult:
     _load()
     target = mpf(10) ** (-digits)
     with _workprec(digits):
+        terms = []
         n_terms = 24
         while n_terms <= _ZETA_MAX_TERMS:
-            partial = mpmath.fsum(mpf(n) ** (-s) for n in range(1, n_terms + 1))
-            tail = _powerlog_tail(0, 1, s, n_terms + 1)
+            terms += [mpf(n) ** (-s)
+                      for n in range(len(terms) + 1, n_terms + 1)]
+            partial = mpmath.fsum(terms)
+            tail = _powerlog_tail(0, 1, s, n_terms + 1, mpmath.mp.prec)
             if tail.bound < target:
                 return _TailResult(+(partial + tail.value), +tail.bound)
             n_terms *= 2
@@ -286,7 +283,6 @@ def _dzv_with_bound(k: int, m: int, digits: int) -> _TailResult:
     with _workprec(digits):
         prec = mpmath.mp.prec
         rows, rem_coeff, rem_power = _expansion(k, m)
-        best_bound = None
         partial = low = 0
         # each budget extends the previous budget's partial sum
         for first, cutoff in ((1, 64), (64, 128), (128, 256)):
@@ -296,18 +292,19 @@ def _dzv_with_bound(k: int, m: int, digits: int) -> _TailResult:
             u0 = cutoff + 1  # tail starts at u = cutoff + 1, i.e. n = cutoff
             tail = bound = mpf(0)
             for coeff, log, r in rows:
-                t = _powerlog_tail(log, 1 - log, r, u0)
+                t = _powerlog_tail(log, 1 - log, r, u0, prec)
                 tail += coeff * t.value
                 bound += abs(coeff) * t.bound
-            rem = _powerlog_tail(0, 1, rem_power, u0)
+            rem = _powerlog_tail(0, 1, rem_power, u0, prec)
             bound += rem_coeff * (rem.value + rem.bound)
-            best_bound = bound if best_bound is None else min(best_bound, bound)
             if bound < target:
                 partial = mpmath.mp.make_mpf(from_man_exp(partial, low))
                 return _TailResult(+(partial + tail), +bound)
-    achieved = int(-mpmath.log10(best_bound)) if best_bound and best_bound > 0 else 0
+    # every row's tail bound and the remainder shrink as the cutoff grows,
+    # so the last budget's bound is the least
+    achieved = int(-mpmath.log10(bound)) if bound > 0 else 0
     raise PrecisionUnreachable(
-        f"dzv({k},{m}) tail bound {mpmath.nstr(best_bound, 3)} exceeds "
+        f"dzv({k},{m}) tail bound {mpmath.nstr(bound, 3)} exceeds "
         f"10^-{digits} within the term budget", achieved_digits=achieved)
 
 
@@ -502,7 +499,7 @@ def fourier_spot_check(samples, digits: int = 12, tolerance: float = 1e-10,
                     if w == 0:
                         continue
                     piece = _powerlog_tail(0, 1, 2, mpf(n_first) / period,
-                                           step=1)
+                                           mpmath.mp.prec)
                     tail += w * piece.value / period ** 2
                     bound += abs(w) * piece.bound / period ** 2
                 if bound <= target or 2 * n_cut > _SPOT_CHECK_MAX_TERMS:

@@ -31,6 +31,7 @@ relations between pi and the odd zeta values are assumed anywhere.
 from __future__ import annotations
 
 import functools
+import re
 from fractions import Fraction
 from math import factorial
 from typing import NamedTuple, Optional
@@ -456,6 +457,11 @@ def _fraction_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
+# what `_fraction_str` writes; `Fraction` alone also reads exponents (and
+# builds 10^e for "1e<e>"), decimals, spaces, underscores and non-ASCII digits
+_FRACTION_TEXT = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
+
+
 def to_json_dict(x: SymNumber) -> dict:
     terms = []
     for mono, coeff in sorted(x.terms(), key=lambda kv: _mono_sort_key(kv[0]),
@@ -478,7 +484,8 @@ def from_json_dict(data: dict) -> SymNumber:
     decimal, a zeta exponent below 1, an ``unknown`` other than null (the ring
     holds known values only), a re/im pair that is not a rational multiple of
     i^e and so lies outside the field, a zero coefficient, a monomial given
-    twice, or a missing or mistyped key.
+    twice, a coefficient part other than the ASCII ``n`` or ``n/d`` in lowest
+    terms that `to_json_dict` writes, or a missing or mistyped key.
     """
     out = {}
     try:
@@ -497,9 +504,12 @@ def from_json_dict(data: dict) -> SymNumber:
             if term.get("unknown") is not None:
                 raise ValueError(f"unknown {term['unknown']!r} in a known value")
             parts = term["coeff"]["re"], term["coeff"]["im"]
-            if not all(isinstance(part, str) for part in parts):
-                raise ValueError(f"coefficient {parts!r} is not a pair of strings")
+            if not all(isinstance(part, str) and _FRACTION_TEXT.fullmatch(part)
+                       for part in parts):
+                raise ValueError(f"coefficient {parts!r} is not two fractions")
             re, im = map(Fraction, parts)
+            if (_fraction_str(re), _fraction_str(im)) != parts:
+                raise ValueError(f"coefficient {parts!r} is not in canonical form")
             # the pi^e coefficient c * i^e is real for even e, imaginary for odd e
             c, rest = (im, re) if e % 2 else (re, im)
             if rest:

@@ -230,23 +230,26 @@ def _s_sum_numeric(m, k1, k2, n_cut=400, expansion=30):
     """
     from math import comb
 
+    prec = mpmath.mp.prec
     direct = mpmath.fsum(
         mpmath.mpf(n) ** (-k1) * mpmath.mpf(n + m) ** (-k2)
         for n in range(1, n_cut + 1))
     if k2 == 0:
-        tail = numverify._powerlog_tail(0, 1, k1, n_cut + 1)
+        tail = numverify._powerlog_tail(0, 1, k1, n_cut + 1, prec)
         return direct + tail.value, tail.bound
     if k1 == 0:
-        tail = numverify._powerlog_tail(0, 1, k2, n_cut + 1 + m)
+        tail = numverify._powerlog_tail(0, 1, k2, n_cut + 1 + m, prec)
         return direct + tail.value, tail.bound
     value = direct
     bound = mpmath.mpf(0)
     for j in range(expansion + 1):
         c = (-1) ** j * comb(k2 + j - 1, j) * m ** j
-        piece = numverify._powerlog_tail(0, 1, k1 + k2 + j, n_cut + 1)
+        piece = numverify._powerlog_tail(0, 1, k1 + k2 + j, n_cut + 1,
+                                         prec)
         value += c * piece.value
         bound += abs(c) * piece.bound
-    rem = numverify._powerlog_tail(0, 1, k1 + k2 + expansion + 1, n_cut + 1)
+    rem = numverify._powerlog_tail(0, 1, k1 + k2 + expansion + 1, n_cut + 1,
+                                   prec)
     bound += comb(k2 + expansion, expansion + 1) * m ** (expansion + 1) \
         * 2 ** (k2 + expansion + 1) * (rem.value + rem.bound)
     return value, bound

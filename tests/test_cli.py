@@ -460,6 +460,26 @@ def test_reader_closing_stdout_exits_141_without_traceback():
     assert "Traceback" not in err.decode()
 
 
+def test_reader_closing_stdout_keeps_a_failure_code():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered, as in a user's pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dzeta.cli", "verify", "--k", "2", "--k-max",
+         "3", "--m", "2", "--digits", "45"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        # k = 2's lines stay in the buffer until dzv(3,2) fails at 45 digits
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == cli.EXIT_PRECISION_UNREACHABLE
+    lines = err.decode().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("precision unreachable: dzv(3,2) ")
+
+
 @pytest.mark.parametrize("error,code,kind", [
     (tausolver.SingularSystem([0, 1, 2]), cli.EXIT_SINGULAR, "singular system"),
     (tausolver.InconsistentSystem("row n=0 residual is nonzero"),
@@ -540,10 +560,12 @@ def test_verify_imports_the_oracle():
 
 def test_powerlog_tail_works_as_the_first_oracle_call():
     with numverify._workprec(30):
-        expected = repr(numverify._powerlog_tail(0, 1, 2, 10))
+        expected = repr(numverify._powerlog_tail(0, 1, 2, 10,
+                                                 numverify.mpmath.mp.prec))
     assert _fresh("from dzeta import numverify\n"
                   "with numverify._workprec(30):\n"
-                  "    print(repr(numverify._powerlog_tail(0, 1, 2, 10)))") \
+                  "    print(repr(numverify._powerlog_tail(\n"
+                  "        0, 1, 2, 10, numverify.mpmath.mp.prec)))") \
         == expected
 
 

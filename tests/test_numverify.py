@@ -68,31 +68,32 @@ def test_zeta_past_its_first_budgets_within_bound(s, digits):
 
 
 def _zeta_reference(s, digits):
-    """The zeta kernel with only its first four budgets, or None where they
-    fall short."""
+    """The zeta kernel re-summing its partial sum from n = 1 at every
+    budget."""
     target = mpf(10) ** (-digits)
     with nv._workprec(digits):
-        for n_terms in (24, 48, 96, 192):
+        prec = mpmath.mp.prec
+        n_terms = 24
+        while n_terms <= nv._ZETA_MAX_TERMS:
             partial = mpmath.fsum(mpf(n) ** (-s) for n in range(1, n_terms + 1))
-            tail = nv._powerlog_tail(0, 1, s, n_terms + 1)
+            tail = nv._powerlog_tail(0, 1, s, n_terms + 1, prec)
             if tail.bound < target:
                 return +(partial + tail.value), +tail.bound
-    return None
+            n_terms *= 2
+    raise PrecisionUnreachable(f"zeta({s}) to {digits} digits")
 
 
 def test_zeta_first_budgets_bit_identical():
-    # every value and bound the first four budgets reach is unchanged by the
-    # budgets after them
-    reached = 0
-    for s in range(2, 21):
-        for digits in range(10, 60):
-            expected = _zeta_reference(s, digits)
-            if expected is not None:
-                value, bound = nv._zeta_with_bound.__wrapped__(s, digits)
-                assert (value._mpf_, bound._mpf_) \
-                    == (expected[0]._mpf_, expected[1]._mpf_), (s, digits)
-                reached += 1
-    assert reached > 900
+    # one running term list across the budgets gives the values and bounds
+    # of re-summing at each budget, on the first four budgets (digits below
+    # 60) and on the later ones
+    cases = [(s, digits) for s in range(2, 21) for digits in range(10, 60)]
+    cases += [(s, digits) for s in (2, 3, 5) for digits in (60, 80, 108)]
+    for s, digits in cases:
+        expected = _zeta_reference(s, digits)
+        value, bound = nv._zeta_with_bound.__wrapped__(s, digits)
+        assert (value._mpf_, bound._mpf_) \
+            == (expected[0]._mpf_, expected[1]._mpf_), (s, digits)
 
 
 def test_dzv_21_matches_zeta3():
@@ -240,6 +241,7 @@ def _dzv_reference(k: int, m: int, digits: int) -> _TailResult:
     target = mpf(10) ** (-digits)
     corrections = 6
     with _workprec(digits):
+        prec = mpmath.mp.prec
         best_bound = None
         for cutoff in (64, 128, 256):
             partial = mpf(0)
@@ -250,9 +252,9 @@ def _dzv_reference(k: int, m: int, digits: int) -> _TailResult:
             u0 = cutoff + 1  # tail starts at u = cutoff + 1, i.e. n = cutoff
             bound = mpf(0)
             if m == 1:
-                tail_t = [_powerlog_tail(0, 1, k + j, u0)
+                tail_t = [_powerlog_tail(0, 1, k + j, u0, prec)
                           for j in (0, 1, *range(2, 2 * corrections + 1, 2))]
-                tail_log = _powerlog_tail(1, 0, k, u0)
+                tail_log = _powerlog_tail(1, 0, k, u0, prec)
                 tail = tail_log.value + mpmath.euler * tail_t[0].value \
                     - tail_t[1].value / 2
                 bound += tail_log.bound + mpmath.euler * tail_t[0].bound \
@@ -261,23 +263,23 @@ def _dzv_reference(k: int, m: int, digits: int) -> _TailResult:
                     b2i = _to_mpf(bernoulli(2 * i))
                     tail -= b2i / (2 * i) * tail_t[2 + idx].value
                     bound += abs(b2i) / (2 * i) * tail_t[2 + idx].bound
-                rem = _powerlog_tail(0, 1, k + 2 * corrections + 2, u0)
+                rem = _powerlog_tail(0, 1, k + 2 * corrections + 2, u0, prec)
                 b_next = abs(_to_mpf(bernoulli(2 * corrections + 2)))
                 bound += b_next / (2 * corrections + 2) \
                     * (rem.value + rem.bound)
             else:
                 zeta2 = mpmath.pi ** 2 / 6
-                t_k = _powerlog_tail(0, 1, k, u0)
-                t_k1 = _powerlog_tail(0, 1, k + 1, u0)
-                t_k2 = _powerlog_tail(0, 1, k + 2, u0)
+                t_k = _powerlog_tail(0, 1, k, u0, prec)
+                t_k1 = _powerlog_tail(0, 1, k + 1, u0, prec)
+                t_k2 = _powerlog_tail(0, 1, k + 2, u0, prec)
                 tail = zeta2 * t_k.value - t_k1.value - t_k2.value / 2
                 bound += zeta2 * t_k.bound + t_k1.bound + t_k2.bound / 2
                 for i in range(1, corrections + 1):
                     b2i = _to_mpf(bernoulli(2 * i))
-                    t = _powerlog_tail(0, 1, k + 2 * i + 1, u0)
+                    t = _powerlog_tail(0, 1, k + 2 * i + 1, u0, prec)
                     tail -= b2i * t.value
                     bound += abs(b2i) * t.bound
-                rem = _powerlog_tail(0, 1, k + 2 * corrections + 3, u0)
+                rem = _powerlog_tail(0, 1, k + 2 * corrections + 3, u0, prec)
                 b_next = abs(_to_mpf(bernoulli(2 * corrections + 2)))
                 bound += 2 * b_next * (rem.value + rem.bound)
             best_bound = bound if best_bound is None else min(best_bound, bound)
@@ -521,17 +523,17 @@ def test_round_matches_mpf_add_and_sub(case):
 
 
 def test_powerlog_tail_memo_is_keyed_on_precision():
-    args = (1, 0, 5, 65, 1, 14)
+    args = (1, 0, 5, 65)
     for digits in (12, 30):
         with _workprec(digits):
             prec = mpmath.mp.prec
-            cached = _powerlog_tail(*args)
-            plain = nv._powerlog_tail_at.__wrapped__(*args, prec)
+            cached = _powerlog_tail(*args, prec)
+            plain = _powerlog_tail.__wrapped__(*args, prec)
             assert (cached.value._mpf_, cached.bound._mpf_) \
                 == (plain.value._mpf_, plain.bound._mpf_)
-            hits = nv._powerlog_tail_at.cache_info().hits
-            assert _powerlog_tail(*args) is cached
-            assert nv._powerlog_tail_at.cache_info().hits == hits + 1
+            hits = _powerlog_tail.cache_info().hits
+            assert _powerlog_tail(*args, prec) is cached
+            assert _powerlog_tail.cache_info().hits == hits + 1
     with _workprec(12):
-        short = _powerlog_tail(*args)
+        short = _powerlog_tail(*args, mpmath.mp.prec)
     assert short.value._mpf_ != cached.value._mpf_  # cached is the 30-digit one

@@ -249,6 +249,14 @@ def test_coefficients_outside_the_field_raise():
         sf.from_json_dict({"terms": [_json_term(re="0", im="1")]})
 
 
+# coefficient parts that `Fraction` reads but `to_json_dict` never writes
+_NON_CANONICAL_PARTS = {
+    "zero-denominator": "1/0", "exponent": "1e3", "decimal": "0.5",
+    "not-lowest": "2/4", "unit-denominator": "3/1", "plus-sign": "+1",
+    "spaces": " 1 ", "underscore": "1_000", "arabic-indic-one": "\u0661",
+}
+
+
 @pytest.mark.parametrize("data", [{"terms": [term]} for term in (
     _json_term(pi=-2, re="-1"),
     _json_term(pi=1.0, im="1"),
@@ -276,6 +284,10 @@ def test_coefficients_outside_the_field_raise():
     _json_term(re=1),
     _json_term(im=0.0),
     _json_term(re="0"),  # to_json_dict drops zero terms
+    *(_json_term(re=part) for part in _NON_CANONICAL_PARTS.values()),
+    *(_json_term(pi=1, re="0", im=part) for part in _NON_CANONICAL_PARTS.values()),
+    _json_term(pi=1, re="-0", im="1"),
+    _json_term(re="1", im="-0"),
 )] + [
     {},
     {"terms": [_json_term(zeta={"3": 1})] * 2},  # would read as 2*zeta(3)
@@ -285,6 +297,9 @@ def test_coefficients_outside_the_field_raise():
         "unknown-no-kind", "unknown-k-text", "unknown-k-1", "unknown-m-0",
         "unknown-k-float", "unknown-label", "bool-pi", "bool-zeta-exp",
         "float-re", "bool-re", "int-re", "float-im", "zero-coeff",
+        *(f"re-{name}" for name in _NON_CANONICAL_PARTS),
+        *(f"im-{name}" for name in _NON_CANONICAL_PARTS),
+        "re-negative-zero", "im-negative-zero",
         "no-terms", "repeated-monomial"])
 def test_non_canonical_json_raises(data):
     with pytest.raises(ValueError):
