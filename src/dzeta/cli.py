@@ -2,16 +2,18 @@
 basis checks, numeric certification.
 
 Each subcommand accepts only the flags it reads (`COMMANDS`); any other is a
-usage error.  Exit codes: 0 ok, 1 numeric verification failure, 2 singular
-system, 3 inconsistent system or identity, 4 bad configuration, usage error or
-unwritable `--out`, 5 numeric precision unreachable within the oracle's term
-budget, 141 stdout closed by the reader of a command that itself succeeded
-(as by `| head`; 128 + SIGPIPE, with no traceback; a failure keeps its own
-code).  Each failure of the solver, the oracle or `--out` prints one
-`<kind>: <message>` line on stderr (`FAILURES`).  All JSON artifacts are
-written atomically and are byte-identical across reruns except for the
-timestamp field and the `direct_seconds`/`fast_seconds` timings of
-`conjecture_m{m}.json`.
+usage error.  `--digits` is the one precision knob: it sets the oracle's
+precision, and a check passes when its two sides agree to digits - 4 digits
+(identities) or digits - 2 (`toy`).  Exit codes: 0 ok, 1 numeric verification
+failure, 2 singular system, 3 inconsistent system or identity, 4 bad
+configuration, usage error or unwritable `--out`, 5 numeric precision
+unreachable within the oracle's term budget, 141 stdout closed by the reader
+of a command that itself succeeded (as by `| head`; 128 + SIGPIPE, with no
+traceback; a failure keeps its own code).  Each failure of the solver, the
+oracle or `--out` prints one `<kind>: <message>` line on stderr (`FAILURES`).
+All JSON artifacts are written atomically and are byte-identical across
+reruns except for the timestamp field and the
+`direct_seconds`/`fast_seconds` timings of `conjecture_m{m}.json`.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ class RunConfig(NamedTuple):
     m_set: tuple[int, ...] = (1, 2)
     trunc: int = 200
     digits: int = 12
-    tolerance: float = 1e-8
     out_dir: str | None = None
     fmt: str = "plain"
     mode: str = "direct"
@@ -68,8 +69,6 @@ class RunConfig(NamedTuple):
             problems.append(f"digits must be between 10 and {MAX_DIGITS}")
         if self.trunc < 50:
             problems.append("truncation must be >= 50")
-        if not 0 < self.tolerance < 1:  # also false for nan
-            problems.append("tol must be a finite number with 0 < tol < 1")
         return problems
 
 
@@ -117,8 +116,7 @@ def cmd_toy(cfg: RunConfig, corrupt: bool = False) -> int:
             fourier.linear, fourier.quadratic)
     samples = [Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8),
                Fraction(1, 2)]
-    report = numverify.fourier_spot_check(samples, cfg.digits, 1e-10,
-                                          identity=fourier)
+    report = numverify.fourier_spot_check(samples, cfg.digits, identity=fourier)
     payload = {
         "tau": [to_json_dict(v) for v in tau],
         "fourier": report.to_json_dict(),
@@ -176,8 +174,7 @@ def cmd_derive(cfg: RunConfig, do_verify: bool = True) -> int:
     for rec in _derive_records(cfg):
         verified = None
         if rec.kind != "trivial" and do_verify:
-            report = numverify.verify_identity_numeric(rec, cfg.digits,
-                                                       cfg.tolerance)
+            report = numverify.verify_identity_numeric(rec, cfg.digits)
             reports.append(report)
             verified = report.passed
         if cfg.fmt == "json" or cfg.out_dir:
@@ -270,7 +267,6 @@ FLAGS = {
             "help": "comma-separated subset of 1,2"},
     "--mode": {"choices": ("direct", "fast")},
     "--digits": {"type": int},
-    "--tol": {"dest": "tolerance", "metavar": "TOL", "type": float},
     "--trunc": {"type": int},
     "--style": {"choices": ("even-zeta", "pi-power")},
     "--format": {"dest": "fmt", "choices": ("plain", "json")},
@@ -282,8 +278,8 @@ FLAGS = {
     "--no-verify": {"dest": "do_verify", "action": "store_false",
                     "help": "skip numeric certification"},
 }
-_VERIFY_FLAGS = ("--k", "--k-max", "--m", "--mode", "--digits", "--tol",
-                 "--style", "--format", "--out")
+_VERIFY_FLAGS = ("--k", "--k-max", "--m", "--mode", "--digits", "--style",
+                 "--format", "--out")
 # subcommand (run by cmd_<name>) -> (help, the flags it reads)
 COMMANDS = {
     "toy": ("run the order-3 warm-up example",

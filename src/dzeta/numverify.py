@@ -8,7 +8,11 @@ any reasonable precision; alternating sums use repeated pair averaging with a
 bracketing-based error estimate, whose bracketing is checked numerically, not
 proven.  Working precision carries guard bits beyond the requested digits; that
 this rounding budget stays below the reported tail bounds is a heuristic, not a
-bound.
+bound.  A symbolic right side is summed with 8 guard digits, and once more with
+as many extra digits as its terms cancel (`sym_to_mpf`).  The pass rule
+depends on `digits` alone: identities must agree to relative error
+10^(4 - digits), the toy's spot check to absolute error 10^(2 - digits), each
+with its summation bound under a tenth of that.
 
 Each kernel tries growing term budgets.  The zeta kernel doubles its budget
 from 24 terms while within `_ZETA_MAX_TERMS`, extending one list of terms
@@ -396,19 +400,32 @@ def alt_sum_num(k: int, m: int, digits: int) -> mpf:
 # Symbolic-to-numeric substitution.
 
 def sym_to_mpf(x: SymNumber, digits: int) -> mpf:
-    """Evaluate a real symbolic number with oracle zeta values."""
-    with _workprec(digits + 8):
-        total = mpf(0)
-        for mono, coeff in x.terms():
-            if coeff.im:
-                raise ValueError("cannot evaluate a complex value as a real")
-            term = _to_mpf(coeff.re)
-            if mono.pi_exp:
-                term *= mpmath.pi ** mono.pi_exp
-            for s, e in mono.zetas:
-                term *= zeta_num(s, digits + 8) ** e
-            total += term
-        return +total
+    """Evaluate a real symbolic number with oracle zeta values.
+
+    The terms are summed in order at digits + 8, for the working precision
+    and for each zeta value.  When they cancel by lost > 8 digits, lost =
+    ceil(log10(sum |term| / |sum term|)) (all of them if the sum rounds to
+    zero), they are summed once more at digits + lost + 8.
+    """
+    guard = 8
+    while True:
+        with _workprec(digits + guard):
+            total = size = mpf(0)
+            for mono, coeff in x.terms():
+                if coeff.im:
+                    raise ValueError("cannot evaluate a complex value as a real")
+                term = _to_mpf(coeff.re)
+                if mono.pi_exp:
+                    term *= mpmath.pi ** mono.pi_exp
+                for s, e in mono.zetas:
+                    term *= zeta_num(s, digits + guard) ** e
+                total += term
+                size += abs(term)
+            if guard > 8 or size <= abs(total) * 10 ** 8:
+                return +total
+            lost = (int(mpmath.ceil(mpmath.log10(size / abs(total)))) if total
+                    else digits + guard)
+            guard = lost + 8
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +446,14 @@ class NumericReport(NamedTuple):
                 for name, value in self._asdict().items()}
 
 
-def verify_identity_numeric(rec: IdentityRecord, digits: int = 12,
-                            tolerance: float = 1e-8) -> NumericReport:
+def verify_identity_numeric(rec: IdentityRecord,
+                            digits: int = 12) -> NumericReport:
     """Compare an identity's left side (summed directly) with its solved
     right side (zeta oracle substitution).  Pass requires relative error
-    within tolerance and the summation tail bound under a tenth of it."""
+    within 10^(4 - digits) and the summation tail bound under a tenth of it."""
     if rec.kind == "trivial":
         raise ValueError("trivial records carry nothing to verify")
+    tolerance = 10.0 ** (4 - digits)
     with _workprec(digits):
         if rec.kind == "dzv":
             lhs = _dzv_with_bound(rec.k, rec.m, digits)
@@ -462,18 +480,20 @@ def verify_identity_numeric(rec: IdentityRecord, digits: int = 12,
 _SPOT_CHECK_MAX_TERMS = 4096
 
 
-def fourier_spot_check(samples, digits: int = 12, tolerance: float = 1e-10,
+def fourier_spot_check(samples, digits: int = 12,
                        identity: Optional[FourierIdentity] = None) -> NumericReport:
     """Check sum (-1)^n cos(2 pi n t)/n^2 against its closed quadratic form.
 
-    Samples must be rational; the summand is then periodic in n over residue
-    classes, and each class tail is a closed-form power tail, so the
-    summation error bound is explicit.  The cutoff starts at
-    max(128, 8 * period) and doubles until that bound is at most 10^-digits;
-    raises PrecisionUnreachable when it is not within _SPOT_CHECK_MAX_TERMS
-    terms (about 71 digits).
+    Pass requires absolute error within 10^(2 - digits) and the summation
+    error bound under a tenth of it.  Samples must be rational; the summand
+    is then periodic in n over residue classes, and each class tail is a
+    closed-form power tail, so the summation error bound is explicit.  The
+    cutoff starts at max(128, 8 * period) and doubles until that bound is at
+    most 10^-digits; raises PrecisionUnreachable when it is not within
+    _SPOT_CHECK_MAX_TERMS terms (about 71 digits).
     """
     ts = [Fraction(t) for t in samples]
+    tolerance = 10.0 ** (2 - digits)
     with _workprec(digits):
         if identity is not None:
             const = sym_to_mpf(identity.constant, digits)

@@ -222,10 +222,6 @@ class SymNumber:
         real odd pi powers and so lies outside the field."""
         return SymNumber({m: c for m, c in self._terms.items() if m.pi_exp % 2})
 
-    def conjugate(self) -> "SymNumber":
-        return SymNumber({m: -c if m.pi_exp % 2 else c
-                          for m, c in self._terms.items()})
-
     def is_homogeneous(self, weight: int) -> bool:
         """All terms of the given weight (the zero value is homogeneous)."""
         return all(m.weight == weight for m in self._terms)
@@ -351,6 +347,7 @@ def even_zeta_as_pi_power(n: int) -> SymNumber:
     return SymNumber.pi_power(2 * n, _even_zeta_pi_coeff(2 * n))
 
 
+@functools.cache
 def _even_zeta_pi_coeff(s: int) -> Fraction:
     """The rational coefficient of pi^s in zeta(s) for even s >= 2."""
     n = s // 2
@@ -475,6 +472,11 @@ def to_json_dict(x: SymNumber) -> dict:
     return {"terms": terms}
 
 
+def _check_keys(obj: dict, keys: tuple) -> None:
+    if obj.keys() != set(keys):
+        raise ValueError(f"keys {list(obj)!r} are not {list(keys)!r}")
+
+
 def from_json_dict(data: dict) -> SymNumber:
     """Read back a value written by `to_json_dict`.
 
@@ -485,12 +487,15 @@ def from_json_dict(data: dict) -> SymNumber:
     holds known values only), a re/im pair that is not a rational multiple of
     i^e and so lies outside the field, a zero coefficient, a monomial given
     twice, a coefficient part other than the ASCII ``n`` or ``n/d`` in lowest
-    terms that `to_json_dict` writes, or a missing or mistyped key.
+    terms that `to_json_dict` writes, or a missing, extra or mistyped key.
     """
     out = {}
     try:
+        _check_keys(data, ("terms",))
         for term in data["terms"]:
-            e = term.get("pi", 0)
+            _check_keys(term, ("coeff", "pi", "zeta", "unknown"))
+            _check_keys(term["coeff"], ("re", "im"))
+            e = term["pi"]
             if type(e) is not int or e < 0:
                 raise ValueError(f"pi exponent {e!r} is not an integer >= 0")
             zetas = []
@@ -501,7 +506,7 @@ def from_json_dict(data: dict) -> SymNumber:
                 if type(exp) is not int or exp < 1:
                     raise ValueError(f"exponent {exp!r} of zeta({key}) is not >= 1")
                 zetas.append((s, exp))
-            if term.get("unknown") is not None:
+            if term["unknown"] is not None:
                 raise ValueError(f"unknown {term['unknown']!r} in a known value")
             parts = term["coeff"]["re"], term["coeff"]["im"]
             if not all(isinstance(part, str) and _FRACTION_TEXT.fullmatch(part)

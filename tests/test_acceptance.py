@@ -92,7 +92,7 @@ def test_criterion_04_toy():
         assert t2 == q(-1, 2)
         samples = [Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8),
                    Fraction(1, 2)]
-        report = nv.fourier_spot_check(samples, 12, 1e-10, identity=fourier)
+        report = nv.fourier_spot_check(samples, 12, identity=fourier)
         assert report.passed, report
 
     _report(4, "toy-example", check)
@@ -220,7 +220,7 @@ def test_criterion_10_numeric_certification():
                     rec = ids.derive_identity(k, m, point, tau)
                     if rec.kind == "trivial":
                         continue
-                    report = nv.verify_identity_numeric(rec, 12, 1e-8)
+                    report = nv.verify_identity_numeric(rec, 12)
                     assert report.passed, (k, m, point, report)
         with mpmath.workprec(200):
             for s in range(2, 14):

@@ -98,7 +98,7 @@ def test_bad_config_exit_code(capsys):
     for tol in ("nan", "-1", "0", "1e10"):
         code, _, err = run(capsys, "derive", "--k", "4", "--m", "1", "--tol", tol)
         assert code == cli.EXIT_BAD_CONFIG
-        assert "bad configuration:" in err
+        assert "usage: dzeta" in err
 
 
 def test_digits_above_the_limit_is_bad_config(capsys):
@@ -337,6 +337,15 @@ def test_toy_high_precision_passes(capsys, digits):
     assert "pass" in out
 
 
+def test_toy_tolerance_follows_digits(capsys):
+    # the spot check passes on agreement to digits - 2 digits
+    code, out, _ = run(capsys, "toy", "--digits", "60", "--format", "json")
+    assert code == 0
+    report = json.loads(out)["fourier"]
+    assert report["passed"] is True
+    assert report["tolerance"] == "1e-58"
+
+
 def test_toy_unreachable_precision_exit_code(capsys):
     # past the spot check's largest term budget (about 71 digits)
     code, out, err = run(capsys, "toy", "--digits", "80")
@@ -367,16 +376,16 @@ READS = {
     "toy": {"--digits", "--format", "--out", "--corrupt"},
     "tau": {"--k", "--k-max", "--m", "--mode", "--style", "--format", "--out",
             "--verify"},
-    "verify": {"--k", "--k-max", "--m", "--mode", "--digits", "--tol",
-               "--style", "--format", "--out"},
-    "derive": {"--k", "--k-max", "--m", "--mode", "--digits", "--tol",
-               "--style", "--format", "--out", "--no-verify"},
+    "verify": {"--k", "--k-max", "--m", "--mode", "--digits", "--style",
+               "--format", "--out"},
+    "derive": {"--k", "--k-max", "--m", "--mode", "--digits", "--style",
+               "--format", "--out", "--no-verify"},
     "check-conjecture": {"--k", "--k-max", "--m", "--out"},
     "basis-check": {"--k", "--k-max", "--m", "--trunc"},
 }
 # a valid value of each flag that takes one
 VALUES = {"--k": "3", "--k-max": "3", "--m": "1", "--mode": "fast",
-          "--digits": "12", "--tol": "1e-8", "--trunc": "200",
+          "--digits": "12", "--trunc": "200",
           "--style": "pi-power", "--format": "json", "--out": "out"}
 
 
@@ -393,7 +402,7 @@ def test_help_lists_exactly_the_flags_read(capsys, command):
 
 def test_settable_value_count(capsys):
     # each flag sets one value
-    assert sum(len(_listed_flags(capsys, c)) for c in READS) == 39
+    assert sum(len(_listed_flags(capsys, c)) for c in READS) == 37
 
 
 @pytest.mark.parametrize("command,flag", [

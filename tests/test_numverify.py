@@ -160,7 +160,7 @@ def test_alt_92_matches_symbolic():
 
 def test_verify_identity_passes():
     rec = ids.derive_identity(2, 1, -1, ts.solve_tau_direct(2, 1))
-    report = nv.verify_identity_numeric(rec, 12, 1e-8)
+    report = nv.verify_identity_numeric(rec, 12)
     assert report.passed
     assert report.rel_error <= 1e-8
     assert report.tail_bound <= 1e-9
@@ -168,7 +168,7 @@ def test_verify_identity_passes():
 
 def test_verify_identity_72():
     rec = ids.derive_identity(7, 2, -1, ts.solve_tau_direct(7, 2))
-    report = nv.verify_identity_numeric(rec, 12, 1e-8)
+    report = nv.verify_identity_numeric(rec, 12)
     assert report.passed
 
 
@@ -177,7 +177,7 @@ def test_verify_detects_corruption():
     bad = ids.IdentityRecord(rec.kind, rec.k, rec.m, rec.point, rec.target,
                              rec.value + SymNumber.from_rational(Fraction(1, 10 ** 6)),
                              rec.provenance, rec.weight)
-    report = nv.verify_identity_numeric(bad, 12, 1e-8)
+    report = nv.verify_identity_numeric(bad, 12)
     assert not report.passed
 
 
@@ -190,7 +190,7 @@ def test_verify_rejects_trivial():
 def test_fourier_spot_check_samples():
     samples = [Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8),
                Fraction(1, 2)]
-    report = nv.fourier_spot_check(samples, 12, 1e-10)
+    report = nv.fourier_spot_check(samples, 12)
     assert report.passed
     assert report.abs_error < 1e-10
     assert report.tail_bound < 1e-11
@@ -198,7 +198,7 @@ def test_fourier_spot_check_samples():
 
 def test_fourier_spot_check_t_zero_value():
     # at t = 0 the sum is minus half the even-zeta value of weight two
-    report = nv.fourier_spot_check([Fraction(0)], 15, 1e-12)
+    report = nv.fourier_spot_check([Fraction(0)], 15)
     assert report.passed
 
 
@@ -206,18 +206,85 @@ def test_fourier_detects_corruption():
     _, fourier = ids.toy_example()
     bad = ids.FourierIdentity(fourier.constant + Fraction(1, 10 ** 6),
                               fourier.linear, fourier.quadratic)
-    report = nv.fourier_spot_check([Fraction(0), Fraction(1, 4)], 12, 1e-10,
+    report = nv.fourier_spot_check([Fraction(0), Fraction(1, 4)], 12,
                                    identity=bad)
     assert not report.passed
 
 
 def test_report_json_shape():
     rec = ids.derive_identity(2, 1, 1, ts.solve_tau_direct(2, 1))
-    report = nv.verify_identity_numeric(rec, 12, 1e-8)
+    report = nv.verify_identity_numeric(rec, 12)
     data = report.to_json_dict()
     assert set(data) == {"identity", "lhs", "rhs", "abs_error", "rel_error",
                          "tail_bound", "tolerance", "passed"}
     assert data["passed"] is True
+
+
+def test_tolerance_follows_digits():
+    # zeta(4,1) off in its 11th digit (relative error 1.07e-11): within
+    # 10^(4 - digits) at 12 digits, not at 30
+    rec = ids.derive_identity(4, 1, -1, ts.solve_tau_direct(4, 1))
+    bad = rec._replace(value=rec.value + Fraction(1, 10 ** 12) * z(5))
+    assert nv.verify_identity_numeric(bad, 12).passed
+    report = nv.verify_identity_numeric(bad, 30)
+    assert (report.tolerance, report.passed) == (1e-26, False)
+
+
+@pytest.mark.parametrize("k,m", [(59, 2), (60, 1)])
+def test_right_side_keeps_its_digits_through_cancellation(k, m):
+    # the right side's terms cancel by about 21 digits here, far past the
+    # 8 guard digits of sym_to_mpf's first pass
+    tau = ts.solve_tau_fast(k, m)
+    for point in (-1, 1):
+        report = nv.verify_identity_numeric(
+            ids.derive_identity(k, m, point, tau), 30)
+        assert report.passed, report
+        assert report.rel_error < 1e-26, report
+
+
+def _sym_to_mpf_reference(x, digits):
+    """sym_to_mpf's first pass alone: one sum at digits + 8."""
+    with _workprec(digits + 8):
+        total = mpf(0)
+        for mono, coeff in x.terms():
+            if coeff.im:
+                raise ValueError("cannot evaluate a complex value as a real")
+            term = _to_mpf(coeff.re)
+            if mono.pi_exp:
+                term *= mpmath.pi ** mono.pi_exp
+            for s, e in mono.zetas:
+                term *= nv.zeta_num(s, digits + 8) ** e
+            total += term
+        return +total
+
+
+def test_sym_to_mpf_first_pass_bit_identical():
+    # up to k = 18 the right sides cancel by at most 8 digits, so sym_to_mpf
+    # returns its first pass, which is the reference
+    for m in (1, 2):
+        for k in range(2, 19):
+            tau = ts.solve_tau_fast(k, m)
+            for point in (-1, 1):
+                rec = ids.derive_identity(k, m, point, tau)
+                if rec.kind == "trivial":
+                    continue
+                for digits in (12, 30):
+                    assert nv.sym_to_mpf(rec.value, digits)._mpf_ \
+                        == _sym_to_mpf_reference(rec.value, digits)._mpf_, \
+                        (k, m, point, digits)
+
+
+def test_sym_to_mpf_sum_that_rounds_to_zero():
+    # zeta(3) less its own first-pass value sums to exactly zero at 12 + 8
+    # digits; the second pass counts all 20 as lost and takes zeta(3) to
+    # 12 + 20 + 8 digits
+    man, exp = nv.zeta_num(3, 20).man_exp
+    first = Fraction(man) * Fraction(2) ** exp
+    value = nv.sym_to_mpf(z(3) - q(first.numerator, first.denominator), 12)
+    with mpmath.workprec(400):
+        exact = mpmath.zeta(3) - mpf(first.numerator) / first.denominator
+        assert value != 0
+        assert abs(value - exact) < mpf(10) ** -40
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ _ZETA3 = zeta_value(3)
 # record class -> keyword arguments naming every field
 RECORDS = {
     cli.RunConfig: dict(k=3, k_max=5, m_set=(1,), trunc=60, digits=15,
-                        tolerance=1e-9, out_dir="out", fmt="json", mode="fast",
+                        out_dir="out", fmt="json", mode="fast",
                         style="pi-power"),
     identities.IdentityRecord: dict(kind="dzv", k=2, m=1, point=-1,
                                     target=Unknown("dzv", 2, 1), value=_ZETA3,
@@ -62,6 +62,6 @@ def test_record_defaults():
     assert tau.provenance == "direct"
     assert tau.conjectural is False
     cfg = cli.RunConfig()
-    assert (cfg.k, cfg.k_max, cfg.m_set, cfg.trunc, cfg.digits, cfg.tolerance,
+    assert (cfg.k, cfg.k_max, cfg.m_set, cfg.trunc, cfg.digits,
             cfg.out_dir, cfg.fmt, cfg.mode, cfg.style) \
-        == (2, None, (1, 2), 200, 12, 1e-8, None, "plain", "direct", "even-zeta")
+        == (2, None, (1, 2), 200, 12, None, "plain", "direct", "even-zeta")
