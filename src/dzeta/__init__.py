@@ -4,8 +4,8 @@ an independent arbitrary-precision numeric certification layer."""
 
 from .circle import DivergentSum, basis_moment, log_moment, pi_moment, s_sum
 from .identities import (FourierIdentity, IdentityRecord, InconsistentIdentity,
-                         closed_sum, derive_identity, eval_basis_at,
-                         render_identity, toy_example)
+                         closed_sum, derive_identity, derive_identity_fast,
+                         eval_basis_at, render_identity, toy_example)
 from .numverify import (NumericReport, PrecisionUnreachable, alt_sum_num,
                         dzv_num, fourier_spot_check, verify_identity_numeric,
                         zeta_num)

@@ -85,12 +85,6 @@ def _stamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
 
-def _solve(k: int, m: int, mode: str) -> tausolver.TauVector:
-    if mode == "fast":
-        return tausolver.solve_tau_fast(k, m)
-    return tausolver.solve_tau_direct(k, m)
-
-
 def _tau_payload(tau: tausolver.TauVector, cfg: RunConfig,
                  conjectural: bool) -> dict:
     return {
@@ -136,9 +130,11 @@ def cmd_toy(cfg: RunConfig, corrupt: bool = False) -> int:
 
 
 def cmd_tau(cfg: RunConfig, verify: bool = False) -> int:
+    solve = (tausolver.solve_tau_fast if cfg.mode == "fast"
+             else tausolver.solve_tau_direct)
     for m in cfg.m_set:
         for k in cfg.k_range():
-            tau = _solve(k, m, cfg.mode)
+            tau = solve(k, m)
             conjectural = tau.conjectural
             if conjectural and verify:
                 direct = tausolver.solve_tau_direct(k, m)
@@ -162,8 +158,14 @@ def cmd_tau(cfg: RunConfig, verify: bool = False) -> int:
 
 def _derive_records(cfg: RunConfig):
     for m in cfg.m_set:
+        if cfg.mode == "fast":
+            base = tausolver.solve_tau_direct(2, m)  # tau[2] fixes every k
+            for k in cfg.k_range():
+                for point in (-1, 1):
+                    yield identities.derive_identity_fast(k, m, point, base)
+            continue
         for k in cfg.k_range():
-            tau = _solve(k, m, cfg.mode)
+            tau = tausolver.solve_tau_direct(k, m)
             for point in (-1, 1):
                 yield identities.derive_identity(k, m, point, tau)
 

@@ -8,17 +8,30 @@ pair: the known part in the ring, resolved through `closed_sum`, and that
 rational coefficient.  Whether the equation carries information depends on
 parity: the unknown's coefficient cancels identically in the other parity
 class, leaving the empty identity 0 = 0.
+
+The fast mode never builds its coordinate vectors.  For i <= k-2 basis
+element i is the pure log power log^i with no series block, so there is no
+boundary sum to evaluate: its value is P^i at -1 and, at +1, 1 for i = 0 and
+0 otherwise, and it does not carry the unknown.  With the fast coordinates
+those entries sum in closed form, at -1 to the Bernoulli convolution
+sum_{j=2..k} g(j) B_{k-j} (2P)^(k-j)/(k-j)! of the zero-mode sources g, and
+at +1 to the head h(k); only the two to four entries i >= k-1 go through
+`eval_basis_at` (`derive_identity_fast`).  Each identity then costs O(k)
+monomial products rather than O(k^2).
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from math import factorial
 from typing import NamedTuple, Optional
 
 from . import circle, tausolver
 from .pfseries import (HarmonicTailSeries, bottom_block_rewritten, operator_order,
                        upper_block_specs)
-from .symfield import SymNumber, Unknown, render, to_json_dict, zeta_value
+from .symfield import (SymNumber, Unknown, bernoulli, render, to_json_dict,
+                       zeta_value)
 
 
 class Divergent(ArithmeticError):
@@ -111,31 +124,87 @@ def derive_identity(k: int, m: int, point: int, tau: tausolver.TauVector) -> Ide
     sum_i tau_i * (value_i + r_i * unknown), with lhs_c = -1 at -1 (the series
     there is -zeta(k, m)) and +1 at +1.  So cof * unknown = known with
     cof = lhs_c - sum_i tau_i r_i and known = sum_i tau_i value_i, and the
-    closed form is known / cof.  A zero coefficient with a zero known part is
-    the trivial parity case; a zero coefficient with a nonzero known part, a
-    coefficient that is not rational, or a value that is not real and
-    homogeneous of weight k + m signals an upstream bug and raises.
+    closed form is known / cof (`_close`, which raises on the cases it lists).
     """
     if point not in (1, -1):
         raise ValueError("point must be +1 or -1")
     if (tau.k, tau.m) != (k, m):
         raise ValueError("coordinate vector does not match (k, m)")
+    known, cof = _accumulate(k, m, point, SymNumber.zero(), enumerate(tau.entries))
+    return _close(k, m, point, known, cof, tau.provenance)
+
+
+@functools.cache
+def _bernoulli_weight(n: int) -> SymNumber:
+    """B_n (2P)^n / n!, the coefficient of t^n in 2Pt/(e^(2Pt) - 1)."""
+    return SymNumber.p_power(n, bernoulli(n) * 2 ** n / factorial(n))
+
+
+def derive_identity_fast(k: int, m: int, point: int,
+                         base: tausolver.TauVector) -> IdentityRecord:
+    """`derive_identity` of the fast coordinates, without building them.
+
+    base is tau[2] = `solve_tau_direct(2, m)`; at k = 2 it is the coordinate
+    vector itself, and the record is `derive_identity`'s (provenance
+    "direct").  For k >= 3 the entries i <= k-2, tau[k][i] = (-1)^i h(k-i)/i!,
+    sum in closed form (module docstring): to h(k) (`tausolver.head`) at +1,
+    and at -1 to the coefficient of t^k in e^(-Pt) (Pt/sinh Pt) G(t), where
+    G(t) = sum_j g(j) t^j (`tausolver.zero_mode_source`).  As
+    (Pt/sinh Pt) e^(-Pt) = 2Pt/(e^(2Pt) - 1), that is
+    sum_{j=2..k} g(j) B_{k-j} (2P)^(k-j)/(k-j)!, with B_1 = -1/2.  The
+    entries i >= k-1 (`tausolver.tail_entry`) go through `eval_basis_at`.
+    Summing over ascending j, then ascending i, keeps both the value and the
+    term order of `derive_identity(k, m, point, solve_tau_fast(k, m))`.
+    """
+    if point not in (1, -1):
+        raise ValueError("point must be +1 or -1")
+    if (base.k, base.m) != (2, m):
+        raise ValueError("base vector is not tau[2] for this m")
+    if k == 2:
+        return derive_identity(2, m, point, base)
+    if point == 1:
+        known = tausolver.head(k, m)
+    else:
+        known = SymNumber.zero()
+        for j in range(2, k + 1):
+            if bernoulli(k - j):
+                known = known + (tausolver.zero_mode_source(j, m)
+                                 * _bernoulli_weight(k - j))
+    tail = ((i, tausolver.tail_entry(base.entries, k, i))
+            for i in range(k - 1, operator_order(k, m)))
+    known, cof = _accumulate(k, m, point, known, tail)
+    return _close(k, m, point, known, cof, "fast")
+
+
+def _accumulate(k: int, m: int, point: int, known: SymNumber, entries):
+    """(known + sum tau_i value_i, lhs_c - sum tau_i r_i) over the (i, tau_i)
+    pairs, each nonzero entry through `eval_basis_at`."""
     cof = SymNumber.from_rational(point)  # lhs_c
-    known = SymNumber.zero()
-    for i, entry in enumerate(tau.entries):
+    for i, entry in entries:
         if entry.is_zero():
             continue
         value, r = eval_basis_at(k, m, i, point)
         known = known + entry * value
         cof = cof - entry * r
+    return known, cof
 
+
+def _close(k: int, m: int, point: int, known: SymNumber, cof: SymNumber,
+           provenance: str) -> IdentityRecord:
+    """The record of cof * unknown = known.
+
+    A zero coefficient with a zero known part is the trivial parity case; a
+    nonzero imaginary part in either side, a zero coefficient with a nonzero
+    known part, a coefficient that is not rational, or a value that is not
+    real and homogeneous of weight k + m signals an upstream bug and raises.
+    """
     if not (known.imag_part().is_zero() and cof.imag_part().is_zero()):
         raise InconsistentIdentity(
             f"imaginary parts failed to cancel at (k={k}, m={m}, point={point})")
     if cof.is_zero():
         if known.is_zero():
             return IdentityRecord("trivial", k, m, point, None, None,
-                                  tau.provenance, k + m)
+                                  provenance, k + m)
         raise InconsistentIdentity(
             f"no unknown left but remainder nonzero at (k={k}, m={m}, point={point})")
     if not cof.is_scalar():
@@ -147,7 +216,7 @@ def derive_identity(k: int, m: int, point: int, tau: tausolver.TauVector) -> Ide
             f"solved value fails structural checks at (k={k}, m={m}, point={point})")
     kind = "dzv" if point == -1 else "alt"
     return IdentityRecord(kind, k, m, point, Unknown(kind, k, m), value,
-                          tau.provenance, k + m)
+                          provenance, k + m)
 
 
 def identity_to_json_dict(rec: IdentityRecord, verified: Optional[bool] = None) -> dict:

@@ -9,7 +9,7 @@ bracketing-based error estimate, whose bracketing is checked numerically, not
 proven.  Working precision carries guard bits beyond the requested digits; that
 this rounding budget stays below the reported tail bounds is a heuristic, not a
 bound.  A symbolic right side is summed with 8 guard digits, and once more with
-as many extra digits as its terms cancel (`sym_to_mpf`).  The pass rule
+at least as many extra digits as its terms cancel (`sym_to_mpf`).  The pass rule
 depends on `digits` alone: identities must agree to relative error
 10^(4 - digits), the toy's spot check to absolute error 10^(2 - digits), each
 with its summation bound under a tenth of that.
@@ -405,7 +405,9 @@ def sym_to_mpf(x: SymNumber, digits: int) -> mpf:
     The terms are summed in order at digits + 8, for the working precision
     and for each zeta value.  When they cancel by lost > 8 digits, lost =
     ceil(log10(sum |term| / |sum term|)) (all of them if the sum rounds to
-    zero), they are summed once more at digits + lost + 8.
+    zero), they are summed once more at digits + guard, where guard is
+    lost + 8 rounded up to a multiple of 8: right sides that cancel by nearly
+    as much share their zeta values in `_zeta_with_bound`'s memo.
     """
     guard = 8
     while True:
@@ -425,7 +427,7 @@ def sym_to_mpf(x: SymNumber, digits: int) -> mpf:
                 return +total
             lost = (int(mpmath.ceil(mpmath.log10(size / abs(total)))) if total
                     else digits + guard)
-            guard = lost + 8
+            guard = 8 + 8 * -(-lost // 8)
 
 
 # ---------------------------------------------------------------------------

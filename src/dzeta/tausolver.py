@@ -292,19 +292,19 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
 _direct_cache_info = solve_tau_direct.cache_info
 
 
-def _tail_entry(base: tuple, k: int, i: int) -> SymNumber:
+def tail_entry(base: tuple, k: int, i: int) -> SymNumber:
     """tau[k][i] for i >= k-1 from tau[2] = base: (-1)^k (i-k+2)!/i! tau[2][i-k+2]."""
     return base[i - k + 2] * Fraction((-1) ** k * factorial(i - k + 2), factorial(i))
 
 
 @functools.cache
-def _zero_mode_source(j: int, m: int) -> SymNumber:
+def zero_mode_source(j: int, m: int) -> SymNumber:
     """g(j) = -sum_{i >= j-1} tau[j][i] * (zero moment of basis element i), one
     or two terms; g(2) = tau[2][0] in value and term order (zero-moment row)."""
     base = solve_tau_direct(2, m).entries
     g = SymNumber.zero()
     for i in range(j - 1, operator_order(j, m)):
-        entry = _tail_entry(base, j, i)
+        entry = tail_entry(base, j, i)
         if not entry.is_zero():
             g = g - entry * circle.basis_moment(j, m, i, 0)
     return g
@@ -317,9 +317,9 @@ def _x_over_sinh(n: int) -> SymNumber:
 
 
 @functools.cache
-def _head(j: int, m: int) -> SymNumber:
+def head(j: int, m: int) -> SymNumber:
     """h(j) = sum_n c_2n P^2n g(j-2n), deepest first: the rule's term order."""
-    return sum((_zero_mode_source(j - 2 * n, m) * _x_over_sinh(n)
+    return sum((zero_mode_source(j - 2 * n, m) * _x_over_sinh(n)
                 for n in range((j - 2) // 2, -1, -1)), SymNumber.zero())
 
 
@@ -330,7 +330,7 @@ def solve_tau_fast(k: int, m: int) -> TauVector:
     for i <= k-2, with heads h(j) = tau[j][0], and ties the entries i >= k-1
     to the base k = 2.  The zero moment of basis element i < k is P^i/(i+1)
     for even i and 0 for odd i, so the n = 0 moment row convolves the heads
-    with sinh(Pt)/(Pt); `_head` inverts it.  Nothing recurses and no vector
+    with sinh(Pt)/(Pt); `head` inverts it.  Nothing recurses and no vector
     is kept.  Conjectural (the rule is verified, not proven) except for the
     base k = 2, the direct solution.
     """
@@ -339,9 +339,9 @@ def solve_tau_fast(k: int, m: int) -> TauVector:
     if k == 2:
         return solve_tau_direct(2, m)
     base = solve_tau_direct(2, m).entries
-    entries = [_head(k - i, m) / Fraction((-1) ** i * factorial(i))
+    entries = [head(k - i, m) / Fraction((-1) ** i * factorial(i))
                for i in range(k - 1)]
-    entries += [_tail_entry(base, k, i) for i in range(k - 1, operator_order(k, m))]
+    entries += [tail_entry(base, k, i) for i in range(k - 1, operator_order(k, m))]
     return TauVector(k, m, tuple(entries), provenance="fast", conjectural=True)
 
 

@@ -245,6 +245,16 @@ def test_fast_verify_rejects_a_truncated_vector(capsys, monkeypatch):
     assert err == "inconsistent system: fast/direct mismatch at (k=3, m=1)\n"
 
 
+def test_fast_derive_keeps_k2_direct(capsys):
+    # k = 2 is the base tau[2] itself; every later k derives from it
+    code, out, _ = run(capsys, "derive", "--k", "2", "--k-max", "3", "--m", "1",
+                       "--mode", "fast", "--no-verify", "--format", "json")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["k"], r["provenance"]) for r in records] == [
+        (2, "direct"), (2, "direct"), (3, "fast"), (3, "fast")]
+
+
 def test_basis_check_cli(capsys):
     code, out, _ = run(capsys, "basis-check", "--k", "2", "--k-max", "3",
                        "--m", "1", "--trunc", "60")

@@ -6,8 +6,9 @@ import pytest
 
 from dzeta import identities as ids, tausolver as ts
 from dzeta.identities import (Divergent, InconsistentIdentity, closed_sum,
-                              derive_identity, eval_basis_at, render_identity,
-                              toy_example)
+                              derive_identity, derive_identity_fast,
+                              eval_basis_at, render_identity, toy_example)
+from dzeta.pfseries import bottom_block_rewritten, upper_block_specs
 from dzeta.symfield import SymNumber, Unknown, render, zeta_value
 from reference_data import (ALT_IDENTITIES, DZV_IDENTITIES, TRIVIAL_PAIRS,
                             q, z)
@@ -136,6 +137,54 @@ def test_non_rational_unknown_coefficient_detected():
 def test_derive_rejects_mismatched_tau():
     with pytest.raises(ValueError):
         derive_identity(3, 1, -1, ts.solve_tau_direct(2, 1))
+
+
+# -- fast identities: the Bernoulli convolution --------------------------------
+
+def test_basis_elements_below_k_carry_no_series_block():
+    # the premise that lets derive_identity_fast skip eval_basis_at for
+    # i <= k-2: those elements are pure log powers
+    for m in (1, 2):
+        for k in range(2, 61):
+            for i in range(k):
+                assert not upper_block_specs(k, m, i), (k, m, i)
+                assert not bottom_block_rewritten(k, m, i), (k, m, i)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_fast_identity_matches_fast_coordinates(m):
+    # sym_to_mpf sums a value's terms in dict order, so the term order reaches
+    # abs_error in report.json and must match as well as the value
+    base = ts.solve_tau_direct(2, m)
+    for k in range(3, 61):
+        tau = ts.solve_tau_fast(k, m)
+        for point in (-1, 1):
+            ref = derive_identity(k, m, point, tau)
+            rec = derive_identity_fast(k, m, point, base)
+            assert rec == ref, (k, m, point)
+            assert (rec.kind, rec.provenance, rec.weight) \
+                == (ref.kind, "fast", k + m)
+            if ref.value is not None:
+                assert list(rec.value._terms.items()) \
+                    == list(ref.value._terms.items()), (k, m, point)
+
+
+def test_fast_identity_at_k2_is_the_direct_record():
+    for m in (1, 2):
+        base = ts.solve_tau_direct(2, m)
+        for point in (-1, 1):
+            rec = derive_identity_fast(2, m, point, base)
+            assert rec == derive_identity(2, m, point, base)
+            assert rec.provenance == "direct"
+
+
+def test_fast_identity_rejects_a_foreign_base():
+    with pytest.raises(ValueError):
+        derive_identity_fast(3, 1, -1, ts.solve_tau_direct(2, 2))
+    with pytest.raises(ValueError):
+        derive_identity_fast(3, 1, -1, ts.solve_tau_direct(3, 1))
+    with pytest.raises(ValueError):
+        derive_identity_fast(3, 1, 0, ts.solve_tau_direct(2, 1))
 
 
 # -- rendering ----------------------------------------------------------------

@@ -277,7 +277,7 @@ def test_sym_to_mpf_first_pass_bit_identical():
 def test_sym_to_mpf_sum_that_rounds_to_zero():
     # zeta(3) less its own first-pass value sums to exactly zero at 12 + 8
     # digits; the second pass counts all 20 as lost and takes zeta(3) to
-    # 12 + 20 + 8 digits
+    # 12 + 32 digits (20 + 8 rounded up to a multiple of 8)
     man, exp = nv.zeta_num(3, 20).man_exp
     first = Fraction(man) * Fraction(2) ** exp
     value = nv.sym_to_mpf(z(3) - q(first.numerator, first.denominator), 12)
@@ -285,6 +285,26 @@ def test_sym_to_mpf_sum_that_rounds_to_zero():
         exact = mpmath.zeta(3) - mpf(first.numerator) / first.denominator
         assert value != 0
         assert abs(value - exact) < mpf(10) ** -40
+
+
+def test_sym_to_mpf_second_pass_reuses_zeta_values():
+    # at 30 digits the right sides of k 40-60 cancel by 9 to 21 digits; with
+    # the second guard rounded up to a multiple of 8 they ask each zeta(s) at
+    # no more than three precisions (38, 54 and 62 digits), where lost + 8
+    # would ask up to fourteen
+    values = []
+    for m in (1, 2):
+        base = ts.solve_tau_direct(2, m)
+        for k in range(40, 61):
+            for point in (-1, 1):
+                rec = ids.derive_identity_fast(k, m, point, base)
+                if rec.kind != "trivial":
+                    values.append(rec.value)
+    args = {s for v in values for mono, _ in v.terms() for s, _ in mono.zetas}
+    nv._zeta_with_bound.cache_clear()
+    for value in values:
+        nv.sym_to_mpf(value, 30)
+    assert nv._zeta_with_bound.cache_info().misses <= 3 * len(args)
 
 
 # ---------------------------------------------------------------------------
