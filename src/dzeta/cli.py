@@ -158,16 +158,11 @@ def cmd_tau(cfg: RunConfig, verify: bool = False) -> int:
 
 def _derive_records(cfg: RunConfig):
     for m in cfg.m_set:
-        if cfg.mode == "fast":
-            base = tausolver.solve_tau_direct(2, m)  # tau[2] fixes every k
-            for k in cfg.k_range():
-                for point in (-1, 1):
-                    yield identities.derive_identity_fast(k, m, point, base)
-            continue
         for k in cfg.k_range():
-            tau = tausolver.solve_tau_direct(k, m)
+            tau = tausolver.solve_tau_direct(k, m) if cfg.mode == "direct" else None
             for point in (-1, 1):
-                yield identities.derive_identity(k, m, point, tau)
+                yield (identities.derive_identity_fast(k, m, point) if tau is None
+                       else identities.derive_identity(k, m, point, tau))
 
 
 def cmd_derive(cfg: RunConfig, do_verify: bool = True) -> int:

@@ -13,25 +13,24 @@ The fast mode never builds its coordinate vectors.  For i <= k-2 basis
 element i is the pure log power log^i with no series block, so there is no
 boundary sum to evaluate: its value is P^i at -1 and, at +1, 1 for i = 0 and
 0 otherwise, and it does not carry the unknown.  With the fast coordinates
-those entries sum in closed form, at -1 to the Bernoulli convolution
-sum_{j=2..k} g(j) B_{k-j} (2P)^(k-j)/(k-j)! of the zero-mode sources g, and
-at +1 to the head h(k); only the two to four entries i >= k-1 go through
-`eval_basis_at` (`derive_identity_fast`).  Each identity then costs O(k)
-monomial products rather than O(k^2).
+those entries sum to one Bernoulli convolution of the zero-mode sources g
+(`tausolver.log_part`): at +1 the head h(k), and at -1, since
+(Pt/sinh Pt) e^(-Pt) = 2Pt/(e^(2Pt) - 1),
+g(k) - P g(k-1) - 2 sum_{even d >= 2} zeta(d) g(k-d), the shape of Euler's
+formula.  Only the two to four entries i >= k-1 go through `eval_basis_at`
+(`derive_identity_fast`).  Each identity then costs O(k) monomial products
+rather than O(k^2).
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
-from math import factorial
 from typing import NamedTuple, Optional
 
 from . import circle, tausolver
 from .pfseries import (HarmonicTailSeries, bottom_block_rewritten, operator_order,
                        upper_block_specs)
-from .symfield import (SymNumber, Unknown, bernoulli, render, to_json_dict,
-                       zeta_value)
+from .symfield import SymNumber, Unknown, render, to_json_dict, zeta_value
 
 
 class Divergent(ArithmeticError):
@@ -134,45 +133,23 @@ def derive_identity(k: int, m: int, point: int, tau: tausolver.TauVector) -> Ide
     return _close(k, m, point, known, cof, tau.provenance)
 
 
-@functools.cache
-def _bernoulli_weight(n: int) -> SymNumber:
-    """B_n (2P)^n / n!, the coefficient of t^n in 2Pt/(e^(2Pt) - 1)."""
-    return SymNumber.p_power(n, bernoulli(n) * 2 ** n / factorial(n))
-
-
-def derive_identity_fast(k: int, m: int, point: int,
-                         base: tausolver.TauVector) -> IdentityRecord:
+def derive_identity_fast(k: int, m: int, point: int) -> IdentityRecord:
     """`derive_identity` of the fast coordinates, without building them.
 
-    base is tau[2] = `solve_tau_direct(2, m)`; at k = 2 it is the coordinate
-    vector itself, and the record is `derive_identity`'s (provenance
-    "direct").  For k >= 3 the entries i <= k-2, tau[k][i] = (-1)^i h(k-i)/i!,
-    sum in closed form (module docstring): to h(k) (`tausolver.head`) at +1,
-    and at -1 to the coefficient of t^k in e^(-Pt) (Pt/sinh Pt) G(t), where
-    G(t) = sum_j g(j) t^j (`tausolver.zero_mode_source`).  As
-    (Pt/sinh Pt) e^(-Pt) = 2Pt/(e^(2Pt) - 1), that is
-    sum_{j=2..k} g(j) B_{k-j} (2P)^(k-j)/(k-j)!, with B_1 = -1/2.  The
+    At k = 2 the record is `derive_identity`'s of the direct tau[2]
+    (provenance "direct").  For k >= 3 the entries i <= k-2 sum in closed
+    form to `tausolver.log_part(k, m, point)` (module docstring); only the
     entries i >= k-1 (`tausolver.tail_entry`) go through `eval_basis_at`.
     Summing over ascending j, then ascending i, keeps both the value and the
     term order of `derive_identity(k, m, point, solve_tau_fast(k, m))`.
     """
     if point not in (1, -1):
         raise ValueError("point must be +1 or -1")
-    if (base.k, base.m) != (2, m):
-        raise ValueError("base vector is not tau[2] for this m")
     if k == 2:
-        return derive_identity(2, m, point, base)
-    if point == 1:
-        known = tausolver.head(k, m)
-    else:
-        known = SymNumber.zero()
-        for j in range(2, k + 1):
-            if bernoulli(k - j):
-                known = known + (tausolver.zero_mode_source(j, m)
-                                 * _bernoulli_weight(k - j))
-    tail = ((i, tausolver.tail_entry(base.entries, k, i))
+        return derive_identity(2, m, point, tausolver.solve_tau_direct(2, m))
+    tail = ((i, tausolver.tail_entry(k, m, i))
             for i in range(k - 1, operator_order(k, m)))
-    known, cof = _accumulate(k, m, point, known, tail)
+    known, cof = _accumulate(k, m, point, tausolver.log_part(k, m, point), tail)
     return _close(k, m, point, known, cof, "fast")
 
 

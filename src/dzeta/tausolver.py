@@ -8,8 +8,8 @@ coefficients, so a monomial product is an integer addition, and hands back
 `SymNumber` values only in the solution.  Every row of a solved
 system has a structurally zero residual, computed as one integer dot
 product.  The fast path is the observed coefficient rule plus the zero-mode
-row in closed form (heads by an x/sinh x convolution); it is marked
-conjectural until cross-checked against the direct solver.
+row in closed form (the heads are one Bernoulli convolution, `log_part`); it
+is marked conjectural until cross-checked against the direct solver.
 """
 
 from __future__ import annotations
@@ -292,8 +292,10 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
 _direct_cache_info = solve_tau_direct.cache_info
 
 
-def tail_entry(base: tuple, k: int, i: int) -> SymNumber:
-    """tau[k][i] for i >= k-1 from tau[2] = base: (-1)^k (i-k+2)!/i! tau[2][i-k+2]."""
+def tail_entry(k: int, m: int, i: int) -> SymNumber:
+    """tau[k][i] for i >= k-1 from the direct tau[2]:
+    (-1)^k (i-k+2)!/i! tau[2][i-k+2]."""
+    base = solve_tau_direct(2, m).entries
     return base[i - k + 2] * Fraction((-1) ** k * factorial(i - k + 2), factorial(i))
 
 
@@ -301,26 +303,30 @@ def tail_entry(base: tuple, k: int, i: int) -> SymNumber:
 def zero_mode_source(j: int, m: int) -> SymNumber:
     """g(j) = -sum_{i >= j-1} tau[j][i] * (zero moment of basis element i), one
     or two terms; g(2) = tau[2][0] in value and term order (zero-moment row)."""
-    base = solve_tau_direct(2, m).entries
     g = SymNumber.zero()
     for i in range(j - 1, operator_order(j, m)):
-        entry = tail_entry(base, j, i)
+        entry = tail_entry(j, m, i)
         if not entry.is_zero():
             g = g - entry * circle.basis_moment(j, m, i, 0)
     return g
 
 
 @functools.cache
-def _x_over_sinh(n: int) -> SymNumber:
-    """c_2n P^2n, with c_2n = (2 - 2^2n) B_2n/(2n)! the coefficients of x/sinh x."""
-    return SymNumber.p_power(2 * n, (2 - 4 ** n) * bernoulli(2 * n) / factorial(2 * n))
+def _weight(point: int, d: int) -> SymNumber:
+    """s B_d P^d/d!, the coefficient of t^d in Pt/sinh Pt (s = 2 - 2^d, point
+    +1) or in 2Pt/(e^(2Pt) - 1) (s = 2^d, point -1); B_1 = -1/2 and the zero
+    odd Bernoulli numbers give the odd d."""
+    s = 2 - 2 ** d if point == 1 else 2 ** d
+    return SymNumber.p_power(d, s * bernoulli(d) / factorial(d))
 
 
 @functools.cache
-def head(j: int, m: int) -> SymNumber:
-    """h(j) = sum_n c_2n P^2n g(j-2n), deepest first: the rule's term order."""
-    return sum((zero_mode_source(j - 2 * n, m) * _x_over_sinh(n)
-                for n in range((j - 2) // 2, -1, -1)), SymNumber.zero())
+def log_part(k: int, m: int, point: int) -> SymNumber:
+    """sum_{i <= k-2} tau[k][i] log(point)^i = sum_{j=2..k} g(j) w_point(k-j),
+    over ascending j: the head h(k) = tau[k][0] at +1, and at -1
+    g(k) - P g(k-1) - 2 sum_{even d >= 2} zeta(d) g(k-d)."""
+    return sum((zero_mode_source(j, m) * _weight(point, k - j)
+                for j in range(2, k + 1)), SymNumber.zero())
 
 
 def solve_tau_fast(k: int, m: int) -> TauVector:
@@ -330,18 +336,17 @@ def solve_tau_fast(k: int, m: int) -> TauVector:
     for i <= k-2, with heads h(j) = tau[j][0], and ties the entries i >= k-1
     to the base k = 2.  The zero moment of basis element i < k is P^i/(i+1)
     for even i and 0 for odd i, so the n = 0 moment row convolves the heads
-    with sinh(Pt)/(Pt); `head` inverts it.  Nothing recurses and no vector
-    is kept.  Conjectural (the rule is verified, not proven) except for the
-    base k = 2, the direct solution.
+    with sinh(Pt)/(Pt); `log_part` at +1 inverts it.  Nothing recurses and no
+    vector is kept.  Conjectural (the rule is verified, not proven) except
+    for the base k = 2, the direct solution.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if k == 2:
         return solve_tau_direct(2, m)
-    base = solve_tau_direct(2, m).entries
-    entries = [head(k - i, m) / Fraction((-1) ** i * factorial(i))
+    entries = [log_part(k - i, m, 1) / Fraction((-1) ** i * factorial(i))
                for i in range(k - 1)]
-    entries += [tail_entry(base, k, i) for i in range(k - 1, operator_order(k, m))]
+    entries += [tail_entry(k, m, i) for i in range(k - 1, operator_order(k, m))]
     return TauVector(k, m, tuple(entries), provenance="fast", conjectural=True)
 
 

@@ -255,6 +255,19 @@ def test_fast_derive_keeps_k2_direct(capsys):
         (2, "direct"), (2, "direct"), (3, "fast"), (3, "fast")]
 
 
+def test_fast_and_direct_derive_print_the_same_identities(capsys):
+    # stdout carries no provenance, so the two modes' identities must agree
+    # line for line, as the fast and direct coordinate vectors do
+    args = ("derive", "--k", "2", "--k-max", "14", "--m", "1,2", "--no-verify")
+    outs = []
+    for mode in ("fast", "direct"):
+        code, out, _ = run(capsys, *args, "--mode", mode)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") == 2 * 13 * 2
+
+
 def test_basis_check_cli(capsys):
     code, out, _ = run(capsys, "basis-check", "--k", "2", "--k-max", "3",
                        "--m", "1", "--trunc", "60")

@@ -155,12 +155,11 @@ def test_basis_elements_below_k_carry_no_series_block():
 def test_fast_identity_matches_fast_coordinates(m):
     # sym_to_mpf sums a value's terms in dict order, so the term order reaches
     # abs_error in report.json and must match as well as the value
-    base = ts.solve_tau_direct(2, m)
     for k in range(3, 61):
         tau = ts.solve_tau_fast(k, m)
         for point in (-1, 1):
             ref = derive_identity(k, m, point, tau)
-            rec = derive_identity_fast(k, m, point, base)
+            rec = derive_identity_fast(k, m, point)
             assert rec == ref, (k, m, point)
             assert (rec.kind, rec.provenance, rec.weight) \
                 == (ref.kind, "fast", k + m)
@@ -169,22 +168,56 @@ def test_fast_identity_matches_fast_coordinates(m):
                     == list(ref.value._terms.items()), (k, m, point)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_log_part_sums_the_pure_log_entries(m):
+    # the convolution is sum_{i <= k-2} tau[k][i] log(point)^i: every P^i at
+    # -1, and the head tau[k][0] alone at +1.  Values, and term order: all of
+    # it at +1; at -1 that of the even-P terms, since the odd-P terms cancel
+    # against the tail entries and reach no record (their order differs)
+    def even_terms(x):
+        return [t for t in x._terms.items() if t[0].pi_exp % 2 == 0]
+
+    for k in range(3, 61):
+        entries = ts.solve_tau_fast(k, m).entries
+        at_minus_one = SymNumber.zero()
+        for i in range(k - 1):
+            at_minus_one = at_minus_one + entries[i] * SymNumber.p_power(i)
+        minus, plus = ts.log_part(k, m, -1), ts.log_part(k, m, 1)
+        assert minus == at_minus_one, k
+        assert even_terms(minus) == even_terms(at_minus_one), k
+        assert plus == entries[0], k
+        assert list(plus._terms.items()) == list(entries[0]._terms.items()), k
+
+
+def test_weights_are_zeta_values():
+    # w_-1(d) = -2 zeta(d) and w_+1(d) = 2 (1 - 2^(1-d)) zeta(d) = 2 eta(d)
+    # for even d >= 2
+    for d in range(2, 81, 2):
+        for point, ref in ((-1, zeta_value(d) * -2),
+                           (1, zeta_value(d) * (2 * (1 - Fraction(1, 2 ** (d - 1)))))):
+            weight = ts._weight(point, d)
+            assert weight == ref, (point, d)
+            assert list(weight._terms.items()) == list(ref._terms.items())
+    for point in (-1, 1):
+        assert ts._weight(point, 0) == SymNumber.from_rational(1)
+        for d in range(3, 81, 2):
+            assert ts._weight(point, d).is_zero(), (point, d)
+    assert ts._weight(-1, 1) == SymNumber.p_power(1, -1)
+    assert ts._weight(1, 1).is_zero()
+
+
 def test_fast_identity_at_k2_is_the_direct_record():
     for m in (1, 2):
         base = ts.solve_tau_direct(2, m)
         for point in (-1, 1):
-            rec = derive_identity_fast(2, m, point, base)
+            rec = derive_identity_fast(2, m, point)
             assert rec == derive_identity(2, m, point, base)
             assert rec.provenance == "direct"
 
 
-def test_fast_identity_rejects_a_foreign_base():
+def test_fast_identity_rejects_an_invalid_point():
     with pytest.raises(ValueError):
-        derive_identity_fast(3, 1, -1, ts.solve_tau_direct(2, 2))
-    with pytest.raises(ValueError):
-        derive_identity_fast(3, 1, -1, ts.solve_tau_direct(3, 1))
-    with pytest.raises(ValueError):
-        derive_identity_fast(3, 1, 0, ts.solve_tau_direct(2, 1))
+        derive_identity_fast(3, 1, 0)
 
 
 # -- rendering ----------------------------------------------------------------

@@ -294,10 +294,9 @@ def test_sym_to_mpf_second_pass_reuses_zeta_values():
     # would ask up to fourteen
     values = []
     for m in (1, 2):
-        base = ts.solve_tau_direct(2, m)
         for k in range(40, 61):
             for point in (-1, 1):
-                rec = ids.derive_identity_fast(k, m, point, base)
+                rec = ids.derive_identity_fast(k, m, point)
                 if rec.kind != "trivial":
                     values.append(rec.value)
     args = {s for v in values for mono, _ in v.terms() for s, _ in mono.zetas}
