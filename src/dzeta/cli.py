@@ -85,13 +85,12 @@ def _stamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
 
-def _tau_payload(tau: tausolver.TauVector, cfg: RunConfig,
-                 conjectural: bool) -> dict:
+def _tau_payload(tau: tausolver.TauVector, cfg: RunConfig) -> dict:
     return {
         "k": tau.k,
         "m": tau.m,
         "mode": tau.provenance,
-        "conjectural": conjectural,
+        "conjectural": tau.conjectural,
         "style": cfg.style,
         "entries": [
             {"i": i, "text": render(v, "plain", cfg.style),
@@ -135,19 +134,18 @@ def cmd_tau(cfg: RunConfig, verify: bool = False) -> int:
     for m in cfg.m_set:
         for k in cfg.k_range():
             tau = solve(k, m)
-            conjectural = tau.conjectural
-            if conjectural and verify:
+            if tau.conjectural and verify:
                 direct = tausolver.solve_tau_direct(k, m)
                 if direct.entries != tau.entries:
                     raise tausolver.InconsistentSystem(
                         f"fast/direct mismatch at (k={k}, m={m})")
-                conjectural = False
+                tau = tau._replace(conjectural=False)
             if cfg.fmt == "json" or cfg.out_dir:
-                payload = _tau_payload(tau, cfg, conjectural)
+                payload = _tau_payload(tau, cfg)
             if cfg.fmt == "json":
                 print(json.dumps(payload, sort_keys=True))
             else:
-                flag = " (conjectural)" if conjectural else ""
+                flag = " (conjectural)" if tau.conjectural else ""
                 print(f"# coordinates for (k={k}, m={m}), {tau.provenance}{flag}")
                 for i, value in enumerate(tau.entries):
                     print(f"tau[{k},{m}][{i}] = {render(value, 'plain', cfg.style)}")

@@ -17,13 +17,14 @@ those entries sum to one Bernoulli convolution of the zero-mode sources g
 (`tausolver.log_part`): at +1 the head h(k), and at -1, since
 (Pt/sinh Pt) e^(-Pt) = 2Pt/(e^(2Pt) - 1),
 g(k) - P g(k-1) - 2 sum_{even d >= 2} zeta(d) g(k-d), the shape of Euler's
-formula.  Only the two to four entries i >= k-1 go through `eval_basis_at`
-(`derive_identity_fast`).  Each identity then costs O(k) monomial products
-rather than O(k^2).
+formula.  Only the two to four entries i >= k-1 (`tausolver.tail`) go through
+`eval_basis_at` (`derive_identity_fast`), for every k >= 2.  Each identity
+then costs O(k) monomial products rather than O(k^2).
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -33,30 +34,22 @@ from .pfseries import (HarmonicTailSeries, bottom_block_rewritten, operator_orde
 from .symfield import SymNumber, Unknown, render, to_json_dict, zeta_value
 
 
-class Divergent(ArithmeticError):
-    """The requested closed sum diverges on the boundary."""
-
-
 class InconsistentIdentity(Exception):
     """The unknown's coefficient vanished but a nonzero remainder survived,
     or the solved value failed a structural sanity check."""
 
 
-def closed_sum(shape: str, s: int) -> SymNumber:
-    """Closed forms of the known boundary series.
-
-    power:      sum 1/n^s         -> zeta(s)
-    alt-power:  sum (-1)^n / n^s  -> -(1 - 2^(1-s)) zeta(s)
-    """
-    if shape == "power":
-        if s < 2:
-            raise Divergent("power sum needs s >= 2")
+@functools.cache
+def closed_sum(point: int, s: int) -> SymNumber:
+    """sum_{n >= 1} (-1)^n x^n / n^s at the boundary point x = point in closed
+    form: zeta(s) at -1 and -(1 - 2^(1-s)) zeta(s) at +1."""
+    if s < 2:
+        raise circle.DivergentSum(f"boundary power sum needs s >= 2, got {s}")
+    if point == -1:
         return zeta_value(s)
-    if shape == "alt-power":
-        if s < 2:
-            raise Divergent("alternating power sum needs s >= 2")
+    if point == 1:
         return zeta_value(s) * (Fraction(1, 2 ** (s - 1)) - 1)
-    raise ValueError(f"unknown shape {shape!r}")
+    raise ValueError("point must be +1 or -1")
 
 
 def _log_power_at(point: int, d: int) -> SymNumber:
@@ -82,21 +75,18 @@ def eval_basis_at(k: int, m: int, i: int, point: int) -> tuple[SymNumber, Fracti
     order = operator_order(k, m)
     if not 0 <= i < order:
         raise ValueError(f"basis index {i} out of range for order {order}")
-    power_shape = "power" if point == -1 else "alt-power"  # (-1)^n x^n at x = point
     total = _log_power_at(point, i)
     for d, spec in upper_block_specs(k, m, i):
         log_part = _log_power_at(point, d)
         if log_part.is_zero():
             continue
-        total = total + closed_sum(power_shape, spec.power) * spec.scale * log_part
+        total = total + closed_sum(point, spec.power) * spec.scale * log_part
     unknown_coeff = Fraction(0)
     for spec in bottom_block_rewritten(k, m, i):
-        if spec.power < 2:
-            raise Divergent("series exponent 1 cannot be evaluated on the boundary")
         if isinstance(spec, HarmonicTailSeries):
             unknown_coeff += spec.scale * point
         else:  # PureAltSeries
-            total = total + closed_sum(power_shape, spec.power) * spec.scale
+            total = total + closed_sum(point, spec.power) * spec.scale
     return total, unknown_coeff
 
 
@@ -136,21 +126,17 @@ def derive_identity(k: int, m: int, point: int, tau: tausolver.TauVector) -> Ide
 def derive_identity_fast(k: int, m: int, point: int) -> IdentityRecord:
     """`derive_identity` of the fast coordinates, without building them.
 
-    At k = 2 the record is `derive_identity`'s of the direct tau[2]
-    (provenance "direct").  For k >= 3 the entries i <= k-2 sum in closed
-    form to `tausolver.log_part(k, m, point)` (module docstring); only the
-    entries i >= k-1 (`tausolver.tail_entry`) go through `eval_basis_at`.
+    The entries i <= k-2 sum to `tausolver.log_part(k, m, point)` (module
+    docstring); only those of `tausolver.tail` go through `eval_basis_at`.
     Summing over ascending j, then ascending i, keeps both the value and the
-    term order of `derive_identity(k, m, point, solve_tau_fast(k, m))`.
+    term order of `derive_identity(k, m, point, solve_tau_fast(k, m))`; at
+    k = 2 those coordinates are the direct tau[2] (provenance "direct").
     """
     if point not in (1, -1):
         raise ValueError("point must be +1 or -1")
-    if k == 2:
-        return derive_identity(2, m, point, tausolver.solve_tau_direct(2, m))
-    tail = ((i, tausolver.tail_entry(k, m, i))
-            for i in range(k - 1, operator_order(k, m)))
-    known, cof = _accumulate(k, m, point, tausolver.log_part(k, m, point), tail)
-    return _close(k, m, point, known, cof, "fast")
+    known, cof = _accumulate(k, m, point, tausolver.log_part(k, m, point),
+                             tausolver.tail(k, m))
+    return _close(k, m, point, known, cof, "direct" if k == 2 else "fast")
 
 
 def _accumulate(k: int, m: int, point: int, known: SymNumber, entries):

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .identities import FourierIdentity, IdentityRecord
 from .symfield import SymNumber, bernoulli
@@ -482,9 +482,9 @@ def verify_identity_numeric(rec: IdentityRecord,
 _SPOT_CHECK_MAX_TERMS = 4096
 
 
-def fourier_spot_check(samples, digits: int = 12,
-                       identity: Optional[FourierIdentity] = None) -> NumericReport:
-    """Check sum (-1)^n cos(2 pi n t)/n^2 against its closed quadratic form.
+def fourier_spot_check(samples, digits: int,
+                       identity: FourierIdentity) -> NumericReport:
+    """Check sum (-1)^n cos(2 pi n t)/n^2 against the quadratic `identity`.
 
     Pass requires absolute error within 10^(2 - digits) and the summation
     error bound under a tenth of it.  Samples must be rational; the summand
@@ -497,14 +497,9 @@ def fourier_spot_check(samples, digits: int = 12,
     ts = [Fraction(t) for t in samples]
     tolerance = 10.0 ** (2 - digits)
     with _workprec(digits):
-        if identity is not None:
-            const = sym_to_mpf(identity.constant, digits)
-            lin = sym_to_mpf(identity.linear, digits)
-            quad = sym_to_mpf(identity.quadratic, digits)
-        else:
-            const = -mpmath.pi ** 2 / 12
-            lin = mpf(0)
-            quad = mpmath.pi ** 2
+        const = sym_to_mpf(identity.constant, digits)
+        lin = sym_to_mpf(identity.linear, digits)
+        quad = sym_to_mpf(identity.quadratic, digits)
         target = mpf(10) ** (-digits)
         worst_bound = mpf(0)
         cuts = []  # (t, n_cut, class tails) per sample

@@ -150,7 +150,9 @@ class SymNumber:
     """Sparse map from ZetaMonomial to the Fraction coefficient of its P power.
 
     Zero terms are dropped.  A monomial's `pi_exp` counts powers of P = i*pi,
-    so the term c * P^e stands for (c * i^e) * pi^e.
+    so the term c * P^e stands for (c * i^e) * pi^e.  Values are never
+    mutated in place, so memo tables (`zeta_value`, `circle.s_sum`,
+    `identities.closed_sum`, `tausolver.log_part`, `tail`) share them.
     """
 
     __slots__ = ("_terms",)
@@ -354,6 +356,7 @@ def _even_zeta_pi_coeff(s: int) -> Fraction:
     return Fraction((-1) ** (n + 1)) * bernoulli(s) * (2 ** s) / (2 * factorial(s))
 
 
+@functools.cache
 def zeta_value(s: int) -> SymNumber:
     """zeta(s) for integer s >= 2, in canonical form."""
     if s < 2:

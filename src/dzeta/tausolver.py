@@ -1,15 +1,16 @@
 """Assemble the circle-moment linear systems and solve them exactly.
 
-The direct path builds one equation per Fourier index, clears each row once
-to integer coefficients and eliminates fraction-free (Bareiss
+The direct path builds one equation per Fourier index 0..order-1, clears
+each row once to integer coefficients and eliminates fraction-free (Bareiss
 cross-multiplication with exact divisions) in Z[P, zeta(3), ...]; the
 elimination works on maps from packed integer monomial keys to integer
 coefficients, so a monomial product is an integer addition, and hands back
-`SymNumber` values only in the solution.  Every row of a solved
-system has a structurally zero residual, computed as one integer dot
-product.  The fast path is the observed coefficient rule plus the zero-mode
-row in closed form (the heads are one Bernoulli convolution, `log_part`); it
-is marked conjectural until cross-checked against the direct solver.
+`SymNumber` values only in the solution.  Every row of a solved system has a
+structurally zero residual, computed as one integer dot product.  The fast
+path is the observed coefficient rule plus the zero-mode row in closed form
+(the heads are one Bernoulli convolution, `log_part`, and the entries
+i >= k-1 come from the direct tau[2] through `tail`); it is marked
+conjectural until cross-checked against the direct solver.
 """
 
 from __future__ import annotations
@@ -268,23 +269,11 @@ def fraction_free_solve(system: MomentSystem) -> TauVector:
     return TauVector(system.k, system.m, entries)
 
 
-_MAX_EXTRA_INDICES = 6
-
-
 @functools.cache
 def solve_tau_direct(k: int, m: int) -> TauVector:
-    """Solve the moment system for indices 0..order-1, widening on singularity."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    order = operator_order(k, m)
-    for extra in range(_MAX_EXTRA_INDICES + 1):
-        indices = list(range(order + extra))
-        try:
-            return fraction_free_solve(assemble_system(k, m, indices))
-        except SingularSystem:
-            if extra == _MAX_EXTRA_INDICES:
-                raise
-    raise AssertionError("unreachable")
+    """Solve the square moment system on indices 0..order-1: its nonzero
+    Bareiss determinant witnesses nonsingularity, else SingularSystem."""
+    return fraction_free_solve(assemble_system(k, m, range(operator_order(k, m))))
 
 
 # the memo's counters, bound here so that a wrapper rebinding the name
@@ -292,11 +281,14 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
 _direct_cache_info = solve_tau_direct.cache_info
 
 
-def tail_entry(k: int, m: int, i: int) -> SymNumber:
-    """tau[k][i] for i >= k-1 from the direct tau[2]:
-    (-1)^k (i-k+2)!/i! tau[2][i-k+2]."""
+@functools.cache
+def tail(k: int, m: int) -> tuple[tuple[int, SymNumber], ...]:
+    """The pairs (i, tau[k][i]) for i >= k-1, from the direct tau[2]:
+    tau[k][i] = (-1)^k (i-k+2)!/i! tau[2][i-k+2]."""
     base = solve_tau_direct(2, m).entries
-    return base[i - k + 2] * Fraction((-1) ** k * factorial(i - k + 2), factorial(i))
+    return tuple((i, base[i - k + 2] * Fraction((-1) ** k * factorial(i - k + 2),
+                                                 factorial(i)))
+                 for i in range(k - 1, operator_order(k, m)))
 
 
 @functools.cache
@@ -304,8 +296,7 @@ def zero_mode_source(j: int, m: int) -> SymNumber:
     """g(j) = -sum_{i >= j-1} tau[j][i] * (zero moment of basis element i), one
     or two terms; g(2) = tau[2][0] in value and term order (zero-moment row)."""
     g = SymNumber.zero()
-    for i in range(j - 1, operator_order(j, m)):
-        entry = tail_entry(j, m, i)
+    for i, entry in tail(j, m):
         if not entry.is_zero():
             g = g - entry * circle.basis_moment(j, m, i, 0)
     return g
@@ -324,9 +315,11 @@ def _weight(point: int, d: int) -> SymNumber:
 def log_part(k: int, m: int, point: int) -> SymNumber:
     """sum_{i <= k-2} tau[k][i] log(point)^i = sum_{j=2..k} g(j) w_point(k-j),
     over ascending j: the head h(k) = tau[k][0] at +1, and at -1
-    g(k) - P g(k-1) - 2 sum_{even d >= 2} zeta(d) g(k-d)."""
-    return sum((zero_mode_source(j, m) * _weight(point, k - j)
-                for j in range(2, k + 1)), SymNumber.zero())
+    g(k) - P g(k-1) - 2 sum_{even d >= 2} zeta(d) g(k-d).  Only the nonzero
+    weights (d = 0, d = 1 at -1, even d >= 2) are multiplied."""
+    weights = ((j, _weight(point, k - j)) for j in range(2, k + 1))
+    return sum((zero_mode_source(j, m) * w for j, w in weights if not w.is_zero()),
+               SymNumber.zero())
 
 
 def solve_tau_fast(k: int, m: int) -> TauVector:
@@ -346,7 +339,7 @@ def solve_tau_fast(k: int, m: int) -> TauVector:
         return solve_tau_direct(2, m)
     entries = [log_part(k - i, m, 1) / Fraction((-1) ** i * factorial(i))
                for i in range(k - 1)]
-    entries += [tail_entry(k, m, i) for i in range(k - 1, operator_order(k, m))]
+    entries += [entry for _, entry in tail(k, m)]
     return TauVector(k, m, tuple(entries), provenance="fast", conjectural=True)
 
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from dzeta import identities as ids, tausolver as ts
-from dzeta.identities import (Divergent, InconsistentIdentity, closed_sum,
+from dzeta.circle import DivergentSum
+from dzeta.identities import (InconsistentIdentity, closed_sum,
                               derive_identity, derive_identity_fast,
                               eval_basis_at, render_identity, toy_example)
 from dzeta.pfseries import bottom_block_rewritten, upper_block_specs
@@ -17,24 +18,24 @@ from reference_data import (ALT_IDENTITIES, DZV_IDENTITIES, TRIVIAL_PAIRS,
 # -- closed sums --------------------------------------------------------------
 
 def test_closed_sum_values():
-    assert closed_sum("power", s=3) == z(3)
-    assert closed_sum("alt-power", s=3) == q(-3, 4) * z(3)
-    assert closed_sum("alt-power", s=2) == SymNumber.pi_power(2, Fraction(-1, 12))
-    assert closed_sum("alt-power", s=5) == q(-15, 16) * z(5)
+    assert closed_sum(-1, s=3) == z(3)
+    assert closed_sum(1, s=3) == q(-3, 4) * z(3)
+    assert closed_sum(1, s=2) == SymNumber.pi_power(2, Fraction(-1, 12))
+    assert closed_sum(1, s=5) == q(-15, 16) * z(5)
 
 
 def test_closed_sum_alt_matches_eta_formula():
     # independent oracle: eta(s) = (1 - 2^(1-s)) zeta(s)
     for s in range(2, 12):
         eta = zeta_value(s) * (1 - Fraction(1, 2 ** (s - 1)))
-        assert closed_sum("alt-power", s=s) == -eta
+        assert closed_sum(1, s=s) == -eta
 
 
 def test_closed_sum_divergent():
-    with pytest.raises(Divergent):
-        closed_sum("power", s=1)
-    with pytest.raises(Divergent):
-        closed_sum("alt-power", s=1)
+    with pytest.raises(DivergentSum):
+        closed_sum(-1, s=1)
+    with pytest.raises(DivergentSum):
+        closed_sum(1, s=1)
 
 
 # -- boundary values of basis elements ----------------------------------------

@@ -143,6 +143,22 @@ def test_field_axioms(a, b, c):
 
 
 @settings(max_examples=40)
+@given(sym_numbers(), sym_numbers(), rationals)
+def test_ring_operations_leave_operands_unchanged(a, b, r):
+    # memo tables hand out shared values, so no operation may edit one
+    before = list(a._terms.items()), list(b._terms.items())
+    _ = a + b, a - b, -a, a * b, a * r, r + a, r - a, r * a
+    if r:
+        _ = a / r
+    assert (list(a._terms.items()), list(b._terms.items())) == before
+
+
+def test_zeta_value_is_memoised():
+    for s in (2, 3, 4, 7):
+        assert zeta_value(s) is zeta_value(s)
+
+
+@settings(max_examples=40)
 @given(sym_numbers(), sym_numbers())
 def test_exact_division_roundtrip(a, b):
     if b.is_zero():

@@ -109,6 +109,20 @@ def test_singular_system_raises_with_indices():
     assert err.value.indices == (0, 1, 2)
 
 
+def test_direct_solve_makes_one_attempt_on_the_square_system(monkeypatch):
+    seen = []
+
+    def singular(system):
+        seen.append(tuple(row.n for row in system.rows))
+        raise ts.SingularSystem(seen[-1])
+
+    monkeypatch.setattr(ts, "fraction_free_solve", singular)
+    with pytest.raises(ts.SingularSystem) as err:
+        ts.solve_tau_direct.__wrapped__(5, 2)  # past the memo, which may hold (5, 2)
+    assert seen == [tuple(range(8))]
+    assert err.value.indices == tuple(range(8))
+
+
 def test_residuals_are_structurally_zero():
     # recomputed with SymNumber arithmetic, independent of the solver's
     # integer rows
