@@ -20,7 +20,7 @@ import functools
 from fractions import Fraction
 from math import comb, perm
 
-from .pfseries import harmonic, operator_order, pi_coefficient, upper_block_specs
+from .pfseries import harmonic, pi_coefficient, upper_block_specs
 from .symfield import ONE_MONO, SymNumber, ZetaMonomial, zeta_value
 
 
@@ -137,12 +137,10 @@ def basis_moment(k: int, m: int, i: int, n: int) -> SymNumber:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    order = operator_order(k, m)
-    if not 0 <= i < order:
-        raise ValueError(f"basis index {i} out of range for order {order}")
+    specs = upper_block_specs(k, m, i)  # rejects an out-of-range i
     terms = dict(log_moment(n, i)._terms)
     sign = -1 if n % 2 else 1
-    for d, spec in upper_block_specs(k, m, i):
+    for d, spec in specs:
         for r, c in enumerate(log_moment_poly(d)):  # c_r P^(d-r)
             if not c:
                 continue

@@ -29,8 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import circle, tausolver
-from .pfseries import (HarmonicTailSeries, bottom_block_rewritten, operator_order,
-                       upper_block_specs)
+from .pfseries import HarmonicTailSeries, bottom_block_rewritten, upper_block_specs
 from .symfield import SymNumber, Unknown, render, to_json_dict, zeta_value
 
 
@@ -72,11 +71,9 @@ def eval_basis_at(k: int, m: int, i: int, point: int) -> tuple[SymNumber, Fracti
     """
     if point not in (1, -1):
         raise ValueError("point must be +1 or -1")
-    order = operator_order(k, m)
-    if not 0 <= i < order:
-        raise ValueError(f"basis index {i} out of range for order {order}")
+    specs = upper_block_specs(k, m, i)  # rejects an out-of-range i
     total = _log_power_at(point, i)
-    for d, spec in upper_block_specs(k, m, i):
+    for d, spec in specs:
         log_part = _log_power_at(point, d)
         if log_part.is_zero():
             continue

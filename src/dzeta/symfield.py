@@ -152,7 +152,8 @@ class SymNumber:
     Zero terms are dropped.  A monomial's `pi_exp` counts powers of P = i*pi,
     so the term c * P^e stands for (c * i^e) * pi^e.  Values are never
     mutated in place, so memo tables (`zeta_value`, `circle.s_sum`,
-    `identities.closed_sum`, `tausolver.log_part`, `tail`) share them.
+    `identities.closed_sum`, `tausolver.log_part`, `tail`,
+    `zero_mode_source`, `_weight`) share them.
     """
 
     __slots__ = ("_terms",)

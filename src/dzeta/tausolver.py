@@ -66,15 +66,11 @@ class TauVector(NamedTuple):
         return len(self.entries)
 
 
-def assemble_system(k: int, m: int, moment_indices) -> MomentSystem:
-    indices = list(moment_indices)
+def assemble_system(k: int, m: int) -> MomentSystem:
+    """The square moment system: one row per Fourier index n = 0..order-1."""
     order = operator_order(k, m)
-    if len(set(indices)) != len(indices):
-        raise ValueError("moment indices must be distinct")
-    if len(indices) < order:
-        raise ValueError(f"need at least {order} moment indices, got {len(indices)}")
     rows = []
-    for n in indices:
+    for n in range(order):
         coeffs = tuple(circle.basis_moment(k, m, i, n) for i in range(order))
         rhs = SymNumber.from_rational(circle.pi_moment(k, m, n))
         rows.append(MomentRow(n, coeffs, rhs))
@@ -187,14 +183,14 @@ def fraction_free_solve(system: MomentSystem) -> TauVector:
     and divides it exactly by the previous pivot (Bareiss, Math. Comp. 22,
     1968).  Back substitution computes the Cramer numerators det*tau_i, again
     by exact divisions in Z; dividing them by the primitive part of det puts
-    tau over one common denominator, the content of det.  Rows beyond the
-    width act as consistency checks, and every original row's residual is
-    recomputed as one integer dot product.
+    tau over one common denominator, the content of det.  Every row's
+    residual is recomputed as one integer dot product.  A system that is not
+    square raises ValueError.
     """
     width = system.width
-    nrows = len(system.rows)
-    if nrows < width:
-        raise ValueError("system is underdetermined")
+    if len(system.rows) != width:
+        raise ValueError(f"system must be square, got {len(system.rows)} rows "
+                         f"and {width} columns")
     values = [[v._terms for v in (*row.coeffs, row.rhs)] for row in system.rows]
     bound = 2 * sum(max((mono.weight for row in values for mono in row[c]),
                         default=0) for c in range(width + 1))
@@ -208,25 +204,22 @@ def fraction_free_solve(system: MomentSystem) -> TauVector:
                          for mono, c in v.items()} for v in row])
     mat = [list(row) for row in cleared]
     indices = [row.n for row in system.rows]
-    labels = list(indices)  # row labels, swapped with the rows
 
     prev = {0: 1}  # key 0 is the monomial 1
     for col in range(width):
         pivot_row = None
         pivot_size = None
-        for r in range(col, nrows):
+        for r in range(col, width):
             if mat[r][col]:
                 size = len(mat[r][col])
                 if pivot_size is None or size < pivot_size:
                     pivot_row, pivot_size = r, size
         if pivot_row is None:
             raise SingularSystem(indices)
-        if pivot_row != col:
-            mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
-            labels[col], labels[pivot_row] = labels[pivot_row], labels[col]
+        mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
         top = mat[col]
         pivot = top[col]
-        for r in range(col + 1, nrows):
+        for r in range(col + 1, width):
             row = mat[r]
             lead = _negated(row[col])
             # rows with a zero leading entry still rescale, keeping every
@@ -236,11 +229,6 @@ def fraction_free_solve(system: MomentSystem) -> TauVector:
                                     prev, guard, unpack)
             row[col] = {}
         prev = pivot
-
-    for r in range(width, nrows):
-        if mat[r][width]:
-            raise InconsistentSystem(
-                f"extra moment row n={labels[r]} has nonzero residual")
 
     # the Cramer numerators y_i = det * tau_i from
     # U[i][i] y_i = det * b_i - sum_{c > i} U[i][c] y_c, kept negated so that
@@ -273,7 +261,7 @@ def fraction_free_solve(system: MomentSystem) -> TauVector:
 def solve_tau_direct(k: int, m: int) -> TauVector:
     """Solve the square moment system on indices 0..order-1: its nonzero
     Bareiss determinant witnesses nonsingularity, else SingularSystem."""
-    return fraction_free_solve(assemble_system(k, m, range(operator_order(k, m))))
+    return fraction_free_solve(assemble_system(k, m))
 
 
 # the memo's counters, bound here so that a wrapper rebinding the name

@@ -185,6 +185,20 @@ def test_public_functions_reject_k_below_two(call, k):
         call(k)
 
 
+@pytest.mark.parametrize("k,m", [(2, 1), (5, 2)])
+def test_basis_index_check_has_one_message(k, m):
+    # upper_block_specs owns the check; both boundary and moment callers
+    # pass its ValueError through unchanged
+    for i in (-1, operator_order(k, m)):
+        with pytest.raises(ValueError) as owner:
+            pfseries.upper_block_specs(k, m, i)
+        for call in (lambda: identities.eval_basis_at(k, m, i, -1),
+                     lambda: circle.basis_moment(k, m, i, 0)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == str(owner.value)
+
+
 @pytest.mark.parametrize("k,m", [(1, 1), (0, 1), (-3, 2), (3, 3), (3, 0)])
 def test_recursion_closure_rejects_missing_family(k, m):
     # like pf_operator: a plain ValueError, not LevelOutOfRange from a lookup
