@@ -1,15 +1,27 @@
 """Assemble the circle-moment linear systems and solve them exactly.
 
-The direct path builds one equation per Fourier index 0..order-1, clears
-each row once to integer coefficients and eliminates fraction-free (Bareiss
-cross-multiplication with exact divisions) in Z[P, zeta(3), ...]; the
-elimination works on maps from packed integer monomial keys to integer
-coefficients, so a monomial product is an integer addition, and hands back
-`SymNumber` values only in the solution.  Every row of a solved system has a
-structurally zero residual, computed as one integer dot product.  The fast
-path is the observed coefficient rule plus the zero-mode row in closed form
-(the heads are one Bernoulli convolution, `log_part`, and the entries
-i >= k-1 come from the direct tau[2] through `tail`); it is marked
+The direct solve reads the moment system M tau = b (rows n = 0..N, N =
+order - 1) through its structure.  Columns i <= k carry no series block, so
+for n >= 1 their moments are (-1)^n times polynomials in 1/n, and column 0
+is 1 at n = 0 and 0 below it; only the one or two top columns i > k carry
+series blocks.  Scaling row n >= 1 by (-1)^n n^k turns the columns i <= k
+into a Vandermonde block in n^(k-r) times a triangular matrix C.  A k-th
+difference leaves a 1x1 or 2x2 system for the top entries, interpolation per
+monomial gives the other entries' images under C, and back substitution and
+the n = 0 row give tau: O(k^2) ring operations.  The system is nonsingular
+exactly when that small determinant is nonzero: M is block triangular
+around tau_0, the row scaling is invertible, the Vandermonde block has full
+column rank and the k-th differences span its left null space, and C is
+invertible.  Every row's residual is recomputed from the returned tau.
+
+Fraction-free (Bareiss) elimination of an assembled square system stays as
+a second route, for the tests and the toy example: each row is cleared once
+to integer coefficients and eliminated in Z[P, zeta(3), ...] on maps from
+packed integer monomial keys to integer coefficients, so a monomial product
+is an integer addition, and each row's residual is one integer dot product.
+The fast path is the observed coefficient rule plus the zero-mode row in
+closed form (the heads are one Bernoulli convolution, `log_part`, and the
+entries i >= k-1 come from the direct tau[2] through `tail`); it is marked
 conjectural until cross-checked against the direct solver.
 """
 
@@ -18,12 +30,13 @@ from __future__ import annotations
 import functools
 import time
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from typing import NamedTuple
 
 from . import circle
-from .pfseries import operator_order
-from .symfield import ExactDivisionError, SymNumber, ZetaMonomial, bernoulli
+from .pfseries import operator_order, upper_block_specs
+from .symfield import (ExactDivisionError, SymNumber, ZetaMonomial, _mono_sort_key,
+                       bernoulli)
 
 
 class SingularSystem(Exception):
@@ -49,7 +62,7 @@ class MomentSystem(NamedTuple):
 
     @property
     def width(self) -> int:
-        return len(self.rows[0].coeffs)
+        return len(self.rows[0].coeffs) if self.rows else 0
 
 
 class TauVector(NamedTuple):
@@ -185,12 +198,12 @@ def fraction_free_solve(system: MomentSystem) -> TauVector:
     by exact divisions in Z; dividing them by the primitive part of det puts
     tau over one common denominator, the content of det.  Every row's
     residual is recomputed as one integer dot product.  A system that is not
-    square raises ValueError.
+    square, or has no rows or columns, raises ValueError.
     """
     width = system.width
-    if len(system.rows) != width:
-        raise ValueError(f"system must be square, got {len(system.rows)} rows "
-                         f"and {width} columns")
+    if not width or len(system.rows) != width:
+        raise ValueError(f"system must be square and nonempty, got "
+                         f"{len(system.rows)} rows and {width} columns")
     values = [[v._terms for v in (*row.coeffs, row.rhs)] for row in system.rows]
     bound = 2 * sum(max((mono.weight for row in values for mono in row[c]),
                         default=0) for c in range(width + 1))
@@ -257,11 +270,182 @@ def fraction_free_solve(system: MomentSystem) -> TauVector:
     return TauVector(system.k, system.m, entries)
 
 
+def _moment_rows(k: int, m: int) -> list:
+    """The (moments, rhs) pairs the structured solve reads, by n = 0..order-1:
+    the n = 0 row in full, and for n >= 1 only the top columns i > k, with
+    the rhs, scaled by (-1)^n n^k.  Columns i <= k must carry no series
+    block; the solve rests on it, so it is checked here."""
+    order = operator_order(k, m)
+    if any(upper_block_specs(k, m, i) for i in range(k + 1)):
+        raise InconsistentSystem(f"a column i <= {k} carries a series block")
+    rows = [([circle.basis_moment(k, m, i, 0) for i in range(order)],
+             SymNumber.from_rational(circle.pi_moment(k, m, 0)))]
+    for n in range(1, order):
+        s = (-1) ** n * n ** k
+        rows.append(([circle.basis_moment(k, m, t, n) * s for t in range(k + 1, order)],
+                     SymNumber.from_rational(circle.pi_moment(k, m, n) * s)))
+    return rows
+
+
+def _difference(values, k: int) -> SymNumber:
+    """The k-th forward difference sum_j (-1)^(k-j) C(k, j) values[j]."""
+    return sum((values[j] * ((-1) ** (k - j) * comb(k, j)) for j in range(k + 1)),
+               SymNumber.zero())
+
+
+def _det(rows) -> SymNumber:
+    """The determinant of a 1x1 or 2x2 matrix."""
+    if len(rows) == 1:
+        return rows[0][0]
+    (a, b), (c, d) = rows
+    return a * d - b * c
+
+
+def _interpolate(values) -> list[SymNumber]:
+    """y_1..y_d with Q(n) = sum_r y_r n^(d-r), from the values Q(1..d).
+
+    Per monomial, the values go over one integer denominator.  Their Newton
+    forward differences D_j at n = 1 give
+    (d-1)! Q(n) = sum_j D_j (d-1)!/j! (n-1)(n-2)...(n-j), which Horner's
+    rule expands into powers of n in integers; the table stops at the first
+    row of zeros.
+    """
+    d = len(values)
+    scale = factorial(d - 1)
+    weights = [scale // factorial(j) for j in range(d)]
+    out = [{} for _ in range(d)]
+    for mono in dict.fromkeys(mono for v in values for mono in v._terms):
+        col = [v._terms.get(mono, Fraction(0)) for v in values]
+        den = lcm(*(c.denominator for c in col))
+        row = [c.numerator * (den // c.denominator) for c in col]
+        diffs = []
+        while any(row):
+            diffs.append(row[0])
+            row = [b - a for a, b in zip(row, row[1:])]
+        poly: list[int] = []  # ascending powers of n
+        for j in range(len(diffs) - 1, -1, -1):
+            node = j + 1  # poly <- D_j (d-1)!/j! + (n - node) poly
+            shifted = [0] + poly
+            poly = [x - node * y for x, y in zip(shifted, poly + [0])]
+            poly[0] += diffs[j] * weights[j]
+        for p, c in enumerate(poly):
+            if c:
+                out[d - 1 - p][mono] = Fraction(c, scale * den)
+    return [SymNumber(y) for y in out]
+
+
+def _log_sum(entries, k: int, r: int) -> SymNumber:
+    """S_r = sum_{i=r..k} c_{i,r} P^(i-r) tau_i: row n >= 1 of the columns
+    i <= k is (-1)^n sum_r n^-r S_r."""
+    terms: dict = {}
+    for i in range(r, k + 1):
+        c = circle.log_moment_poly(i)[r]
+        if c:
+            for mono, x in entries[i]._terms.items():
+                key = ZetaMonomial(mono.pi_exp + i - r, mono.zetas)
+                terms[key] = terms.get(key, 0) + c * x
+    return SymNumber({mono: x for mono, x in terms.items() if x})
+
+
+def _residuals(k: int, entries, rows) -> list[SymNumber]:
+    """M tau - b for n = 0..order-1, on `_moment_rows`: the n = 0 row in
+    full, and row n >= 1 regrouped as (-1)^n sum_r n^-r S_r +
+    sum_top M[n][t] tau_t - b_n, evaluated scaled by (-1)^n n^k.  Per
+    monomial, the polynomial sum_r S_r n^(k-r) has integer coefficients over
+    one denominator, and a Fraction is built only for a nonzero residual."""
+    moments, b = rows[0]
+    out = [sum((a * t for a, t in zip(moments, entries)), -b)]
+    coeffs: dict = {}  # monomial -> [(power of n, coefficient), ...]
+    for r in range(1, k + 1):
+        for mono, c in _log_sum(entries, k, r)._terms.items():
+            coeffs.setdefault(mono, []).append((k - r, c))
+    polys = {}  # monomial -> (denominator, [(power of n, numerator), ...])
+    for mono, pairs in coeffs.items():
+        den = lcm(*(c.denominator for _, c in pairs))
+        polys[mono] = den, [(p, c.numerator * (den // c.denominator)) for p, c in pairs]
+    for n in range(1, len(rows)):
+        moments, b = rows[n]
+        rest = -b
+        for a, t in zip(moments, entries[k + 1:]):
+            rest = rest + a * t
+        terms = {}
+        for mono in dict.fromkeys([*polys, *rest._terms]):
+            den, pairs = polys.get(mono, (1, ()))
+            c = rest._terms.get(mono, Fraction(0))
+            num = sum(x * n ** p for p, x in pairs) * c.denominator + c.numerator * den
+            if num:
+                terms[mono] = Fraction(num, den * c.denominator)
+        out.append(SymNumber(terms) / ((-1) ** n * n ** k))
+    return out
+
+
 @functools.cache
 def solve_tau_direct(k: int, m: int) -> TauVector:
-    """Solve the square moment system on indices 0..order-1: its nonzero
-    Bareiss determinant witnesses nonsingularity, else SingularSystem."""
-    return fraction_free_solve(assemble_system(k, m))
+    """Solve the square moment system on rows n = 0..N through its structure.
+
+    With N = order - 1, scaled by (-1)^n n^k, row n >= 1 reads
+    Q(n) + sum_top A_t(n) tau_t = B(n), with Q(n) = sum_{r=1..k} y_r n^(k-r)
+    and y_r = `_log_sum` over the entries i <= k.  The steps:
+    1. the k-th forward differences of rows s..s+k, s = 1..N-k, annihilate
+       Q and leave one (m = 1) or two (m = 2) equations for the top entries,
+       solved by Cramer's rule with exact ring division;
+    2. Q(n) at n = 1..k, interpolated, gives y_1..y_k;
+    3. y = C tau, C triangular with diagonal c_{r,r} = (-1)^(r-1) r!, gives
+       tau_k..tau_1 by back substitution;
+    4. the n = 0 row, whose tau_0 coefficient is 1, gives tau_0.
+
+    Nonsingularity: the matrix is block triangular around tau_0 (column 0 is
+    1 at n = 0 and 0 below it); the row scaling is invertible; the N x k
+    Vandermonde block in n^(k-r) on distinct nodes has full column rank,
+    and the k-th differences span exactly its left null space; C is
+    invertible.  So the system is nonsingular if and only if the 1x1 or 2x2
+    determinant of step 1 is nonzero: that determinant is the witness, and
+    zero raises SingularSystem.  Every row's residual is then recomputed from
+    the returned tau (`_residuals`) and `check_tau_invariants` runs; a
+    nonzero residual, a top entry outside the ring, or a failed invariant
+    raises InconsistentSystem.  Each entry's terms come by descending
+    `_mono_sort_key`, the order of fraction-free elimination.
+    """
+    order = operator_order(k, m)
+    rows = _moment_rows(k, m)
+    top = range(k + 1, order)
+    windows = [rows[s:s + k + 1] for s in range(1, order - k)]
+    lhs = [[_difference([row[0][j] for row in window], k) for j in range(len(top))]
+           for window in windows]
+    rhs = [_difference([row[1] for row in window], k) for window in windows]
+    witness = _det(lhs)
+    if witness.is_zero():
+        raise SingularSystem(range(order))
+    entries = [SymNumber.zero()] * order
+    try:
+        for j, t in enumerate(top):
+            cramer = [row[:j] + [b] + row[j + 1:] for row, b in zip(lhs, rhs)]
+            entries[t] = _det(cramer).exact_div(witness)
+    except ExactDivisionError as exc:
+        raise InconsistentSystem(f"top entry outside the ring: {exc}") from exc
+    values = []
+    for moments, b in rows[1:k + 1]:
+        for a, t in zip(moments, top):
+            b = b - a * entries[t]
+        values.append(b)
+    y = _interpolate(values)
+    for r in range(k, 0, -1):
+        # entries[r] is still zero here, so the sum runs over i > r
+        entries[r] = (y[r - 1] - _log_sum(entries, k, r)) / circle.log_moment_poly(r)[r]
+    moments, b = rows[0]
+    entries[0] = b - sum((a * t for a, t in zip(moments[1:], entries[1:])),
+                         SymNumber.zero())
+    entries = [SymNumber({mono: e._terms[mono] for mono in
+                          sorted(e._terms, key=_mono_sort_key, reverse=True)})
+               for e in entries]
+    for n, residual in enumerate(_residuals(k, entries, rows)):
+        if not residual.is_zero():
+            raise InconsistentSystem(f"row n={n} residual is nonzero")
+    tau = TauVector(k, m, tuple(entries))
+    problems = check_tau_invariants(tau)
+    if problems:
+        raise InconsistentSystem(f"tau[{k},{m}]: {'; '.join(problems)}")
+    return tau
 
 
 # the memo's counters, bound here so that a wrapper rebinding the name

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from dzeta import cli, numverify, pfseries, tausolver
+from dzeta.symfield import SymNumber
 
 # Outputs recorded before the coefficient field moved from Q(i) to
 # Q[P, zeta(3), ...] with P = i*pi, timestamps blanked.  Rerecord them only
@@ -512,17 +513,16 @@ def test_reader_closing_stdout_keeps_a_failure_code():
     assert lines[0].startswith("precision unreachable: dzv(3,2) ")
 
 
+# the injected failure: the direct solve's nonsingularity witness is zero, or
+# a row's residual is nonzero
 @pytest.mark.parametrize("error,code,kind", [
-    (tausolver.SingularSystem([0, 1, 2]), cli.EXIT_SINGULAR, "singular system"),
-    (tausolver.InconsistentSystem("row n=0 residual is nonzero"),
+    (("_det", lambda rows: SymNumber.zero()), cli.EXIT_SINGULAR, "singular system"),
+    (("_residuals", lambda k, entries, rows: [SymNumber.from_rational(1)]),
      cli.EXIT_INCONSISTENT, "inconsistent system"),
 ])
 def test_check_conjecture_solver_failure_exit_code(capsys, monkeypatch, error,
                                                    code, kind):
-    def solve(system):
-        raise error
-
-    monkeypatch.setattr(tausolver, "fraction_free_solve", solve)
+    monkeypatch.setattr(tausolver, *error)
     tausolver.solve_tau_direct.cache_clear()
     got, _, err = run(capsys, "check-conjecture", "--k-max", "3", "--m", "1")
     assert got == code

@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -87,17 +88,99 @@ def test_singular_system_raises_with_indices():
 
 
 def test_direct_solve_makes_one_attempt_on_the_square_system(monkeypatch):
+    # a zero witness: the whole system on rows 0..order-1 is singular, with
+    # no retry and no Cramer step
     seen = []
 
-    def singular(system):
-        seen.append(tuple(row.n for row in system.rows))
-        raise ts.SingularSystem(seen[-1])
+    def zero_witness(rows):
+        seen.append(len(rows))
+        return SymNumber.zero()
 
-    monkeypatch.setattr(ts, "fraction_free_solve", singular)
+    monkeypatch.setattr(ts, "_det", zero_witness)
     with pytest.raises(ts.SingularSystem) as err:
         ts.solve_tau_direct.__wrapped__(5, 2)  # past the memo, which may hold (5, 2)
-    assert seen == [tuple(range(8))]
+    assert seen == [2]
     assert err.value.indices == tuple(range(8))
+
+
+def test_empty_system_is_rejected():
+    with pytest.raises(ValueError, match="got 0 rows and 0 columns"):
+        ts.fraction_free_solve(ts.MomentSystem(0, 0, ()))
+    with pytest.raises(ValueError, match="got 1 rows and 0 columns"):
+        ts.fraction_free_solve(ts.MomentSystem(0, 0, (ts.MomentRow(0, (), q(0)),)))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_structured_solve_matches_bareiss(m):
+    # values and term order: two independent routes to the same coordinates
+    for k in range(2, 16):
+        direct = ts.solve_tau_direct(k, m)
+        bareiss = ts.fraction_free_solve(ts.assemble_system(k, m))
+        assert ([list(e._terms.items()) for e in direct.entries]
+                == [list(e._terms.items()) for e in bareiss.entries]), k
+
+
+def _assembled_residuals(k, m, entries):
+    return [sum((c * t for c, t in zip(row.coeffs, entries)), -row.rhs)
+            for row in ts.assemble_system(k, m).rows]
+
+
+@pytest.mark.parametrize("k,m", [(2, 1), (5, 2), (9, 1), (12, 2)])
+def test_regrouped_residual_equals_assembled(k, m):
+    rows = ts._moment_rows(k, m)
+    entries = list(ts.solve_tau_direct(k, m).entries)
+    zero = ts._residuals(k, entries, rows)
+    assert zero == _assembled_residuals(k, m, entries)
+    assert all(r.is_zero() for r in zero)
+    # every entry perturbed, so every column's part of every row is compared
+    for i in range(len(entries)):
+        entries[i] = entries[i] + SymNumber.p_power(i % 3, Fraction(i + 1, 7))
+    perturbed = ts._residuals(k, entries, rows)
+    assert perturbed == _assembled_residuals(k, m, entries)
+    assert all(not r.is_zero() for r in perturbed)
+
+
+def _mutant(*edits):
+    """A fresh tausolver module built from its source with each (old, new)
+    edit made; each old text must occur in the source."""
+    source = Path(ts.__file__).read_text()
+    for old, new in edits:
+        assert old in source, old
+        source = source.replace(old, new)
+    module = types.ModuleType("dzeta._tausolver_mutant")
+    module.__package__ = "dzeta"
+    exec(compile(source, ts.__file__, "exec"), module.__dict__)
+    return module
+
+
+_RESIDUAL_CHECK = "    for n, residual in enumerate(_residuals("
+_MUTANTS = {
+    "difference order k-1": [("for row in window], k)", "for row in window], k - 1)")],
+    "nodes shifted by one": [("node = j + 1", "node = j + 2")],
+    "zeroed witness": [("witness = _det(lhs)", "witness = SymNumber.zero()")],
+    **{f"entry {i} perturbed": [
+        (_RESIDUAL_CHECK, f"    entries[{i}] = entries[{i}] + 1\n{_RESIDUAL_CHECK}")]
+       for i in (0, 3, 7)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MUTANTS))
+@pytest.mark.parametrize("m", [1, 2])
+def test_mutated_solve_fails_with_a_system_error(name, m):
+    # k = 8: entry 7 is k - 1; every mutant must end in a mapped exit code
+    mutant = _mutant(*_MUTANTS[name])
+    with pytest.raises((mutant.InconsistentSystem, mutant.SingularSystem)) as err:
+        mutant.solve_tau_direct(8, m)
+    if name == "zeroed witness":
+        assert err.type is mutant.SingularSystem
+    if name.startswith("entry"):
+        assert "residual is nonzero" in str(err.value)
+
+
+def test_invariant_problems_are_named(monkeypatch):
+    monkeypatch.setattr(ts, "check_tau_invariants", lambda tau: ["entry 3 should vanish"])
+    with pytest.raises(ts.InconsistentSystem, match=r"tau\[4,1\]: entry 3 should vanish"):
+        ts.solve_tau_direct.__wrapped__(4, 1)
 
 
 def test_residuals_are_structurally_zero():
