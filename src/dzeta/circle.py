@@ -7,7 +7,9 @@ coefficients have a closed form, and the infinite tails appearing in moments
 of the basis elements collapse to the shifted double sums S(m, k1, k2).  A
 partial-fraction split of each summand turns S into a closed form in
 O(k1 + k2) terms: zeta values plus harmonic numbers H_{m,t}.  Each moment is
-gathered in one term map in one pass.
+gathered in one term map in one pass.  The same closed forms give the
+moments of the top basis elements and of the generating series at every
+n = 1..N at once, as integer columns (`scaled_columns`).
 
 Orientation convention: moments of the generating series (which lives in the
 original variable, the inverse of the disc variable) are plain coefficient
@@ -18,9 +20,10 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb, perm
+from itertools import accumulate
+from math import comb, gcd, lcm, perm
 
-from .pfseries import harmonic, pi_coefficient, upper_block_specs
+from .pfseries import harmonic, operator_order, pi_coefficient, upper_block_specs
 from .symfield import ONE_MONO, SymNumber, ZetaMonomial, zeta_value
 
 
@@ -70,16 +73,26 @@ def log_moment(p: int, j: int) -> SymNumber:
 # ---------------------------------------------------------------------------
 # Shifted double sums  S(m, k1, k2) = sum_{n>=1} n^-k1 (n+m)^-k2.
 
+def _partial_fractions(k1: int, k2: int) -> list[tuple[int, int, int]]:
+    """The integers (t, a_t, b_t), by descending t, of the split
+      n^-k1 (n+m)^-k2 = sum_{t<=k1} A_t n^-t + sum_{t<=k2} B_t (n+m)^-t,
+      A_t = a_t / m^(w-t) = (-1)^(k1-t) binom(w-t-1, k2-1) / m^(w-t),
+      B_t = b_t / m^(w-t) = (-1)^k1 binom(w-t-1, k1-1) / m^(w-t),
+    with w = k1 + k2 and k1, k2 >= 1; a_t = 0 past k1, b_t = 0 past k2, and
+    a_1 + b_1 = 0."""
+    w = k1 + k2
+    return [(t, (-1) ** (k1 - t) * comb(w - t - 1, k2 - 1) if t <= k1 else 0,
+             (-1) ** k1 * comb(w - t - 1, k1 - 1) if t <= k2 else 0)
+            for t in range(max(k1, k2), 0, -1)]
+
+
 @functools.cache
 def s_sum(m: int, k1: int, k2: int) -> SymNumber:
     """Reduce the shifted double sum to zeta values and harmonic numbers.
 
     Base cases: S(m, l, 0) = zeta(l) for l >= 2; S(m, 0, l) = zeta(l) - H_{m,l}
-    for l >= 2.  For k1, k2 >= 1, with w = k1 + k2, partial fractions give
-      n^-k1 (n+m)^-k2 = sum_{t<=k1} A_t n^-t + sum_{t<=k2} B_t (n+m)^-t,
-      A_t = (-1)^(k1-t) binom(w-t-1, k2-1) / m^(w-t),
-      B_t = (-1)^k1 binom(w-t-1, k1-1) / m^(w-t),
-    and A_1 + B_1 = 0, so
+    for l >= 2.  For k1, k2 >= 1 the split of `_partial_fractions`, with
+    A_1 + B_1 = 0, gives
       S = sum_{t>=2} (A_t + B_t) zeta(t) - sum_{t>=2} B_t H_{m,t} + A_1 H_{m,1}.
     The terms come out by descending t, the rational part last.
     """
@@ -93,13 +106,10 @@ def s_sum(m: int, k1: int, k2: int) -> SymNumber:
         return zeta_value(k1)
     if k1 == 0:
         return zeta_value(k2) - SymNumber.from_rational(harmonic(m, k2))
-    w = k1 + k2
     terms = {}
     rational = Fraction(0)
-    for t in range(max(k1, k2), 0, -1):
-        a = (-1) ** (k1 - t) * comb(w - t - 1, k2 - 1) if t <= k1 else 0
-        b = (-1) ** k1 * comb(w - t - 1, k1 - 1) if t <= k2 else 0
-        den = m ** (w - t)
+    for t, a, b in _partial_fractions(k1, k2):
+        den = m ** (k1 + k2 - t)
         if t == 1:
             rational += Fraction(a, den) * harmonic(m, 1)
             continue
@@ -157,3 +167,88 @@ def basis_moment(k: int, m: int, i: int, n: int) -> SymNumber:
                 else:
                     del terms[key]
     return SymNumber(terms)
+
+
+# ---------------------------------------------------------------------------
+# Scaled moments as integer columns.  A column maps each monomial to
+# (den, [numerator at n = 1..N]): one coefficient of a moment at every row,
+# over one denominator.
+
+def column_sum(parts):
+    """The sum of num/den * values over (den, num, values) parts, as one
+    column over the lcm of the dens, reduced; None when every value is
+    zero."""
+    den = lcm(*(d for d, _, _ in parts))
+    acc = [0] * len(parts[0][2])
+    for d, num, values in parts:
+        f = num * (den // d)
+        acc = [x + f * y for x, y in zip(acc, values)]
+    if not any(acc):
+        return None
+    g = gcd(den, *acc)
+    return den // g, [x // g for x in acc]
+
+
+def scaled_columns(k: int, m: int) -> list[dict]:
+    """The moments of the basis elements i > k, then of the generating
+    series, against x^n for n = 1..order-1, each scaled by (-1)^n n^k, as
+    integer columns.
+
+    Scaled, element i's log-power moment is sum_r c_r P^(i-r) n^(k-r), c_r of
+    `log_moment_poly(i)`, and each series block (d, scale s, power p) adds
+    sum_r c_r s P^(d-r) n^k S(n, p, r), c_r of `log_moment_poly(d)`, with S
+    split as in `s_sum`; the series' moment is -H_{n-1,m}.  So every value is
+    a sum of terms c n^e H_{n,t} (H_{n,0} = 1).  With L = lcm(1..order-1),
+    L^t H_{n,t} is a running integer sum and n^e for e < 0 is L^-e / n^-e
+    over L^-e, so no Fraction is built per row.
+    """
+    order = operator_order(k, m)
+    terms = []  # per column: monomial -> [(c, e, t), ...]
+    for i in range(k + 1, order):
+        col: dict = {}
+        for r, c in enumerate(log_moment_poly(i)):
+            if c:
+                col.setdefault(ZetaMonomial(i - r), []).append((c, k - r, 0))
+        for d, spec in upper_block_specs(k, m, i):
+            for r, c in enumerate(log_moment_poly(d)):
+                if not c:
+                    continue  # c_0 = 0, so r >= 1 below
+                f = c * spec.scale
+                shift = ZetaMonomial(d - r)
+                for t, a, b in _partial_fractions(spec.power, r):
+                    e = k - (spec.power + r - t)
+                    if t == 1:
+                        col.setdefault(shift, []).append((f * a, e, 1))
+                        continue
+                    if b:
+                        col.setdefault(shift, []).append((-f * b, e, t))
+                    if a + b:
+                        for mono, z in zeta_value(t)._terms.items():
+                            col.setdefault(mono.mul(shift), []).append((f * (a + b) * z, e, 0))
+        terms.append(col)
+    terms.append({ONE_MONO: [(-1, 0, m), (1, -m, 0)]})  # -H_{n,m} + n^-m
+
+    nodes = range(1, order)
+    big = lcm(*nodes)
+    sums = {0: [1] * len(nodes)}  # t -> [L^t H_{n,t}]
+    bases: dict = {}  # (e, t) -> (den, [den n^e H_{n,t}]), den = L^(t + max(-e, 0))
+    out = []
+    for column in terms:
+        ints = {}
+        for mono, triples in column.items():
+            parts = []
+            for c, e, t in triples:
+                if t not in sums:
+                    sums[t] = list(accumulate(big ** t // n ** t for n in nodes))
+                if (e, t) not in bases:
+                    lift = big ** max(-e, 0)
+                    bases[e, t] = (big ** t * lift,
+                                   [(n ** e if e >= 0 else lift // n ** -e) * h
+                                    for n, h in zip(nodes, sums[t])])
+                den, values = bases[e, t]
+                q = Fraction(c)
+                parts.append((q.denominator * den, q.numerator, values))
+            if col := column_sum(parts):
+                ints[mono] = col
+        out.append(ints)
+    return out

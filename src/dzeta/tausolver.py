@@ -12,7 +12,12 @@ the n = 0 row give tau: O(k^2) ring operations.  The system is nonsingular
 exactly when that small determinant is nonzero: M is block triangular
 around tau_0, the row scaling is invertible, the Vandermonde block has full
 column rank and the k-th differences span its left null space, and C is
-invertible.  Every row's residual is recomputed from the returned tau.
+invertible.  Rows n >= 1 of the top columns and of the right side come
+from the closed forms of the circle moments, built once per (k, m) as
+integer columns with one denominator per monomial (`circle.scaled_columns`);
+the differences, the interpolation and every row's residual, recomputed
+from the returned tau, run on those integers.  The n = 0 row is read from
+`circle.basis_moment`.
 
 Fraction-free (Bareiss) elimination of an assembled square system stays as
 a second route, for the tests and the toy example: each row is cleared once
@@ -270,27 +275,30 @@ def fraction_free_solve(system: MomentSystem) -> TauVector:
     return TauVector(system.k, system.m, entries)
 
 
-def _moment_rows(k: int, m: int) -> list:
-    """The (moments, rhs) pairs the structured solve reads, by n = 0..order-1:
-    the n = 0 row in full, and for n >= 1 only the top columns i > k, with
-    the rhs, scaled by (-1)^n n^k.  Columns i <= k must carry no series
-    block; the solve rests on it, so it is checked here."""
+def _moment_rows(k: int, m: int):
+    """What the structured solve reads: the n = 0 row (moments, rhs) in full,
+    and for n >= 1 the top columns i > k and the rhs, scaled by (-1)^n n^k,
+    as integer columns (`circle.scaled_columns`).  Columns i <= k must carry
+    no series block; the solve rests on it, so it is checked here."""
     order = operator_order(k, m)
     if any(upper_block_specs(k, m, i) for i in range(k + 1)):
         raise InconsistentSystem(f"a column i <= {k} carries a series block")
-    rows = [([circle.basis_moment(k, m, i, 0) for i in range(order)],
-             SymNumber.from_rational(circle.pi_moment(k, m, 0)))]
-    for n in range(1, order):
-        s = (-1) ** n * n ** k
-        rows.append(([circle.basis_moment(k, m, t, n) * s for t in range(k + 1, order)],
-                     SymNumber.from_rational(circle.pi_moment(k, m, n) * s)))
-    return rows
+    zero = ([circle.basis_moment(k, m, i, 0) for i in range(order)],
+            SymNumber.from_rational(circle.pi_moment(k, m, 0)))
+    *tops, rhs = circle.scaled_columns(k, m)
+    return zero, tops, rhs
 
 
-def _difference(values, k: int) -> SymNumber:
-    """The k-th forward difference sum_j (-1)^(k-j) C(k, j) values[j]."""
-    return sum((values[j] * ((-1) ** (k - j) * comb(k, j)) for j in range(k + 1)),
-               SymNumber.zero())
+def _combine(pairs) -> dict:
+    """The integer columns of sum column * value over (column, SymNumber)
+    pairs, one per product monomial (`circle.column_sum`)."""
+    parts: dict = {}
+    for col, value in pairs:
+        for m1, (den, ints) in col.items():
+            for m2, c in value._terms.items():
+                parts.setdefault(m1.mul(m2), []).append((den * c.denominator,
+                                                         c.numerator, ints))
+    return {mono: col for mono, group in parts.items() if (col := circle.column_sum(group))}
 
 
 def _det(rows) -> SymNumber:
@@ -301,23 +309,20 @@ def _det(rows) -> SymNumber:
     return a * d - b * c
 
 
-def _interpolate(values) -> list[SymNumber]:
-    """y_1..y_d with Q(n) = sum_r y_r n^(d-r), from the values Q(1..d).
+def _interpolate(columns: dict, d: int) -> list[SymNumber]:
+    """y_1..y_d with Q(n) = sum_r y_r n^(d-r), from the integer columns of
+    Q, read at n = 1..d.
 
-    Per monomial, the values go over one integer denominator.  Their Newton
-    forward differences D_j at n = 1 give
+    Per monomial, the Newton forward differences D_j at n = 1 give
     (d-1)! Q(n) = sum_j D_j (d-1)!/j! (n-1)(n-2)...(n-j), which Horner's
     rule expands into powers of n in integers; the table stops at the first
     row of zeros.
     """
-    d = len(values)
     scale = factorial(d - 1)
     weights = [scale // factorial(j) for j in range(d)]
     out = [{} for _ in range(d)]
-    for mono in dict.fromkeys(mono for v in values for mono in v._terms):
-        col = [v._terms.get(mono, Fraction(0)) for v in values]
-        den = lcm(*(c.denominator for c in col))
-        row = [c.numerator * (den // c.denominator) for c in col]
+    for mono, (den, col) in columns.items():
+        row = col[:d]
         diffs = []
         while any(row):
             diffs.append(row[0])
@@ -350,31 +355,24 @@ def _log_sum(entries, k: int, r: int) -> SymNumber:
 def _residuals(k: int, entries, rows) -> list[SymNumber]:
     """M tau - b for n = 0..order-1, on `_moment_rows`: the n = 0 row in
     full, and row n >= 1 regrouped as (-1)^n sum_r n^-r S_r +
-    sum_top M[n][t] tau_t - b_n, evaluated scaled by (-1)^n n^k.  Per
-    monomial, the polynomial sum_r S_r n^(k-r) has integer coefficients over
-    one denominator, and a Fraction is built only for a nonzero residual."""
-    moments, b = rows[0]
+    sum_top M[n][t] tau_t - b_n, evaluated scaled by (-1)^n n^k.  The
+    polynomial sum_r S_r n^(k-r), the top columns times their entries and
+    the rhs are summed as integer columns (`_combine`), so a Fraction is
+    built only for a nonzero residual."""
+    (moments, b), tops, rhs = rows
     out = [sum((a * t for a, t in zip(moments, entries)), -b)]
-    coeffs: dict = {}  # monomial -> [(power of n, coefficient), ...]
+    nodes = range(1, len(entries))
+    powers = [[n ** p for n in nodes] for p in range(k)]
+    parts: dict = {}
     for r in range(1, k + 1):
         for mono, c in _log_sum(entries, k, r)._terms.items():
-            coeffs.setdefault(mono, []).append((k - r, c))
-    polys = {}  # monomial -> (denominator, [(power of n, numerator), ...])
-    for mono, pairs in coeffs.items():
-        den = lcm(*(c.denominator for _, c in pairs))
-        polys[mono] = den, [(p, c.numerator * (den // c.denominator)) for p, c in pairs]
-    for n in range(1, len(rows)):
-        moments, b = rows[n]
-        rest = -b
-        for a, t in zip(moments, entries[k + 1:]):
-            rest = rest + a * t
-        terms = {}
-        for mono in dict.fromkeys([*polys, *rest._terms]):
-            den, pairs = polys.get(mono, (1, ()))
-            c = rest._terms.get(mono, Fraction(0))
-            num = sum(x * n ** p for p, x in pairs) * c.denominator + c.numerator * den
-            if num:
-                terms[mono] = Fraction(num, den * c.denominator)
+            parts.setdefault(mono, []).append((c.denominator, c.numerator, powers[k - r]))
+    logs = {mono: col for mono, group in parts.items() if (col := circle.column_sum(group))}
+    one = SymNumber.from_rational(1)
+    total = _combine([(logs, one), *zip(tops, entries[k + 1:]), (rhs, -one)])
+    for n in nodes:
+        terms = {mono: Fraction(col[n - 1], den)
+                 for mono, (den, col) in total.items() if col[n - 1]}
         out.append(SymNumber(terms) / ((-1) ** n * n ** k))
     return out
 
@@ -385,11 +383,15 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
 
     With N = order - 1, scaled by (-1)^n n^k, row n >= 1 reads
     Q(n) + sum_top A_t(n) tau_t = B(n), with Q(n) = sum_{r=1..k} y_r n^(k-r)
-    and y_r = `_log_sum` over the entries i <= k.  The steps:
+    and y_r = `_log_sum` over the entries i <= k.  The A_t and B are integer
+    columns built from the closed forms of the circle moments
+    (`circle.scaled_columns`); the n = 0 row is read from
+    `circle.basis_moment`.  The steps:
     1. the k-th forward differences of rows s..s+k, s = 1..N-k, annihilate
        Q and leave one (m = 1) or two (m = 2) equations for the top entries,
        solved by Cramer's rule with exact ring division;
-    2. Q(n) at n = 1..k, interpolated, gives y_1..y_k;
+    2. Q(n) = B(n) - sum_top A_t(n) tau_t at n = 1..k, interpolated, gives
+       y_1..y_k;
     3. y = C tau, C triangular with diagonal c_{r,r} = (-1)^(r-1) r!, gives
        tau_k..tau_1 by back substitution;
     4. the n = 0 row, whose tau_0 coefficient is 1, gives tau_0.
@@ -408,31 +410,37 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
     """
     order = operator_order(k, m)
     rows = _moment_rows(k, m)
+    (moments, b), tops, rhs = rows
     top = range(k + 1, order)
-    windows = [rows[s:s + k + 1] for s in range(1, order - k)]
-    lhs = [[_difference([row[0][j] for row in window], k) for j in range(len(top))]
-           for window in windows]
-    rhs = [_difference([row[1] for row in window], k) for window in windows]
+    weights = [(-1) ** (k - j) * comb(k, j) for j in range(k + 1)]
+
+    def difference(col, s: int) -> SymNumber:
+        # the k-th forward difference of rows s..s+k
+        out = {}
+        for mono, (den, ints) in col.items():
+            num = sum(w * x for w, x in zip(weights, ints[s - 1:]))
+            if num:
+                out[mono] = Fraction(num, den)
+        return SymNumber(out)
+
+    lhs = [[difference(col, s) for col in tops] for s in range(1, order - k)]
+    rhs_diff = [difference(rhs, s) for s in range(1, order - k)]
     witness = _det(lhs)
     if witness.is_zero():
         raise SingularSystem(range(order))
     entries = [SymNumber.zero()] * order
     try:
         for j, t in enumerate(top):
-            cramer = [row[:j] + [b] + row[j + 1:] for row, b in zip(lhs, rhs)]
+            cramer = [row[:j] + [d] + row[j + 1:] for row, d in zip(lhs, rhs_diff)]
             entries[t] = _det(cramer).exact_div(witness)
     except ExactDivisionError as exc:
         raise InconsistentSystem(f"top entry outside the ring: {exc}") from exc
-    values = []
-    for moments, b in rows[1:k + 1]:
-        for a, t in zip(moments, top):
-            b = b - a * entries[t]
-        values.append(b)
-    y = _interpolate(values)
+    q = _combine([(rhs, SymNumber.from_rational(1)),
+                  *((col, -entries[t]) for col, t in zip(tops, top))])
+    y = _interpolate(q, k)
     for r in range(k, 0, -1):
         # entries[r] is still zero here, so the sum runs over i > r
         entries[r] = (y[r - 1] - _log_sum(entries, k, r)) / circle.log_moment_poly(r)[r]
-    moments, b = rows[0]
     entries[0] = b - sum((a * t for a, t in zip(moments[1:], entries[1:])),
                          SymNumber.zero())
     entries = [SymNumber({mono: e._terms[mono] for mono in
@@ -489,6 +497,8 @@ def log_part(k: int, m: int, point: int) -> SymNumber:
     over ascending j: the head h(k) = tau[k][0] at +1, and at -1
     g(k) - P g(k-1) - 2 sum_{even d >= 2} zeta(d) g(k-d).  Only the nonzero
     weights (d = 0, d = 1 at -1, even d >= 2) are multiplied."""
+    if point not in (1, -1):
+        raise ValueError("point must be +1 or -1")
     weights = ((j, _weight(point, k - j)) for j in range(2, k + 1))
     return sum((zero_mode_source(j, m) * w for j, w in weights if not w.is_zero()),
                SymNumber.zero())
@@ -575,6 +585,8 @@ def check_conjecture(k_max: int, m: int, k_min: int = 3) -> ConjectureReport:
     A direct solve answered by the memo table is flagged `direct_cached`, so
     its time is not read as a solve time.
     """
+    if m not in (1, 2):
+        raise ValueError("m must be 1 or 2")
     if k_max < 3:
         return ConjectureReport(m, k_max, ())
     checks = []

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from dzeta import numverify
 from dzeta.circle import (DivergentSum, basis_moment, log_moment,
-                          log_moment_poly, pi_moment, s_sum)
+                          log_moment_poly, pi_moment, s_sum, scaled_columns)
 from dzeta.pfseries import harmonic, operator_order
 from dzeta.symfield import SymNumber, zeta_value
 
@@ -345,3 +345,25 @@ def test_basis_moment_rejects_bad_index():
         basis_moment(2, 1, operator_order(2, 1), 0)
     with pytest.raises(ValueError):
         basis_moment(2, 1, 1, -1)
+
+
+def _column_value(col, n):
+    return SymNumber({mono: Fraction(ints[n - 1], den)
+                      for mono, (den, ints) in col.items() if ints[n - 1]})
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_scaled_columns_equal_the_scaled_moments(m):
+    # the direct solve reads rows n >= 1 from these closed forms, not from
+    # basis_moment; this ties them, and so every row's residual, to the
+    # moment definitions
+    for k in range(2, 31):
+        order = operator_order(k, m)
+        *tops, rhs = scaled_columns(k, m)
+        assert len(tops) == order - k - 1
+        for n in range(1, order):
+            scale = (-1) ** n * n ** k
+            for t, col in zip(range(k + 1, order), tops):
+                assert _column_value(col, n) == basis_moment(k, m, t, n) * scale, (k, t, n)
+            assert _column_value(rhs, n) == SymNumber.from_rational(
+                pi_moment(k, m, n) * scale), (k, n)

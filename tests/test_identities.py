@@ -188,6 +188,9 @@ def test_log_part_sums_the_pure_log_entries(m):
         assert even_terms(minus) == even_terms(at_minus_one), k
         assert plus == entries[0], k
         assert list(plus._terms.items()) == list(entries[0]._terms.items()), k
+    # any other point is rejected, not read as -1
+    with pytest.raises(ValueError, match="point must be"):
+        ts.log_part(5, m, 7)
 
 
 def test_weights_are_zeta_values():

@@ -141,21 +141,33 @@ def test_regrouped_residual_equals_assembled(k, m):
 
 
 def _mutant(*edits):
-    """A fresh tausolver module built from its source with each (old, new)
-    edit made; each old text must occur in the source."""
-    source = Path(ts.__file__).read_text()
+    """A fresh tausolver module over a fresh circle module, each built from
+    its source with every (old, new) edit made in the one source that holds
+    the old text."""
+    sources = {mod: Path(mod.__file__).read_text() for mod in (circle, ts)}
     for old, new in edits:
-        assert old in source, old
-        source = source.replace(old, new)
-    module = types.ModuleType("dzeta._tausolver_mutant")
-    module.__package__ = "dzeta"
-    exec(compile(source, ts.__file__, "exec"), module.__dict__)
-    return module
+        holders = [mod for mod, source in sources.items() if old in source]
+        assert len(holders) == 1, old
+        sources[holders[0]] = sources[holders[0]].replace(old, new)
+    built = {}
+    for mod, source in sources.items():
+        module = types.ModuleType(f"{mod.__name__}_mutant")
+        module.__package__ = "dzeta"
+        exec(compile(source, mod.__file__, "exec"), module.__dict__)
+        built[mod] = module
+    built[ts].circle = built[circle]
+    return built[ts]
 
 
 _RESIDUAL_CHECK = "    for n, residual in enumerate(_residuals("
 _MUTANTS = {
-    "difference order k-1": [("for row in window], k)", "for row in window], k - 1)")],
+    "difference order k-1": [("comb(k, j) for j in range(k + 1)]",
+                              "comb(k - 1, j) for j in range(k)]")],
+    # the zeta-value piece of every partial fraction one power of n off (the
+    # H_{n,1} pieces cancel in column k+2 and column k+1 meets tau_{k+1} = 0
+    # at m = 2, so an H_{n,1} mutant there is equivalent to the original)
+    "column n-exponent off by one": [("append((f * (a + b) * z, e, 0))",
+                                      "append((f * (a + b) * z, e + 1, 0))")],
     "nodes shifted by one": [("node = j + 1", "node = j + 2")],
     "zeroed witness": [("witness = _det(lhs)", "witness = SymNumber.zero()")],
     **{f"entry {i} perturbed": [
@@ -491,6 +503,10 @@ def test_conjecture_vacuous():
     report = ts.check_conjecture(2, 1)
     assert report.all_pass
     assert report.checks == ()
+    # m is checked even when the range is empty
+    for k_max in (2, 5):
+        with pytest.raises(ValueError, match="m must be 1 or 2"):
+            ts.check_conjecture(k_max, 3)
 
 
 def test_conjecture_flags_memoized_direct_solves():
