@@ -20,10 +20,9 @@ from the returned tau, run on those integers.  The n = 0 row is read from
 `circle.basis_moment`.
 
 Fraction-free (Bareiss) elimination of an assembled square system stays as
-a second route, for the tests and the toy example: each row is cleared once
-to integer coefficients and eliminated in Z[P, zeta(3), ...] on maps from
-packed integer monomial keys to integer coefficients, so a monomial product
-is an integer addition, and each row's residual is one integer dot product.
+a second route, for the tests and the toy example: textbook Bareiss on
+SymNumber entries, with `SymNumber.exact_div` for every division and each
+row's residual recomputed as a SymNumber sum.
 The fast path is the observed coefficient rule plus the zero-mode row in
 closed form (the heads are one Bernoulli convolution, `log_part`, and the
 entries i >= k-1 come from the direct tau[2] through `tail`); it is marked
@@ -35,7 +34,7 @@ from __future__ import annotations
 import functools
 import time
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial
 from typing import NamedTuple
 
 from . import circle
@@ -95,184 +94,56 @@ def assemble_system(k: int, m: int) -> MomentSystem:
     return MomentSystem(k, m, tuple(rows))
 
 
-def _negated(x: dict) -> dict:
-    return {mono: -c for mono, c in x.items()}
-
-
-def _key_codec(monos, bound: int):
-    """Integer keys for the monomials of one system.
-
-    A key packs fixed-width fields, most significant first: the weight, the
-    exponent of P, then the exponents of the odd zeta values that occur in
-    `monos`, by ascending argument.  Each field holds values up to `bound`
-    below one guard bit, so a product of monomials is the sum of their keys,
-    comparing keys is the graded lexicographic order of `_mono_sort_key`,
-    and a divides b exactly when ((b | guard) - a) & guard == guard, the
-    quotient being b - a.  Returns (pack, unpack, guard).
-    """
-    gens = sorted({s for mono in monos for s, _ in mono.zetas})
-    bits = bound.bit_length() + 1
-    mask = (1 << bits) - 1
-    guard = 0
-    for _ in range(len(gens) + 2):
-        guard = (guard << bits) | (1 << (bits - 1))
-
-    def pack(mono: ZetaMonomial) -> int:
-        exps = dict(mono.zetas)
-        key = (mono.weight << bits) | mono.pi_exp
-        for s in gens:
-            key = (key << bits) | exps.get(s, 0)
-        return key
-
-    def unpack(key: int) -> ZetaMonomial:
-        zetas = []
-        for s in reversed(gens):
-            if key & mask:
-                zetas.append((s, key & mask))
-            key >>= bits
-        return ZetaMonomial(key & mask, tuple(reversed(zetas)))
-
-    return pack, unpack, guard
-
-
-def _dot(pairs) -> dict:
-    """Sum of the products x*y over (x, y) pairs of integer maps, gathered in
-    one accumulator and stripped of zeros once at the end."""
-    acc: dict = {}
-    for x, y in pairs:
-        for m1, c1 in x.items():
-            for m2, c2 in y.items():
-                mono = m1 + m2
-                acc[mono] = acc.get(mono, 0) + c1 * c2
-    return {mono: c for mono, c in acc.items() if c}
-
-
-def _indivisible(c, mono, lead_c, lead, unpack) -> ExactDivisionError:
-    return ExactDivisionError(f"{c}*{unpack(mono)} not divisible by "
-                              f"{lead_c}*{unpack(lead)}")
-
-
-def _exact_div(num: dict, den: dict, guard: int, unpack) -> dict:
-    """num / den in Z[P, zeta(3), ...] on packed keys; ExactDivisionError
-    unless the quotient has integer coefficients."""
-    if len(den) == 1:
-        ((lead, lead_c),) = den.items()
-        out = {}
-        for mono, c in num.items():
-            q, r = divmod(c, lead_c)
-            if r or ((mono | guard) - lead) & guard != guard:
-                raise _indivisible(c, mono, lead_c, lead, unpack)
-            out[mono - lead] = q
-        return out
-    lead = max(den)
-    lead_c = den[lead]
-    rem = dict(num)
-    out = {}
-    while rem:
-        rmono = max(rem)
-        q, r = divmod(rem[rmono], lead_c)
-        if r or ((rmono | guard) - lead) & guard != guard:
-            raise _indivisible(rem[rmono], rmono, lead_c, lead, unpack)
-        q_mono = rmono - lead
-        out[q_mono] = q
-        for mono, c in den.items():
-            target = mono + q_mono
-            cur = rem.get(target, 0) - c * q
-            if cur:
-                rem[target] = cur
-            else:
-                rem.pop(target, None)
-    return out
+def _term_sorted(x: SymNumber) -> SymNumber:
+    """x with its terms by descending `_mono_sort_key`."""
+    return SymNumber({mono: x._terms[mono]
+                      for mono in sorted(x._terms, key=_mono_sort_key, reverse=True)})
 
 
 def fraction_free_solve(system: MomentSystem) -> TauVector:
-    """Bareiss elimination over Z[P, zeta(3), ...] with exact back substitution.
+    """Fraction-free (Bareiss) elimination on SymNumber entries, with exact
+    back substitution.
 
-    Each row, rhs included, is scaled once by the lcm of its coefficient
-    denominators, so every entry is a map from monomial to int; scaling a row
-    changes neither the solution nor any entry's monomial count.  The
-    monomials become packed integer keys (`_key_codec`) at that step, so a
-    monomial product is one integer addition and the leading monomial is the
-    largest key; they are unpacked only to build tau.  Every entry met below
-    is a minor or a product of two minors, so twice the sum over columns of
-    the largest monomial weight in the column bounds every exponent and sets
-    the field width.  Pivots are chosen fewest-monomials-first to limit
-    intermediate swell.  Each step forms pivot*a - lead*b in one accumulator
-    and divides it exactly by the previous pivot (Bareiss, Math. Comp. 22,
-    1968).  Back substitution computes the Cramer numerators det*tau_i, again
-    by exact divisions in Z; dividing them by the primitive part of det puts
-    tau over one common denominator, the content of det.  Every row's
-    residual is recomputed as one integer dot product.  A system that is not
-    square, or has no rows or columns, raises ValueError.
+    Pivots are chosen fewest-terms-first to limit intermediate swell.  Each
+    step forms pivot*a - lead*b and divides it exactly by the previous pivot
+    (Bareiss, Math. Comp. 22, 1968), so every entry stays a minor of the
+    system; back substitution divides exactly by the diagonal, and a
+    solution outside Q[P, zeta(3), ...] raises ExactDivisionError.  Each
+    entry's terms come by descending `_mono_sort_key`.  Every row's residual
+    is recomputed from the returned tau.  A system that is not square, or
+    has no rows or columns, raises ValueError.
     """
     width = system.width
     if not width or len(system.rows) != width:
         raise ValueError(f"system must be square and nonempty, got "
                          f"{len(system.rows)} rows and {width} columns")
-    values = [[v._terms for v in (*row.coeffs, row.rhs)] for row in system.rows]
-    bound = 2 * sum(max((mono.weight for row in values for mono in row[c]),
-                        default=0) for c in range(width + 1))
-    monos = {mono for row in values for v in row for mono in v}
-    pack, unpack, guard = _key_codec(monos, bound)
-    keys = {mono: pack(mono) for mono in monos}
-    cleared = []
-    for row in values:
-        denom = lcm(*(c.denominator for v in row for c in v.values()))
-        cleared.append([{keys[mono]: c.numerator * (denom // c.denominator)
-                         for mono, c in v.items()} for v in row])
-    mat = [list(row) for row in cleared]
-    indices = [row.n for row in system.rows]
-
-    prev = {0: 1}  # key 0 is the monomial 1
+    mat = [[*row.coeffs, row.rhs] for row in system.rows]
+    prev = SymNumber.from_rational(1)
     for col in range(width):
-        pivot_row = None
-        pivot_size = None
-        for r in range(col, width):
-            if mat[r][col]:
-                size = len(mat[r][col])
-                if pivot_size is None or size < pivot_size:
-                    pivot_row, pivot_size = r, size
-        if pivot_row is None:
-            raise SingularSystem(indices)
+        nonzero = [r for r in range(col, width) if not mat[r][col].is_zero()]
+        if not nonzero:
+            raise SingularSystem([row.n for row in system.rows])
+        pivot_row = min(nonzero, key=lambda r: len(mat[r][col]))
         mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
         top = mat[col]
         pivot = top[col]
-        for r in range(col + 1, width):
-            row = mat[r]
-            lead = _negated(row[col])
+        for row in mat[col + 1:]:
             # rows with a zero leading entry still rescale, keeping every
             # entry an exact minor (the Bareiss divisibility invariant)
+            lead = row[col]
             for c in range(col + 1, width + 1):
-                row[c] = _exact_div(_dot(((pivot, row[c]), (lead, top[c]))),
-                                    prev, guard, unpack)
-            row[col] = {}
+                row[c] = (pivot * row[c] - lead * top[c]).exact_div(prev)
         prev = pivot
 
-    # the Cramer numerators y_i = det * tau_i from
-    # U[i][i] y_i = det * b_i - sum_{c > i} U[i][c] y_c, kept negated so that
-    # each right-hand side is one _dot
-    det = prev
-    neg_y: list[dict] = [{}] * width
+    entries = [SymNumber.zero()] * width
     for i in range(width - 1, -1, -1):
         row = mat[i]
-        pairs = [(det, row[width])]
-        pairs.extend((row[c], neg_y[c]) for c in range(i + 1, width))
-        neg_y[i] = _negated(_exact_div(_dot(pairs), row[i], guard, unpack))
-    # det = content * primitive part, and tau_i = (y_i / primitive) / content
-    content = gcd(*det.values())
-    primitive = {mono: c // content for mono, c in det.items()}
-    neg_num = [_exact_div(y, primitive, guard, unpack) for y in neg_y]
-
-    scale = {0: content}
-    for row, label in zip(cleared, indices):
-        pairs = [(scale, row[width])]
-        pairs.extend(zip(row[:width], neg_num))
-        if _dot(pairs):
-            raise InconsistentSystem(f"row n={label} residual is nonzero")
-
-    entries = tuple(SymNumber({unpack(mono): Fraction(-c, content)
-                               for mono, c in x.items()}) for x in neg_num)
-    return TauVector(system.k, system.m, entries)
+        acc = sum((row[c] * entries[c] for c in range(i + 1, width)), SymNumber.zero())
+        entries[i] = (row[width] - acc).exact_div(row[i])
+    for row in system.rows:
+        if not sum((a * t for a, t in zip(row.coeffs, entries)), -row.rhs).is_zero():
+            raise InconsistentSystem(f"row n={row.n} residual is nonzero")
+    return TauVector(system.k, system.m, tuple(_term_sorted(e) for e in entries))
 
 
 def _moment_rows(k: int, m: int):
@@ -406,7 +277,7 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
     the returned tau (`_residuals`) and `check_tau_invariants` runs; a
     nonzero residual, a top entry outside the ring, or a failed invariant
     raises InconsistentSystem.  Each entry's terms come by descending
-    `_mono_sort_key`, the order of fraction-free elimination.
+    `_mono_sort_key`, as from `fraction_free_solve`.
     """
     order = operator_order(k, m)
     rows = _moment_rows(k, m)
@@ -443,9 +314,7 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
         entries[r] = (y[r - 1] - _log_sum(entries, k, r)) / circle.log_moment_poly(r)[r]
     entries[0] = b - sum((a * t for a, t in zip(moments[1:], entries[1:])),
                          SymNumber.zero())
-    entries = [SymNumber({mono: e._terms[mono] for mono in
-                          sorted(e._terms, key=_mono_sort_key, reverse=True)})
-               for e in entries]
+    entries = [_term_sorted(e) for e in entries]
     for n, residual in enumerate(_residuals(k, entries, rows)):
         if not residual.is_zero():
             raise InconsistentSystem(f"row n={n} residual is nonzero")
