@@ -7,10 +7,10 @@ and k+3 for m=2.  All series coefficients here are exact rationals; symbolic
 constants only enter downstream (moments and boundary evaluation).
 
 The checks run on small integers.  Operator application scales each column
-of a log series (one power of x across its log blocks) by that column's own
-denominator, not by one denominator for the whole series, and the recursion
-check clears three coefficients at a time.  The basis elements share one zero
-row and one unit row per truncation order.
+of a log series (one power of x across its log blocks) by the denominators
+of its live rows alone and passes over all-zero rows; the recursion and
+forms checks compare cross-multiplied integers.  The basis elements share
+one zero row and one unit row per truncation order.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import cache
+from itertools import zip_longest
 from math import comb, factorial, lcm
 from typing import NamedTuple
 
@@ -158,8 +159,8 @@ def pi_coefficient(k: int, m: int, n: int) -> Fraction:
     """Coefficient of x^n in the generating series: (-1)^(n-1) H_{n-1,m} / n^k."""
     if n < 2:
         raise ValueError("the series starts at x^2")
-    sign = 1 if (n - 1) % 2 == 0 else -1
-    return sign * harmonic(n - 1, m) / Fraction(n ** k)
+    h = harmonic(n - 1, m)
+    return Fraction(h.numerator if n % 2 else -h.numerator, h.denominator * n ** k)
 
 
 def basis_coefficient(k: int, m: int, level: int, n: int) -> Fraction:
@@ -171,12 +172,15 @@ def basis_coefficient(k: int, m: int, level: int, n: int) -> Fraction:
     if level == k:
         return Fraction(sign * factorial(k), n ** k)
     if level == k + 1 and m == 1:
-        return factorial(k + 1) * sign * (-k + n * harmonic(n, 1)) / Fraction(n ** (k + 1))
+        h = harmonic(n, 1)  # (k+1)! (-1)^n (n H_n - k) / n^(k+1)
+        return Fraction(sign * factorial(k + 1) * (n * h.numerator - k * h.denominator),
+                        h.denominator * n ** (k + 1))
     if level == k + 1 and m == 2:
         return Fraction(-k * factorial(k + 1) * sign, n ** (k + 1))
     if level == k + 2 and m == 2:
-        return factorial(k + 2) * sign * (comb(k + 1, 2) + n * n * harmonic(n, 2)) \
-            / Fraction(n ** (k + 2))
+        h = harmonic(n, 2)  # (k+2)! (-1)^n (C(k+1, 2) + n^2 H_{n,2}) / n^(k+2)
+        num = sign * factorial(k + 2) * (comb(k + 1, 2) * h.denominator + n * n * h.numerator)
+        return Fraction(num, h.denominator * n ** (k + 2))
     raise LevelOutOfRange(f"no level-{level} series block for (k={k}, m={m})")
 
 
@@ -187,8 +191,10 @@ class PureAltSeries(NamedTuple):
     power: int
 
     def coefficient(self, n: int) -> Fraction:
-        sign = -1 if n % 2 else 1
-        return self.scale * Fraction(sign, n ** self.power)
+        if n < 1:
+            raise ValueError("series coefficients start at n = 1")
+        num = self.scale.numerator
+        return Fraction(-num if n % 2 else num, self.scale.denominator * n ** self.power)
 
 
 class HarmonicTailSeries(NamedTuple):
@@ -199,9 +205,11 @@ class HarmonicTailSeries(NamedTuple):
     t: int
 
     def coefficient(self, n: int) -> Fraction:
-        # coefficient of x^n, n >= 1 (zero at n = 1 since H_0 = 0)
-        sign = -1 if (n - 1) % 2 else 1
-        return self.scale * sign * harmonic(n - 1, self.t) / Fraction(n ** self.power)
+        if n < 1:
+            raise ValueError("series coefficients start at n = 1")
+        h = harmonic(n - 1, self.t)  # zero at n = 1, since H_0 = 0
+        return Fraction((-1) ** (n - 1) * self.scale.numerator * h.numerator,
+                        self.scale.denominator * h.denominator * n ** self.power)
 
 
 def upper_block_specs(k: int, m: int, i: int) -> tuple[tuple[int, PureAltSeries], ...]:
@@ -266,7 +274,9 @@ class LogSeries(NamedTuple):
 
     @property
     def trunc(self) -> int:
-        return len(self.blocks[0]) - 1
+        if len(lengths := set(map(len, self.blocks))) != 1:
+            raise ValueError("a log series needs one or more blocks of one length")
+        return lengths.pop() - 1
 
     @property
     def log_degree(self) -> int:
@@ -285,10 +295,10 @@ class LogSeries(NamedTuple):
         nblocks = []
         top = self.log_degree
         for d in range(top + 1):
-            row = [n * c for n, c in enumerate(self.blocks[d])]
-            if d < top:
+            row = [n * c if c else c for n, c in enumerate(self.blocks[d])]
+            if d < top:  # zero entries pass through without Fraction arithmetic
                 nxt = self.blocks[d + 1]
-                row = [c + (d + 1) * nxt[n] for n, c in enumerate(row)]
+                row = [c + (d + 1) * nxt[n] if nxt[n] else c for n, c in enumerate(row)]
             nblocks.append(tuple(row))
         while len(nblocks) > 1 and not any(nblocks[-1]):
             nblocks.pop()
@@ -309,7 +319,7 @@ class LogSeries(NamedTuple):
         return LogSeries(self.chart, tuple(nblocks))
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.blocks))
+        return all(b is _zero_row(len(b) - 1) or not any(b) for b in self.blocks)
 
     def coefficient(self, log_power: int, n: int) -> Fraction:
         if log_power > self.log_degree:
@@ -356,30 +366,34 @@ def apply_operator(op: PFOperator, s: LogSeries) -> LogSeries:
     series' own truncation order (see `LogSeries`).
 
     The work runs on integer rows, one denominator per column: theta never
-    mixes columns, so column n is scaled by the lcm D_n of its own
-    denominators.  Each power x^e of the coefficient polynomials gets its own
-    accumulator in that scale; the shift by x^e then moves column n - e onto
-    column n once, multiplied by L_n / D_{n-e} with L_n = lcm(D_{n-deg..n}),
-    and the image entry at n is the accumulated integer over L_n.
+    mixes columns, so column n is scaled by the lcm D_n of the live rows'
+    denominators there.  Rows are cut after their last nonzero entry, and an
+    all-zero row is absent (an all-zero image block is the shared zero row).
+    Each power x^e of the coefficient polynomials gets its own accumulator in
+    that scale; the shift by x^e then moves column n - e onto column n once,
+    multiplied by L_n / D_{n-e} with L_n = lcm(D_{n-deg..n}), and the image
+    entry at n is the accumulated integer over L_n.
     """
     if op.chart != s.chart:
         raise ChartMismatch(f"operator chart {op.chart!r} vs series {s.chart!r}")
     trunc = s.trunc
     deg = op.max_coeff_degree()
-    den_rows = [[c.denominator for c in block] for block in s.blocks]
-    dens = list(map(lcm, *den_rows))
-    power = [[c.numerator * (den // q) for c, q, den in zip(block, qs, dens)]
-             for block, qs in zip(s.blocks, den_rows)]
+    live = [() if b is _zero_row(trunc) else b[:1] if b is _unit_row(trunc) else _trim(b)
+            for b in s.blocks]
+    dens = [1] * (trunc + 1)
+    for row in live:
+        dens[:len(row)] = map(lcm, dens, [c.denominator for c in row])
+    power = [[c.numerator * (den // c.denominator) for c, den in zip(row, dens)]
+             for row in live]
     acc = [[] for _ in range(deg + 1)]  # acc[e][d]: sum_j p_j[e] * row d of theta^j
     nblocks = 1
     for j, poly in enumerate(op.coeffs):
-        if j > 0:  # theta: row d becomes n*row_d[n] + (d+1)*row_{d+1}[n],
-            # and stays as it is when both rows are zero
-            power = [[n * c + (d + 1) * x for n, (c, x) in enumerate(zip(row, nxt))]
-                     if any(row) or any(nxt) else row
-                     for d, (row, nxt) in enumerate(zip(power, power[1:]))] \
-                + [[n * c for n, c in enumerate(power[-1])]]
-            while len(power) > 1 and not any(power[-1]):
+        if j > 0:  # theta: row d becomes n*row_d[n] + (d+1)*row_{d+1}[n]
+            power = [_trim([n * c + (d + 1) * x for n, (c, x)
+                            in enumerate(zip_longest(row, nxt, fillvalue=0))]) if nxt
+                     else [n * c for n, c in enumerate(row)] if len(row) > 1 else []
+                     for d, (row, nxt) in enumerate(zip(power, power[1:] + [[]]))]
+            while len(power) > 1 and not power[-1]:
                 power.pop()
         if not any(poly):
             continue
@@ -388,19 +402,19 @@ def apply_operator(op: PFOperator, s: LogSeries) -> LogSeries:
             if not c:
                 continue
             rows = acc[e]
-            rows.extend([0] * (trunc + 1) for _ in range(len(power) - len(rows)))
+            rows.extend([] for _ in range(len(power) - len(rows)))
             for d, row in enumerate(power):
-                if any(row):
-                    rows[d] = [a + c * x for a, x in zip(rows[d], row)]
+                if row:
+                    rows[d] = [a + c * x for a, x in zip_longest(rows[d], row, fillvalue=0)]
     # scale[n] = L_n, the lcm of the column denominators the shifts bring to n
     scale = list(map(lcm, *([1] * e + dens[:trunc + 1 - e] for e in range(deg + 1))))
     image = [[0] * (trunc + 1) for _ in range(nblocks)]
     for e, rows in enumerate(acc):
         ratio = [big // den for big, den in zip(scale[e:], dens)]
         for target, row in zip(image, rows):
-            target[e:] = [a + r * x for a, r, x in zip(target[e:], ratio, row)]
+            target[e:e + len(row)] = [a + r * x for a, r, x in zip(target[e:], ratio, row)]
     blocks = tuple(tuple(Fraction(c, big) if c else _ZERO for c, big in zip(row, scale))
-                   for row in image)
+                   if any(row) else _zero_row(trunc) for row in image)
     return LogSeries(s.chart, blocks)
 
 
@@ -485,9 +499,14 @@ def basis_violations(k: int, m: int, trunc: int) -> list[str]:
     if not image.is_zero():
         problems.append(f"series ({k},{m}) not annihilated")
     for i in range(k, len(basis)):
-        specs = bottom_block_rewritten(k, m, i)
-        if basis[i].blocks[0] != _series_row(
-                lambda n: sum(spec.coefficient(n) for spec in specs), trunc):
+        specs, row = bottom_block_rewritten(k, m, i), basis[i].blocks[0]
+        for n in range(1, trunc + 1):  # row[n] minus the specs' sum, as num / den
+            num, den = row[n].numerator, row[n].denominator
+            for t in [spec.coefficient(n) for spec in specs]:
+                num, den = num * t.denominator - t.numerator * den, den * t.denominator
+            if num:
+                break
+        if row[0] or num:
             problems.append(f"basis forms disagree for ({k},{m})")
             break
     return problems

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dzeta import circle, identities, pfseries
-from dzeta.pfseries import (CHART_INV, CHART_PHI, ChartMismatch, LevelOutOfRange,
+from dzeta.pfseries import (CHART_INV, CHART_PHI, ChartMismatch,
+                            HarmonicTailSeries, LevelOutOfRange,
                             LogSeries, PFOperator, PureAltSeries,
                             apply_operator, basis_coefficient, basis_violations,
                             bottom_block_rewritten, canonical_basis, harmonic,
@@ -117,6 +118,19 @@ def test_basis_coefficient_seeds(k):
         == Fraction(-(k - 3) * factorial(k + 1), 2 ** (k + 1))
     assert basis_coefficient(k, 2, k + 2, 2) \
         == Fraction((k * k + k + 10) * factorial(k + 2), 2 ** (k + 3))
+
+
+@pytest.mark.parametrize("coefficient", [
+    PureAltSeries(2, 3).coefficient,
+    PureAltSeries(Fraction(-5, 7), 1).coefficient,
+    HarmonicTailSeries(Fraction(-6), 3, 1).coefficient,
+    HarmonicTailSeries(Fraction(1, 2), 2, 2).coefficient,
+    lambda n: basis_coefficient(3, 1, 3, n),
+])
+@pytest.mark.parametrize("n", [0, -1, -2])
+def test_series_coefficients_start_at_one(coefficient, n):
+    with pytest.raises(ValueError, match=r"series coefficients start at n = 1"):
+        coefficient(n)
 
 
 def test_basis_coefficient_level_out_of_range():
@@ -364,6 +378,30 @@ def test_apply_operator_zero_series():
     assert image.is_zero()
 
 
+@pytest.mark.parametrize("blocks", [
+    ((Fraction(0),) * 5, (Fraction(1),) * 3),   # ragged: lengths 5 and 3
+    ((Fraction(1),) * 4, (Fraction(1),) * 2),   # lengths 4 and 2
+    (),                                         # no blocks
+], ids=["ragged-5-3", "ragged-4-2", "empty"])
+def test_apply_operator_rejects_malformed_series(blocks):
+    s = LogSeries(CHART_PHI, blocks)
+    with pytest.raises(ValueError, match="one or more blocks of one length"):
+        apply_operator(pf_operator(2, 1, CHART_PHI), s)
+    with pytest.raises(ValueError):
+        s + s
+    with pytest.raises(ValueError):
+        LogSeries.zero(CHART_PHI, 4) + s
+
+
+def test_add_checks_every_block_length():
+    # the first blocks agree, a later one is short
+    ragged = LogSeries(CHART_PHI, ((Fraction(1),) * 5, (Fraction(2),) * 3))
+    with pytest.raises(ValueError):
+        LogSeries.zero(CHART_PHI, 4, log_degree=1) + ragged
+    with pytest.raises(ValueError):
+        ragged + LogSeries.zero(CHART_PHI, 4, log_degree=1)
+
+
 def test_theta_action():
     # theta(x^n log^d) = n x^n log^d + d x^n log^(d-1)
     s = LogSeries.from_blocks(CHART_INV, [(0, 0, 0), (0, 0, 1)])  # x^2 log x
@@ -415,13 +453,16 @@ def _operator_and_series(draw):
         coeffs = tuple(draw(st.lists(polys, min_size=1, max_size=5)))
         op = PFOperator(len(coeffs) - 1, chart, coeffs)
     trunc = draw(st.integers(4, 10))
-    log_degree = draw(st.integers(0, 3))
-    # one denominator per entry, so that columns have different denominators,
-    # and some all-zero blocks, which theta passes over
-    entries = st.lists(st.builds(Fraction, st.integers(-50, 50),
-                                 st.integers(1, 60)),
-                       min_size=trunc + 1, max_size=trunc + 1)
-    row = st.one_of(st.just([Fraction(0)] * (trunc + 1)), entries)
+    log_degree = draw(st.integers(0, 4))
+    # one denominator per entry, so that columns have different denominators;
+    # all-zero blocks, both the shared zero row and a fresh one, which the
+    # operator passes over, also between live blocks; and blocks whose one
+    # nonzero entry is at x^0, the shape of a pure log power
+    fraction = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 60))
+    entries = st.lists(fraction, min_size=trunc + 1, max_size=trunc + 1)
+    constant = fraction.filter(bool).map(lambda c: (c,) + (Fraction(0),) * trunc)
+    row = st.one_of(st.just(pfseries._zero_row(trunc)),
+                    st.just((Fraction(0),) * (trunc + 1)), constant, entries)
     blocks = tuple(tuple(draw(row)) for _ in range(log_degree + 1))
     return op, LogSeries(chart, blocks)
 
@@ -434,6 +475,17 @@ def test_apply_operator_matches_fraction_reference(case):
     expected = _apply_reference(op, s)
     assert image == expected
     assert all(isinstance(c, Fraction) for b in image.blocks for c in b)
+
+
+@pytest.mark.parametrize("k", [12, 20])
+@pytest.mark.parametrize("m", [1, 2])
+def test_apply_operator_matches_reference_on_the_basis(k, m):
+    # pure log power i is one unit block above i absent ones, and the mixed
+    # elements have absent blocks between their live series rows and the
+    # unit block on top
+    op = pf_operator(k, m, CHART_INV)
+    for i, element in enumerate(canonical_basis(k, m, 12)):
+        assert apply_operator(op, element) == _apply_reference(op, element), i
 
 
 def test_apply_operator_keeps_cancelled_top_block():
