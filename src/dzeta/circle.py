@@ -6,10 +6,11 @@ this module is exact: log-power moments are polynomials in 1/p whose integer
 coefficients have a closed form, and the infinite tails appearing in moments
 of the basis elements collapse to the shifted double sums S(m, k1, k2).  A
 partial-fraction split of each summand turns S into a closed form in
-O(k1 + k2) terms: zeta values plus harmonic numbers H_{m,t}.  Each moment is
-gathered in one term map in one pass.  The same closed forms give the
-moments of the top basis elements and of the generating series at every
-n = 1..N at once, as integer columns (`scaled_columns`).
+O(k1 + k2) terms: zeta values plus harmonic numbers H_{m,t}.  The same
+closed forms give the moments of the top basis elements and of the
+generating series at every n = 1..N at once, as integer columns
+(`scaled_columns`).  `combine`, the exact layer's one accumulator, sums
+weighted ring values per monomial on those integer columns.
 
 Orientation convention: moments of the generating series (which lives in the
 original variable, the inverse of the disc variable) are plain coefficient
@@ -142,51 +143,61 @@ def basis_moment(k: int, m: int, i: int, n: int) -> SymNumber:
     to log^d with d >= 1 have pure alternating-power coefficients, so their
     tails are finitely many s_sum calls (zeta values at n = 0).  The log-free
     series block never contributes: x^(n+q) integrates to zero for n >= 0,
-    q >= 1.  The log moment and every tail term go into one term map, in
-    the order the tails are met.
+    q >= 1.  The log moment and every tail term, in the order the tails are
+    met, are summed by `weighted_sum`.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     specs = upper_block_specs(k, m, i)  # rejects an out-of-range i
-    terms = dict(log_moment(n, i)._terms)
     sign = -1 if n % 2 else 1
-    for d, spec in specs:
-        for r, c in enumerate(log_moment_poly(d)):  # c_r P^(d-r)
-            if not c:
-                continue
-            if n >= 1:
-                tail = s_sum(n, spec.power, r)
-            else:
-                tail = zeta_value(spec.power + r)
-            factor = c * sign * spec.scale
-            for mono, t in tail._terms.items():
-                key = ZetaMonomial(mono.pi_exp + d - r, mono.zetas)
-                value = terms.get(key, 0) + t * factor
-                if value:
-                    terms[key] = value
-                else:
-                    del terms[key]
-    return SymNumber(terms)
+    tails = ((c * sign * spec.scale, d - r,  # c_r P^(d-r) times the tail
+              s_sum(n, spec.power, r) if n >= 1 else zeta_value(spec.power + r))
+             for d, spec in specs for r, c in enumerate(log_moment_poly(d)) if c)
+    return weighted_sum([(1, 0, log_moment(n, i)), *tails])
 
 
 # ---------------------------------------------------------------------------
-# Scaled moments as integer columns.  A column maps each monomial to
-# (den, [numerator at n = 1..N]): one coefficient of a moment at every row,
-# over one denominator.
+# Integer columns.  A column maps each monomial to (den, [numerator at
+# n = 1..N]): one coefficient of a value at every row, over one denominator.
+# Every weighted sum of ring values goes through `combine`, so a Fraction is
+# built once per monomial of the result, not once per term.
 
 def column_sum(parts):
     """The sum of num/den * values over (den, num, values) parts, as one
     column over the lcm of the dens, reduced; None when every value is
     zero."""
-    den = lcm(*(d for d, _, _ in parts))
-    acc = [0] * len(parts[0][2])
+    den = lcm(*[d for d, _, _ in parts])
+    acc = None
     for d, num, values in parts:
         f = num * (den // d)
-        acc = [x + f * y for x, y in zip(acc, values)]
+        acc = ([f * y for y in values] if acc is None
+               else [x + f * y for x, y in zip(acc, values)])
     if not any(acc):
         return None
     g = gcd(den, *acc)
-    return den // g, [x // g for x in acc]
+    return (den // g, [x // g for x in acc]) if g > 1 else (den, acc)
+
+
+def combine(pairs) -> dict:
+    """The integer columns of sum column * value over (column, SymNumber)
+    pairs, one per product monomial (`column_sum`), in first-met order."""
+    parts: dict = {}
+    for col, value in pairs:
+        for m1, (den, ints) in col.items():
+            for m2, c in value._terms.items():
+                parts.setdefault(m1.mul(m2), []).append((den * c.denominator,
+                                                         c.numerator, ints))
+    return {mono: col for mono, group in parts.items() if (col := column_sum(group))}
+
+
+def weighted_sum(pairs) -> SymNumber:
+    """sum c P^e x over (rational c, exponent e, SymNumber x) triples, each
+    c P^e a one-row column of `combine`; zero weights are skipped before any
+    column is built.  Terms come in the order their monomials are first met."""
+    columns = [({ZetaMonomial(e): (c.denominator, (c.numerator,))}, x)
+               for c, e, x in pairs if c]
+    return SymNumber({mono: Fraction(ints[0], den)
+                      for mono, (den, ints) in combine(columns).items()})
 
 
 def scaled_columns(k: int, m: int) -> list[dict]:

@@ -291,14 +291,14 @@ class LogSeries(NamedTuple):
         return cls(chart, tuple(tuple(Fraction(c) for c in b) for b in blocks))
 
     def theta(self) -> "LogSeries":
-        """x d/dx; acts as n on x^n and lowers one log power per product rule."""
+        """x d/dx; acts as n on x^n and lowers one log power per product rule.
+        Blocks of different lengths, or none, raise ValueError (`trunc`)."""
+        above = (*self.blocks[1:], _zero_row(self.trunc))
         nblocks = []
-        top = self.log_degree
-        for d in range(top + 1):
-            row = [n * c if c else c for n, c in enumerate(self.blocks[d])]
-            if d < top:  # zero entries pass through without Fraction arithmetic
-                nxt = self.blocks[d + 1]
-                row = [c + (d + 1) * nxt[n] if nxt[n] else c for n, c in enumerate(row)]
+        for d, (block, nxt) in enumerate(zip(self.blocks, above)):
+            # zero entries pass through without Fraction arithmetic
+            row = [n * c if c else c for n, c in enumerate(block)]
+            row = [c + (d + 1) * x if x else c for c, x in zip(row, nxt)]
             nblocks.append(tuple(row))
         while len(nblocks) > 1 and not any(nblocks[-1]):
             nblocks.pop()
@@ -322,6 +322,9 @@ class LogSeries(NamedTuple):
         return all(b is _zero_row(len(b) - 1) or not any(b) for b in self.blocks)
 
     def coefficient(self, log_power: int, n: int) -> Fraction:
+        """The x^n coefficient of log^log_power: zero above the log degree."""
+        if log_power < 0 or not 0 <= n <= self.trunc:
+            raise ValueError(f"log^{log_power} x^{n} is outside the series (trunc {self.trunc})")
         if log_power > self.log_degree:
             return Fraction(0)
         return self.blocks[log_power][n]

@@ -153,7 +153,7 @@ class SymNumber:
     so the term c * P^e stands for (c * i^e) * pi^e.  Values are never
     mutated in place, so memo tables (`zeta_value`, `circle.s_sum`,
     `identities.closed_sum`, `tausolver.log_part`, `tail`,
-    `zero_mode_source`, `_weight`) share them.
+    `zero_mode_source`) share them.
     """
 
     __slots__ = ("_terms",)

@@ -7,17 +7,20 @@ is 1 at n = 0 and 0 below it; only the one or two top columns i > k carry
 series blocks.  Scaling row n >= 1 by (-1)^n n^k turns the columns i <= k
 into a Vandermonde block in n^(k-r) times a triangular matrix C.  A k-th
 difference leaves a 1x1 or 2x2 system for the top entries, interpolation per
-monomial gives the other entries' images under C, and back substitution and
-the n = 0 row give tau: O(k^2) ring operations.  The system is nonsingular
-exactly when that small determinant is nonzero: M is block triangular
-around tau_0, the row scaling is invertible, the Vandermonde block has full
-column rank and the k-th differences span its left null space, and C is
-invertible.  Rows n >= 1 of the top columns and of the right side come
-from the closed forms of the circle moments, built once per (k, m) as
-integer columns with one denominator per monomial (`circle.scaled_columns`);
-the differences, the interpolation and every row's residual, recomputed
-from the returned tau, run on those integers.  The n = 0 row is read from
-`circle.basis_moment`.
+monomial gives the other entries' images y = C tau, and the n = 0 row gives
+tau_0: O(k^2) ring operations.  C is a diagonal times the Toeplitz matrix of
+sinh(Pt)/(Pt), so the convolution with Pt/sinh(Pt) that `log_part` runs at
++1 inverts it.  The system is nonsingular exactly when that small
+determinant is nonzero: M is block triangular around tau_0, the row scaling
+is invertible, the Vandermonde block has full column rank and the k-th
+differences span its left null space, and C is invertible.  Rows n >= 1 of
+the top columns and of the right side come from the closed forms of the
+circle moments, built once per (k, m) as integer columns with one
+denominator per monomial (`circle.scaled_columns`); the differences, the
+interpolation and every row's residual, recomputed from the returned tau
+through the forward entries of C, run on those integers.  The n = 0 row is
+read from `circle.basis_moment`.  Every sum of ring values with rational
+weights goes through `circle.combine`.
 
 Fraction-free (Bareiss) elimination of an assembled square system stays as
 a second route, for the tests and the toy example: textbook Bareiss on
@@ -39,8 +42,7 @@ from typing import NamedTuple
 
 from . import circle
 from .pfseries import operator_order, upper_block_specs
-from .symfield import (ExactDivisionError, SymNumber, ZetaMonomial, _mono_sort_key,
-                       bernoulli)
+from .symfield import ONE_MONO, ExactDivisionError, SymNumber, _mono_sort_key, bernoulli
 
 
 class SingularSystem(Exception):
@@ -160,18 +162,6 @@ def _moment_rows(k: int, m: int):
     return zero, tops, rhs
 
 
-def _combine(pairs) -> dict:
-    """The integer columns of sum column * value over (column, SymNumber)
-    pairs, one per product monomial (`circle.column_sum`)."""
-    parts: dict = {}
-    for col, value in pairs:
-        for m1, (den, ints) in col.items():
-            for m2, c in value._terms.items():
-                parts.setdefault(m1.mul(m2), []).append((den * c.denominator,
-                                                         c.numerator, ints))
-    return {mono: col for mono, group in parts.items() if (col := circle.column_sum(group))}
-
-
 def _det(rows) -> SymNumber:
     """The determinant of a 1x1 or 2x2 matrix."""
     if len(rows) == 1:
@@ -210,37 +200,23 @@ def _interpolate(columns: dict, d: int) -> list[SymNumber]:
     return [SymNumber(y) for y in out]
 
 
-def _log_sum(entries, k: int, r: int) -> SymNumber:
-    """S_r = sum_{i=r..k} c_{i,r} P^(i-r) tau_i: row n >= 1 of the columns
-    i <= k is (-1)^n sum_r n^-r S_r."""
-    terms: dict = {}
-    for i in range(r, k + 1):
-        c = circle.log_moment_poly(i)[r]
-        if c:
-            for mono, x in entries[i]._terms.items():
-                key = ZetaMonomial(mono.pi_exp + i - r, mono.zetas)
-                terms[key] = terms.get(key, 0) + c * x
-    return SymNumber({mono: x for mono, x in terms.items() if x})
-
-
 def _residuals(k: int, entries, rows) -> list[SymNumber]:
     """M tau - b for n = 0..order-1, on `_moment_rows`: the n = 0 row in
     full, and row n >= 1 regrouped as (-1)^n sum_r n^-r S_r +
-    sum_top M[n][t] tau_t - b_n, evaluated scaled by (-1)^n n^k.  The
-    polynomial sum_r S_r n^(k-r), the top columns times their entries and
-    the rhs are summed as integer columns (`_combine`), so a Fraction is
-    built only for a nonzero residual."""
+    sum_top M[n][t] tau_t - b_n, evaluated scaled by (-1)^n n^k, with S_r
+    from the forward weights c_{i,r} (not the inverse ones of the solve).
+    The columns n^(k-r) times S_r, the top columns times their entries and
+    the rhs are summed in one `circle.combine`, so a Fraction is built only
+    for a nonzero residual."""
     (moments, b), tops, rhs = rows
     out = [sum((a * t for a, t in zip(moments, entries)), -b)]
     nodes = range(1, len(entries))
-    powers = [[n ** p for n in nodes] for p in range(k)]
-    parts: dict = {}
-    for r in range(1, k + 1):
-        for mono, c in _log_sum(entries, k, r)._terms.items():
-            parts.setdefault(mono, []).append((c.denominator, c.numerator, powers[k - r]))
-    logs = {mono: col for mono, group in parts.items() if (col := circle.column_sum(group))}
-    one = SymNumber.from_rational(1)
-    total = _combine([(logs, one), *zip(tops, entries[k + 1:]), (rhs, -one)])
+    logs = [({ONE_MONO: (1, [n ** (k - r) for n in nodes])},
+             circle.weighted_sum((circle.log_moment_poly(i)[r], i - r, entries[i])
+                                 for i in range(r, k + 1)))
+            for r in range(1, k + 1)]
+    total = circle.combine([*logs, *zip(tops, entries[k + 1:]),
+                            (rhs, SymNumber.from_rational(-1))])
     for n in nodes:
         terms = {mono: Fraction(col[n - 1], den)
                  for mono, (den, col) in total.items() if col[n - 1]}
@@ -254,7 +230,9 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
 
     With N = order - 1, scaled by (-1)^n n^k, row n >= 1 reads
     Q(n) + sum_top A_t(n) tau_t = B(n), with Q(n) = sum_{r=1..k} y_r n^(k-r)
-    and y_r = `_log_sum` over the entries i <= k.  The A_t and B are integer
+    and y = C tau over the entries i <= k: y_r = sum_{i=r..k} c_{i,r}
+    P^(i-r) tau_i, with c_{i,r} = (-1)^(r-1) i!/(i-r+1)! for even i - r and
+    0 otherwise (`circle.log_moment_poly(i)`).  The A_t and B are integer
     columns built from the closed forms of the circle moments
     (`circle.scaled_columns`); the n = 0 row is read from
     `circle.basis_moment`.  The steps:
@@ -263,8 +241,11 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
        solved by Cramer's rule with exact ring division;
     2. Q(n) = B(n) - sum_top A_t(n) tau_t at n = 1..k, interpolated, gives
        y_1..y_k;
-    3. y = C tau, C triangular with diagonal c_{r,r} = (-1)^(r-1) r!, gives
-       tau_k..tau_1 by back substitution;
+    3. with u_i = i! tau_i and v_r = (-1)^(r-1) y_r, y = C tau reads v = T u
+       for the upper triangular Toeplitz matrix T of sinh(Pt)/(Pt) =
+       sum_{even d} (Pt)^d/(d+1)!.  Such matrices multiply as power series
+       in t cut past t^k, so T^-1 is the one of Pt/sinh(Pt), and
+       u_r = sum_{d=0..k-r} w(d) P^d v_(r+d), w(d) = `_weight(1, d)`;
     4. the n = 0 row, whose tau_0 coefficient is 1, gives tau_0.
 
     Nonsingularity: the matrix is block triangular around tau_0 (column 0 is
@@ -306,12 +287,15 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
             entries[t] = _det(cramer).exact_div(witness)
     except ExactDivisionError as exc:
         raise InconsistentSystem(f"top entry outside the ring: {exc}") from exc
-    q = _combine([(rhs, SymNumber.from_rational(1)),
-                  *((col, -entries[t]) for col, t in zip(tops, top))])
+    q = circle.combine([(rhs, SymNumber.from_rational(1)),
+                        *((col, -entries[t]) for col, t in zip(tops, top))])
     y = _interpolate(q, k)
-    for r in range(k, 0, -1):
-        # entries[r] is still zero here, so the sum runs over i > r
-        entries[r] = (y[r - 1] - _log_sum(entries, k, r)) / circle.log_moment_poly(r)[r]
+    for r in range(1, k + 1):
+        # w(d) vanishes at odd d, so each nonzero term has v's sign (-1)^(r-1)
+        scale = Fraction((-1) ** (r - 1), factorial(r))
+        inverse = ((d, _weight(1, d)) for d in range(k - r + 1))  # C^-1
+        entries[r] = circle.weighted_sum((w * scale, d, y[r + d - 1])
+                                         for d, w in inverse if w)
     entries[0] = b - sum((a * t for a, t in zip(moments[1:], entries[1:])),
                          SymNumber.zero())
     entries = [_term_sorted(e) for e in entries]
@@ -352,12 +336,12 @@ def zero_mode_source(j: int, m: int) -> SymNumber:
 
 
 @functools.cache
-def _weight(point: int, d: int) -> SymNumber:
-    """s B_d P^d/d!, the coefficient of t^d in Pt/sinh Pt (s = 2 - 2^d, point
+def _weight(point: int, d: int) -> Fraction:
+    """s B_d/d!, the coefficient of P^d t^d in Pt/sinh Pt (s = 2 - 2^d, point
     +1) or in 2Pt/(e^(2Pt) - 1) (s = 2^d, point -1); B_1 = -1/2 and the zero
     odd Bernoulli numbers give the odd d."""
     s = 2 - 2 ** d if point == 1 else 2 ** d
-    return SymNumber.p_power(d, s * bernoulli(d) / factorial(d))
+    return s * bernoulli(d) / factorial(d)
 
 
 @functools.cache
@@ -369,8 +353,8 @@ def log_part(k: int, m: int, point: int) -> SymNumber:
     if point not in (1, -1):
         raise ValueError("point must be +1 or -1")
     weights = ((j, _weight(point, k - j)) for j in range(2, k + 1))
-    return sum((zero_mode_source(j, m) * w for j, w in weights if not w.is_zero()),
-               SymNumber.zero())
+    return circle.weighted_sum((w, k - j, zero_mode_source(j, m))
+                               for j, w in weights if w)
 
 
 def solve_tau_fast(k: int, m: int) -> TauVector:

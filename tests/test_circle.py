@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from dzeta import numverify
 from dzeta.circle import (DivergentSum, basis_moment, log_moment,
-                          log_moment_poly, pi_moment, s_sum, scaled_columns)
-from dzeta.pfseries import harmonic, operator_order
-from dzeta.symfield import SymNumber, zeta_value
+                          log_moment_poly, pi_moment, s_sum, scaled_columns,
+                          weighted_sum)
+from dzeta.pfseries import harmonic, operator_order, upper_block_specs
+from dzeta.symfield import SymNumber, ZetaMonomial, zeta_value
 
 
 def q(num, den=1):
@@ -312,6 +313,75 @@ def test_basis_moment_zero_mode_mixed(k, m):
         expected = log_moment(0, i) \
             - q((k + 1) * factorial(k + 2)) * zeta_value(k + 2)
         assert basis_moment(k, m, i, 0) == expected
+
+
+def _basis_moment_reference(k, m, i, n):
+    """basis_moment's former term map: the log moment, then each tail term
+    added in turn, a monomial deleted when its coefficient cancels."""
+    terms = dict(log_moment(n, i)._terms)
+    sign = -1 if n % 2 else 1
+    for d, spec in upper_block_specs(k, m, i):
+        for r, c in enumerate(log_moment_poly(d)):
+            if not c:
+                continue
+            tail = s_sum(n, spec.power, r) if n >= 1 else zeta_value(spec.power + r)
+            for mono, t in tail._terms.items():
+                key = ZetaMonomial(mono.pi_exp + d - r, mono.zetas)
+                value = terms.get(key, 0) + t * c * sign * spec.scale
+                if value:
+                    terms[key] = value
+                else:
+                    del terms[key]
+    return SymNumber(terms)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_basis_moment_matches_its_term_map_reference(m):
+    # values and term order: the n = 0 row reaches tau through the solver
+    for k in range(2, 21):
+        order = operator_order(k, m)
+        for i in range(order):
+            for n in range(order + 1):
+                got, ref = basis_moment(k, m, i, n), _basis_moment_reference(k, m, i, n)
+                assert list(got._terms.items()) == list(ref._terms.items()), (k, i, n)
+
+
+def _plain_weighted_sum(pairs):
+    total = SymNumber.zero()
+    for c, e, x in pairs:
+        total = total + SymNumber.p_power(e, c) * x
+    return total
+
+
+def test_weighted_sum_when_a_monomial_cancels_and_reappears():
+    z3, z5 = zeta_value(3), zeta_value(5)
+    pairs = [(Fraction(1, 2), 1, z3 + q(1)),      # P zeta(3) + P
+             (Fraction(-1, 2), 1, z3),            # P zeta(3) cancels
+             (0, 4, z5),                          # zero weight
+             (7, 0, SymNumber.zero()),            # zero value
+             (Fraction(3, 4), 0, pi_pow(2, -1)),  # P^2 (pi^2 = -P^2)
+             (Fraction(1, 6), 1, z3 * 3)]         # P zeta(3) again
+    got = weighted_sum(pairs)
+    assert got == _plain_weighted_sum(pairs)
+    assert got == SymNumber({ZetaMonomial(1, ((3, 1),)): Fraction(1, 2),
+                             ZetaMonomial(1): Fraction(1, 2),
+                             ZetaMonomial(2): Fraction(3, 4)})
+    # terms in the order their monomials are first met
+    assert [mono.pi_exp for mono in got._terms] == [1, 1, 2]
+    assert weighted_sum([]).is_zero()
+    assert weighted_sum([(1, 0, z3), (-1, 0, z3)]).is_zero()
+
+
+_VALUES = (q(1), zeta_value(3), zeta_value(3) * zeta_value(5) + pi_pow(2, 3),
+           pi_pow(4, Fraction(-5, 7)) - zeta_value(3) + q(2, 9))
+
+
+@settings(max_examples=40)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4), st.integers(0, 3),
+                          st.integers(0, len(_VALUES) - 1)), max_size=8))
+def test_weighted_sum_equals_symnumber_arithmetic(triples):
+    pairs = [(Fraction(a, b), e, _VALUES[v]) for a, b, e, v in triples]
+    assert weighted_sum(pairs) == _plain_weighted_sum(pairs)
 
 
 def test_basis_moment_matches_truncated_series_numerically():

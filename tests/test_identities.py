@@ -199,15 +199,15 @@ def test_weights_are_zeta_values():
     for d in range(2, 81, 2):
         for point, ref in ((-1, zeta_value(d) * -2),
                            (1, zeta_value(d) * (2 * (1 - Fraction(1, 2 ** (d - 1)))))):
-            weight = ts._weight(point, d)
+            weight = SymNumber.p_power(d, ts._weight(point, d))
             assert weight == ref, (point, d)
             assert list(weight._terms.items()) == list(ref._terms.items())
     for point in (-1, 1):
-        assert ts._weight(point, 0) == SymNumber.from_rational(1)
+        assert SymNumber.p_power(0, ts._weight(point, 0)) == SymNumber.from_rational(1)
         for d in range(3, 81, 2):
-            assert ts._weight(point, d).is_zero(), (point, d)
-    assert ts._weight(-1, 1) == SymNumber.p_power(1, -1)
-    assert ts._weight(1, 1).is_zero()
+            assert SymNumber.p_power(d, ts._weight(point, d)).is_zero(), (point, d)
+    assert SymNumber.p_power(1, ts._weight(-1, 1)) == SymNumber.p_power(1, -1)
+    assert SymNumber.p_power(1, ts._weight(1, 1)).is_zero()
 
 
 def test_fast_identity_at_k2_is_the_direct_record():

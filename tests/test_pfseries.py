@@ -410,6 +410,26 @@ def test_theta_action():
     assert t.coefficient(0, 2) == 1
 
 
+@pytest.mark.parametrize("blocks", [
+    [(1, 2, 3), (4, 5)],   # upper block shorter
+    [(1, 2), (3, 4, 5)],   # upper block longer: was cut silently
+    [],
+], ids=["short-upper", "long-upper", "empty"])
+def test_theta_rejects_ragged_blocks(blocks):
+    with pytest.raises(ValueError, match="one or more blocks of one length"):
+        LogSeries.from_blocks(CHART_PHI, blocks).theta()
+
+
+def test_coefficient_rejects_n_outside_the_truncation():
+    s = pi_series(2, 1, 10)
+    assert s.coefficient(0, 10) == pi_coefficient(2, 1, 10)
+    assert s.coefficient(3, 10) == 0  # above the log degree
+    for log_power, n in ((0, -1), (0, 11), (3, -1), (3, 11), (-1, 2)):
+        # (0, -1) read the x^10 coefficient, (-1, 2) the top block
+        with pytest.raises(ValueError, match=r"outside the series \(trunc 10\)"):
+            s.coefficient(log_power, n)
+
+
 @settings(max_examples=25)
 @given(st.integers(2, 6), st.sampled_from([1, 2]), st.integers(0, 3))
 def test_linearity_of_operator(k, m, i):

@@ -170,6 +170,11 @@ _MUTANTS = {
                                       "append((f * (a + b) * z, e + 1, 0))")],
     "nodes shifted by one": [("node = j + 1", "node = j + 2")],
     "zeroed witness": [("witness = _det(lhs)", "witness = SymNumber.zero()")],
+    # the convolution's d = 0 term dropped; dropping its last term, d = k - r,
+    # instead is equivalent at m = 1, where that term is w(k - r) v_k and
+    # v_k = +-k! tau_k vanishes
+    "back substitution without its first term": [
+        ("_weight(1, d)) for d in range(k - r + 1)", "_weight(1, d)) for d in range(1, k - r + 1)")],
     **{f"entry {i} perturbed": [
         (_RESIDUAL_CHECK, f"    entries[{i}] = entries[{i}] + 1\n{_RESIDUAL_CHECK}")]
        for i in (0, 3, 7)},
@@ -185,7 +190,7 @@ def test_mutated_solve_fails_with_a_system_error(name, m):
         mutant.solve_tau_direct(8, m)
     if name == "zeroed witness":
         assert err.type is mutant.SingularSystem
-    if name.startswith("entry"):
+    if name.startswith(("entry", "back substitution")):
         assert "residual is nonzero" in str(err.value)
 
 
