@@ -456,7 +456,7 @@ def recursion_closure_violations(k: int, m: int, series: LogSeries,
 
     Family a is the row of `series`; b, c and d are the log-free rows of
     basis elements k, k+1 and k+2.  Each residual is tested as an integer:
-    f[n-1], f[n] and f[n+1] are cleared by the lcm of their denominators, and
+    f[n-1], f[n] and f[n+1] are cleared by their denominators' product, and
     the inhomogeneous term is cross-multiplied into the sum."""
     families = {"a": series.blocks[0]}
     families.update(zip("bcd", (element.blocks[0] for element in basis[k:])))
@@ -469,14 +469,13 @@ def recursion_closure_violations(k: int, m: int, series: LogSeries,
     for n in range(2, trunc):
         for name, weights, inhomogeneous, nums, dens in checks:
             lo, mid, hi = dens[n - 1], dens[n], dens[n + 1]
-            common = lcm(lo, mid, hi)
             w_lo, w_mid, w_hi = weights(pk, m, n)
-            residual = (w_lo * nums[n - 1] * (common // lo)
-                        + w_mid * nums[n] * (common // mid)
-                        + w_hi * nums[n + 1] * (common // hi))
+            residual = (w_lo * nums[n - 1] * mid * hi
+                        + w_mid * nums[n] * lo * hi
+                        + w_hi * nums[n + 1] * lo * mid)
             if inhomogeneous is not None:
                 num, den = inhomogeneous(k, n)
-                residual = residual * den + num * common
+                residual = residual * den + num * lo * mid * hi
             if residual:
                 problems.append(
                     f"{name}-recursion fails at (k={k}, m={m}, n={n})")

@@ -6,21 +6,25 @@ for n >= 1 their moments are (-1)^n times polynomials in 1/n, and column 0
 is 1 at n = 0 and 0 below it; only the one or two top columns i > k carry
 series blocks.  Scaling row n >= 1 by (-1)^n n^k turns the columns i <= k
 into a Vandermonde block in n^(k-r) times a triangular matrix C.  A k-th
-difference leaves a 1x1 or 2x2 system for the top entries, interpolation per
-monomial gives the other entries' images y = C tau, and the n = 0 row gives
-tau_0: O(k^2) ring operations.  C is a diagonal times the Toeplitz matrix of
-sinh(Pt)/(Pt), so the convolution with Pt/sinh(Pt) that `log_part` runs at
-+1 inverts it.  The system is nonsingular exactly when that small
-determinant is nonzero: M is block triangular around tau_0, the row scaling
-is invertible, the Vandermonde block has full column rank and the k-th
-differences span its left null space, and C is invertible.  Rows n >= 1 of
-the top columns and of the right side come from the closed forms of the
-circle moments, built once per (k, m) as integer columns with one
-denominator per monomial (`circle.scaled_columns`); the differences, the
-interpolation and every row's residual, recomputed from the returned tau
-through the forward entries of C, run on those integers.  The n = 0 row is
-read from `circle.basis_moment`.  Every sum of ring values with rational
-weights goes through `circle.combine`.
+difference leaves a 1x1 or 2x2 system for the top entries, and the rest of
+the scaled row, Q(n) = sum_r y_r n^(k-r), gives the other entries' images
+y = C tau.  Column i's scaled moment is sum_r c_r P^(i-r) n^(k-r) and tau_i
+has weight k+m-i, so the coefficient y_r of n^(k-r) is homogeneous of weight
+k+m-r: each monomial of Q is one power of n, set by its weight, and is read
+at n = 1.  The n = 0 row gives tau_0: O(k^2) ring operations.  C is a
+diagonal times the Toeplitz matrix of sinh(Pt)/(Pt), so the convolution with
+Pt/sinh(Pt) that `log_part` runs at +1 inverts it.  The system is
+nonsingular exactly when the top entries' 1x1 or 2x2 determinant is
+nonzero: M is block triangular around tau_0, the row scaling is invertible,
+the Vandermonde block has full column rank and the k-th differences span its
+left null space, and C is invertible.  Rows n >= 1 of the top columns and of
+the right side come from the closed forms of the circle moments, built once
+per (k, m) as integer columns with one denominator per monomial
+(`circle.scaled_columns`); the differences, the read of y and every row's
+residual, recomputed from the returned tau through the forward entries of C,
+run on those integers.  The n = 0 row is read from `circle.basis_moment`.
+Every sum of ring values with rational weights goes through
+`circle.combine`.
 
 Fraction-free (Bareiss) elimination of an assembled square system stays as
 a second route, for the tests and the toy example: textbook Bareiss on
@@ -170,36 +174,6 @@ def _det(rows) -> SymNumber:
     return a * d - b * c
 
 
-def _interpolate(columns: dict, d: int) -> list[SymNumber]:
-    """y_1..y_d with Q(n) = sum_r y_r n^(d-r), from the integer columns of
-    Q, read at n = 1..d.
-
-    Per monomial, the Newton forward differences D_j at n = 1 give
-    (d-1)! Q(n) = sum_j D_j (d-1)!/j! (n-1)(n-2)...(n-j), which Horner's
-    rule expands into powers of n in integers; the table stops at the first
-    row of zeros.
-    """
-    scale = factorial(d - 1)
-    weights = [scale // factorial(j) for j in range(d)]
-    out = [{} for _ in range(d)]
-    for mono, (den, col) in columns.items():
-        row = col[:d]
-        diffs = []
-        while any(row):
-            diffs.append(row[0])
-            row = [b - a for a, b in zip(row, row[1:])]
-        poly: list[int] = []  # ascending powers of n
-        for j in range(len(diffs) - 1, -1, -1):
-            node = j + 1  # poly <- D_j (d-1)!/j! + (n - node) poly
-            shifted = [0] + poly
-            poly = [x - node * y for x, y in zip(shifted, poly + [0])]
-            poly[0] += diffs[j] * weights[j]
-        for p, c in enumerate(poly):
-            if c:
-                out[d - 1 - p][mono] = Fraction(c, scale * den)
-    return [SymNumber(y) for y in out]
-
-
 def _residuals(k: int, entries, rows) -> list[SymNumber]:
     """M tau - b for n = 0..order-1, on `_moment_rows`: the n = 0 row in
     full, and row n >= 1 regrouped as (-1)^n sum_r n^-r S_r +
@@ -239,8 +213,13 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
     1. the k-th forward differences of rows s..s+k, s = 1..N-k, annihilate
        Q and leave one (m = 1) or two (m = 2) equations for the top entries,
        solved by Cramer's rule with exact ring division;
-    2. Q(n) = B(n) - sum_top A_t(n) tau_t at n = 1..k, interpolated, gives
-       y_1..y_k;
+    2. Q(n) = B(n) - sum_top A_t(n) tau_t gives y_1..y_k by weight: column
+       i's scaled moment is sum_r c_{i,r} P^(i-r) n^(k-r) and tau_i is
+       homogeneous of weight k+m-i, so y_r, the coefficient of n^(k-r), has
+       weight k+m-r.  Each monomial of Q is thus c n^(k-r) with
+       r = k+m-weight, and its value at n = 1 is its term of y_r; a weight
+       that puts r outside 1..k raises InconsistentSystem, and a Q that is
+       not of this form leaves a nonzero residual below;
     3. with u_i = i! tau_i and v_r = (-1)^(r-1) y_r, y = C tau reads v = T u
        for the upper triangular Toeplitz matrix T of sinh(Pt)/(Pt) =
        sum_{even d} (Pt)^d/(d+1)!.  Such matrices multiply as power series
@@ -289,7 +268,14 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
         raise InconsistentSystem(f"top entry outside the ring: {exc}") from exc
     q = circle.combine([(rhs, SymNumber.from_rational(1)),
                         *((col, -entries[t]) for col, t in zip(tops, top))])
-    y = _interpolate(q, k)
+    y_terms = [{} for _ in range(k)]
+    for mono, (den, col) in q.items():
+        r = k + m - mono.weight
+        if not 1 <= r <= k:
+            raise InconsistentSystem(f"Q has a term of weight {mono.weight}, "
+                                     f"outside {m}..{k + m - 1}")
+        y_terms[r - 1][mono] = Fraction(col[0], den)  # c n^(k-r) at n = 1
+    y = [SymNumber(terms) for terms in y_terms]
     for r in range(1, k + 1):
         # w(d) vanishes at odd d, so each nonzero term has v's sign (-1)^(r-1)
         scale = Fraction((-1) ** (r - 1), factorial(r))

@@ -168,7 +168,10 @@ _MUTANTS = {
     # at m = 2, so an H_{n,1} mutant there is equivalent to the original)
     "column n-exponent off by one": [("append((f * (a + b) * z, e, 0))",
                                       "append((f * (a + b) * z, e + 1, 0))")],
-    "nodes shifted by one": [("node = j + 1", "node = j + 2")],
+    # y read at node 2 in place of node 1, and each monomial placed one
+    # power of n too low (at r = k + 1 it falls outside y)
+    "nodes shifted by one": [("Fraction(col[0], den)", "Fraction(col[1], den)")],
+    "weight off by one": [("r = k + m - mono.weight", "r = k + m - mono.weight + 1")],
     "zeroed witness": [("witness = _det(lhs)", "witness = SymNumber.zero()")],
     # the convolution's d = 0 term dropped; dropping its last term, d = k - r,
     # instead is equivalent at m = 1, where that term is w(k - r) v_k and
@@ -192,6 +195,24 @@ def test_mutated_solve_fails_with_a_system_error(name, m):
         assert err.type is mutant.SingularSystem
     if name.startswith(("entry", "back substitution")):
         assert "residual is nonzero" in str(err.value)
+    if name in ("nodes shifted by one", "weight off by one"):
+        assert err.type is mutant.InconsistentSystem
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_each_monomial_of_q_is_one_power_of_n(m):
+    # the premise of the solve's read of y: Q(n) = B(n) - sum_t A_t(n) tau_t,
+    # built as the solve builds it, has every monomial's column equal to
+    # c n^(k-r) on rows n = 1..order-1, with r = k+m-weight in 1..k
+    for k in range(2, 31):
+        _, tops, rhs = ts._moment_rows(k, m)
+        entries = ts.solve_tau_direct(k, m).entries
+        q = circle.combine([(rhs, SymNumber.from_rational(1)),
+                            *((col, -entries[t]) for t, col in enumerate(tops, k + 1))])
+        for mono, (den, col) in q.items():
+            r = k + m - mono.weight
+            assert 1 <= r <= k, (k, mono)
+            assert col == [col[0] * n ** (k - r) for n in range(1, len(col) + 1)], (k, mono)
 
 
 def test_invariant_problems_are_named(monkeypatch):
