@@ -278,18 +278,6 @@ class LogSeries(NamedTuple):
             raise ValueError("a log series needs one or more blocks of one length")
         return lengths.pop() - 1
 
-    @property
-    def log_degree(self) -> int:
-        return len(self.blocks) - 1
-
-    @classmethod
-    def zero(cls, chart: str, trunc: int, log_degree: int = 0) -> "LogSeries":
-        return cls(chart, (_zero_row(trunc),) * (log_degree + 1))
-
-    @classmethod
-    def from_blocks(cls, chart, blocks) -> "LogSeries":
-        return cls(chart, tuple(tuple(Fraction(c) for c in b) for b in blocks))
-
     def theta(self) -> "LogSeries":
         """x d/dx; acts as n on x^n and lowers one log power per product rule.
         Blocks of different lengths, or none, raise ValueError (`trunc`)."""
@@ -304,30 +292,8 @@ class LogSeries(NamedTuple):
             nblocks.pop()
         return LogSeries(self.chart, tuple(nblocks))
 
-    def __add__(self, other: "LogSeries") -> "LogSeries":
-        if self.chart != other.chart:
-            raise ChartMismatch("cannot add series from different charts")
-        if self.trunc != other.trunc:
-            raise ValueError("truncation orders differ")
-        top = max(self.log_degree, other.log_degree)
-        zero_row = _zero_row(self.trunc)
-        nblocks = []
-        for d in range(top + 1):
-            a = self.blocks[d] if d <= self.log_degree else zero_row
-            b = other.blocks[d] if d <= other.log_degree else zero_row
-            nblocks.append(tuple(x + y for x, y in zip(a, b)))
-        return LogSeries(self.chart, tuple(nblocks))
-
     def is_zero(self) -> bool:
         return all(b is _zero_row(len(b) - 1) or not any(b) for b in self.blocks)
-
-    def coefficient(self, log_power: int, n: int) -> Fraction:
-        """The x^n coefficient of log^log_power: zero above the log degree."""
-        if log_power < 0 or not 0 <= n <= self.trunc:
-            raise ValueError(f"log^{log_power} x^{n} is outside the series (trunc {self.trunc})")
-        if log_power > self.log_degree:
-            return Fraction(0)
-        return self.blocks[log_power][n]
 
 
 def pi_series(k: int, m: int, trunc: int) -> LogSeries:

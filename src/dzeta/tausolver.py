@@ -17,14 +17,15 @@ Pt/sinh(Pt) that `log_part` runs at +1 inverts it.  The system is
 nonsingular exactly when the top entries' 1x1 or 2x2 determinant is
 nonzero: M is block triangular around tau_0, the row scaling is invertible,
 the Vandermonde block has full column rank and the k-th differences span its
-left null space, and C is invertible.  Rows n >= 1 of the top columns and of
-the right side come from the closed forms of the circle moments, built once
-per (k, m) as integer columns with one denominator per monomial
-(`circle.scaled_columns`); the differences, the read of y and every row's
-residual, recomputed from the returned tau through the forward entries of C,
-run on those integers.  The n = 0 row is read from `circle.basis_moment`.
-Every sum of ring values with rational weights goes through
-`circle.combine`.
+left null space, and C is invertible.  The read of y is also the
+certificate: scaled row n >= 1 of M tau - b is sum_r n^(k-r) ((C tau)_r -
+y_r) once Q(n) = sum_r y_r n^(k-r), so each monomial of Q is checked on
+every row, C tau = y through the forward entries of C, and row 0 directly.
+Rows n >= 1 of the top columns and the right side are integer columns with
+one denominator per monomial, built once per (k, m) from the closed forms of
+the circle moments (`circle.scaled_columns`); the n = 0 row is read from
+`circle.basis_moment`, and every sum of ring values with rational weights
+goes through `circle.combine`.
 
 Fraction-free (Bareiss) elimination of an assembled square system stays as
 a second route, for the tests and the toy example: textbook Bareiss on
@@ -46,7 +47,7 @@ from typing import NamedTuple
 
 from . import circle
 from .pfseries import operator_order, upper_block_specs
-from .symfield import ONE_MONO, ExactDivisionError, SymNumber, _mono_sort_key, bernoulli
+from .symfield import ExactDivisionError, SymNumber, _mono_sort_key, bernoulli
 
 
 class SingularSystem(Exception):
@@ -174,30 +175,6 @@ def _det(rows) -> SymNumber:
     return a * d - b * c
 
 
-def _residuals(k: int, entries, rows) -> list[SymNumber]:
-    """M tau - b for n = 0..order-1, on `_moment_rows`: the n = 0 row in
-    full, and row n >= 1 regrouped as (-1)^n sum_r n^-r S_r +
-    sum_top M[n][t] tau_t - b_n, evaluated scaled by (-1)^n n^k, with S_r
-    from the forward weights c_{i,r} (not the inverse ones of the solve).
-    The columns n^(k-r) times S_r, the top columns times their entries and
-    the rhs are summed in one `circle.combine`, so a Fraction is built only
-    for a nonzero residual."""
-    (moments, b), tops, rhs = rows
-    out = [sum((a * t for a, t in zip(moments, entries)), -b)]
-    nodes = range(1, len(entries))
-    logs = [({ONE_MONO: (1, [n ** (k - r) for n in nodes])},
-             circle.weighted_sum((circle.log_moment_poly(i)[r], i - r, entries[i])
-                                 for i in range(r, k + 1)))
-            for r in range(1, k + 1)]
-    total = circle.combine([*logs, *zip(tops, entries[k + 1:]),
-                            (rhs, SymNumber.from_rational(-1))])
-    for n in nodes:
-        terms = {mono: Fraction(col[n - 1], den)
-                 for mono, (den, col) in total.items() if col[n - 1]}
-        out.append(SymNumber(terms) / ((-1) ** n * n ** k))
-    return out
-
-
 @functools.cache
 def solve_tau_direct(k: int, m: int) -> TauVector:
     """Solve the square moment system on rows n = 0..N through its structure.
@@ -213,13 +190,13 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
     1. the k-th forward differences of rows s..s+k, s = 1..N-k, annihilate
        Q and leave one (m = 1) or two (m = 2) equations for the top entries,
        solved by Cramer's rule with exact ring division;
-    2. Q(n) = B(n) - sum_top A_t(n) tau_t gives y_1..y_k by weight: column
-       i's scaled moment is sum_r c_{i,r} P^(i-r) n^(k-r) and tau_i is
-       homogeneous of weight k+m-i, so y_r, the coefficient of n^(k-r), has
-       weight k+m-r.  Each monomial of Q is thus c n^(k-r) with
-       r = k+m-weight, and its value at n = 1 is its term of y_r; a weight
-       that puts r outside 1..k raises InconsistentSystem, and a Q that is
-       not of this form leaves a nonzero residual below;
+    2. Q(n) = B(n) - sum_top A_t(n) tau_t, built once from the top entries
+       as returned, gives y_1..y_k by weight: column i's scaled moment is
+       sum_r c_{i,r} P^(i-r) n^(k-r) and tau_i has weight k+m-i, so y_r, the
+       coefficient of n^(k-r), has weight k+m-r.  Each monomial of Q must
+       be c n^(k-r), r = k+m-weight, on every row n = 1..N, and its value at
+       n = 1 is its term of y_r; r outside 1..k, or a column of another
+       form, raises InconsistentSystem;
     3. with u_i = i! tau_i and v_r = (-1)^(r-1) y_r, y = C tau reads v = T u
        for the upper triangular Toeplitz matrix T of sinh(Pt)/(Pt) =
        sum_{even d} (Pt)^d/(d+1)!.  Such matrices multiply as power series
@@ -233,15 +210,21 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
     and the k-th differences span exactly its left null space; C is
     invertible.  So the system is nonsingular if and only if the 1x1 or 2x2
     determinant of step 1 is nonzero: that determinant is the witness, and
-    zero raises SingularSystem.  Every row's residual is then recomputed from
-    the returned tau (`_residuals`) and `check_tau_invariants` runs; a
-    nonzero residual, a top entry outside the ring, or a failed invariant
+    zero raises SingularSystem.
+
+    Residual: scaled by (-1)^n n^k, row n >= 1 of M tau - b is
+    sum_r n^(k-r) (C tau)_r - Q(n), so once step 2 has checked
+    Q(n) = sum_r y_r n^(k-r) on every row it is sum_r n^(k-r) ((C tau)_r -
+    y_r).  After step 4, row 0 is checked directly and (C tau)_r = y_r for
+    r = 1..k through the forward weights c_{i,r}, not step 3's inverse ones,
+    so every row is zero.  The premise, checked by `_moment_rows`, is that no
+    column i <= k carries a series block.  Then `check_tau_invariants` runs;
+    a nonzero residual, a top entry outside the ring or a failed invariant
     raises InconsistentSystem.  Each entry's terms come by descending
     `_mono_sort_key`, as from `fraction_free_solve`.
     """
     order = operator_order(k, m)
-    rows = _moment_rows(k, m)
-    (moments, b), tops, rhs = rows
+    (moments, b), tops, rhs = _moment_rows(k, m)
     top = range(k + 1, order)
     weights = [(-1) ** (k - j) * comb(k, j) for j in range(k + 1)]
 
@@ -263,7 +246,7 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
     try:
         for j, t in enumerate(top):
             cramer = [row[:j] + [d] + row[j + 1:] for row, d in zip(lhs, rhs_diff)]
-            entries[t] = _det(cramer).exact_div(witness)
+            entries[t] = _term_sorted(_det(cramer).exact_div(witness))
     except ExactDivisionError as exc:
         raise InconsistentSystem(f"top entry outside the ring: {exc}") from exc
     q = circle.combine([(rhs, SymNumber.from_rational(1)),
@@ -274,20 +257,27 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
         if not 1 <= r <= k:
             raise InconsistentSystem(f"Q has a term of weight {mono.weight}, "
                                      f"outside {m}..{k + m - 1}")
-        y_terms[r - 1][mono] = Fraction(col[0], den)  # c n^(k-r) at n = 1
+        head = col[0]  # c n^(k-r) at n = 1
+        for n, x in enumerate(col, 1):
+            if x != head * n ** (k - r):
+                raise InconsistentSystem(f"row n={n} residual is nonzero")
+        y_terms[r - 1][mono] = Fraction(head, den)
     y = [SymNumber(terms) for terms in y_terms]
     for r in range(1, k + 1):
         # w(d) vanishes at odd d, so each nonzero term has v's sign (-1)^(r-1)
         scale = Fraction((-1) ** (r - 1), factorial(r))
         inverse = ((d, _weight(1, d)) for d in range(k - r + 1))  # C^-1
-        entries[r] = circle.weighted_sum((w * scale, d, y[r + d - 1])
-                                         for d, w in inverse if w)
-    entries[0] = b - sum((a * t for a, t in zip(moments[1:], entries[1:])),
-                         SymNumber.zero())
-    entries = [_term_sorted(e) for e in entries]
-    for n, residual in enumerate(_residuals(k, entries, rows)):
-        if not residual.is_zero():
-            raise InconsistentSystem(f"row n={n} residual is nonzero")
+        entries[r] = _term_sorted(circle.weighted_sum((w * scale, d, y[r + d - 1])
+                                                      for d, w in inverse if w))
+    entries[0] = _term_sorted(b - sum((a * t for a, t in zip(moments[1:], entries[1:])),
+                                      SymNumber.zero()))
+    if not sum((a * t for a, t in zip(moments, entries)), -b).is_zero():
+        raise InconsistentSystem("row n=0 residual is nonzero")
+    for r in range(1, k + 1):
+        forward = ((circle.log_moment_poly(i)[r], i - r, entries[i])
+                   for i in range(r, k + 1))  # C
+        if not circle.weighted_sum([*forward, (-1, 0, y[r - 1])]).is_zero():
+            raise InconsistentSystem(f"rows n >= 1 residual is nonzero: (C tau)_{r} != y_{r}")
     tau = TauVector(k, m, tuple(entries))
     problems = check_tau_invariants(tau)
     if problems:

@@ -396,7 +396,7 @@ def test_basis_moment_matches_truncated_series_numerically():
                 exact = numverify.sym_to_mpf(basis_moment(k, m, i, n), 30)
                 approx = mpmath.mpf(0)
                 series = basis[i]
-                for d in range(series.log_degree + 1):
+                for d in range(len(series.blocks)):
                     for p, coeff in enumerate(series.blocks[d]):
                         if coeff:
                             moment = numverify.sym_to_mpf(

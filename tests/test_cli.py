@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dzeta import cli, numverify, pfseries, tausolver
+from dzeta import circle, cli, numverify, pfseries, tausolver
 from dzeta.symfield import SymNumber
 
 # Outputs recorded before the coefficient field moved from Q(i) to
@@ -514,15 +514,16 @@ def test_reader_closing_stdout_keeps_a_failure_code():
 
 
 # the injected failure: the direct solve's nonsingularity witness is zero, or
-# a row's residual is nonzero
+# every weighted sum is 1, so the certificate's (C tau)_1 - y_1 is nonzero
 @pytest.mark.parametrize("error,code,kind", [
-    (("_det", lambda rows: SymNumber.zero()), cli.EXIT_SINGULAR, "singular system"),
-    (("_residuals", lambda k, entries, rows: [SymNumber.from_rational(1)]),
+    ((tausolver, "_det", lambda rows: SymNumber.zero()), cli.EXIT_SINGULAR,
+     "singular system"),
+    ((circle, "weighted_sum", lambda pairs: SymNumber.from_rational(1)),
      cli.EXIT_INCONSISTENT, "inconsistent system"),
 ])
 def test_check_conjecture_solver_failure_exit_code(capsys, monkeypatch, error,
                                                    code, kind):
-    monkeypatch.setattr(tausolver, *error)
+    monkeypatch.setattr(*error)
     tausolver.solve_tau_direct.cache_clear()
     got, _, err = run(capsys, "check-conjecture", "--k-max", "3", "--m", "1")
     assert got == code

@@ -120,24 +120,13 @@ def test_structured_solve_matches_bareiss(m):
                 == [list(e._terms.items()) for e in bareiss.entries]), k
 
 
-def _assembled_residuals(k, m, entries):
-    return [sum((c * t for c, t in zip(row.coeffs, entries)), -row.rhs)
-            for row in ts.assemble_system(k, m).rows]
-
-
 @pytest.mark.parametrize("k,m", [(2, 1), (5, 2), (9, 1), (12, 2)])
-def test_regrouped_residual_equals_assembled(k, m):
-    rows = ts._moment_rows(k, m)
-    entries = list(ts.solve_tau_direct(k, m).entries)
-    zero = ts._residuals(k, entries, rows)
-    assert zero == _assembled_residuals(k, m, entries)
-    assert all(r.is_zero() for r in zero)
-    # every entry perturbed, so every column's part of every row is compared
-    for i in range(len(entries)):
-        entries[i] = entries[i] + SymNumber.p_power(i % 3, Fraction(i + 1, 7))
-    perturbed = ts._residuals(k, entries, rows)
-    assert perturbed == _assembled_residuals(k, m, entries)
-    assert all(not r.is_zero() for r in perturbed)
+def test_direct_solution_zeroes_every_assembled_row(k, m):
+    # the certificate's claim, recomputed in SymNumber arithmetic on every
+    # row of the assembled system
+    entries = ts.solve_tau_direct(k, m).entries
+    for row in ts.assemble_system(k, m).rows:
+        assert sum((c * t for c, t in zip(row.coeffs, entries)), -row.rhs).is_zero(), row.n
 
 
 def _mutant(*edits):
@@ -159,7 +148,8 @@ def _mutant(*edits):
     return built[ts]
 
 
-_RESIDUAL_CHECK = "    for n, residual in enumerate(_residuals("
+_CERTIFICATE = "    if not sum((a * t for a, t in zip(moments, entries)), -b).is_zero():"
+_Y_READ = "    y_terms = [{} for _ in range(k)]"
 _MUTANTS = {
     "difference order k-1": [("comb(k, j) for j in range(k + 1)]",
                               "comb(k - 1, j) for j in range(k)]")],
@@ -170,7 +160,7 @@ _MUTANTS = {
                                       "append((f * (a + b) * z, e + 1, 0))")],
     # y read at node 2 in place of node 1, and each monomial placed one
     # power of n too low (at r = k + 1 it falls outside y)
-    "nodes shifted by one": [("Fraction(col[0], den)", "Fraction(col[1], den)")],
+    "nodes shifted by one": [("head = col[0]", "head = col[1]")],
     "weight off by one": [("r = k + m - mono.weight", "r = k + m - mono.weight + 1")],
     "zeroed witness": [("witness = _det(lhs)", "witness = SymNumber.zero()")],
     # the convolution's d = 0 term dropped; dropping its last term, d = k - r,
@@ -178,9 +168,16 @@ _MUTANTS = {
     # v_k = +-k! tau_k vanishes
     "back substitution without its first term": [
         ("_weight(1, d)) for d in range(k - r + 1)", "_weight(1, d)) for d in range(1, k - r + 1)")],
+    # entries 0, 3, k-1, k and the top ones (-1 is 9 at m = 1, 10 at m = 2)
+    # changed after tau_0 is read, before the certificate checks them
     **{f"entry {i} perturbed": [
-        (_RESIDUAL_CHECK, f"    entries[{i}] = entries[{i}] + 1\n{_RESIDUAL_CHECK}")]
-       for i in (0, 3, 7)},
+        (_CERTIFICATE, f"    entries[{i}] = entries[{i}] + 1\n{_CERTIFICATE}")]
+       for i in (0, 3, 7, 8, 9, -1)},
+    # the certificate assumes Q is built from the returned top entries; one
+    # changed after Q is built is caught by `check_tau_invariants`, which
+    # pins both top entries
+    "top entry perturbed after Q": [
+        (_Y_READ, f"    entries[k + 1] = entries[k + 1] + 1\n{_Y_READ}")],
 }
 
 
@@ -195,7 +192,7 @@ def test_mutated_solve_fails_with_a_system_error(name, m):
         assert err.type is mutant.SingularSystem
     if name.startswith(("entry", "back substitution")):
         assert "residual is nonzero" in str(err.value)
-    if name in ("nodes shifted by one", "weight off by one"):
+    if name in ("nodes shifted by one", "weight off by one", "top entry perturbed after Q"):
         assert err.type is mutant.InconsistentSystem
 
 
