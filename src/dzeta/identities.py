@@ -13,13 +13,14 @@ The fast mode never builds its coordinate vectors.  For i <= k-2 basis
 element i is the pure log power log^i with no series block, so there is no
 boundary sum to evaluate: its value is P^i at -1 and, at +1, 1 for i = 0 and
 0 otherwise, and it does not carry the unknown.  With the fast coordinates
-those entries sum to one Bernoulli convolution of the zero-mode sources g
-(`tausolver.log_part`): at +1 the head h(k), and at -1, since
+those entries sum to one Bernoulli convolution of the closed-form y
+(`tausolver.y`, `tausolver.log_part`): at +1 the head h(k), and at -1, since
 (Pt/sinh Pt) e^(-Pt) = 2Pt/(e^(2Pt) - 1),
-g(k) - P g(k-1) - 2 sum_{even d >= 2} zeta(d) g(k-d), the shape of Euler's
-formula.  Only the two to four entries i >= k-1 (`tausolver.tail`) go through
-`eval_basis_at` (`derive_identity_fast`), for every k >= 2.  Each identity
-then costs O(k) monomial products rather than O(k^2).
+-y(k) + P y(k-1) + 2 sum_{even d >= 2} zeta(d) y(k-d), the shape of Euler's
+formula, less the pure-log terms of entries k-1 and k.  Only the two to four
+entries i >= k-1 (`tausolver.tail`, also from y) go through `eval_basis_at`
+(`derive_identity_fast`), for every k >= 3; nothing reads a direct solve.
+Each identity then costs O(k) monomial products rather than O(k^2).
 """
 
 from __future__ import annotations
@@ -126,14 +127,15 @@ def derive_identity_fast(k: int, m: int, point: int) -> IdentityRecord:
     The entries i <= k-2 sum to `tausolver.log_part(k, m, point)` (module
     docstring); only those of `tausolver.tail` go through `eval_basis_at`.
     Summing over ascending j, then ascending i, keeps both the value and the
-    term order of `derive_identity(k, m, point, solve_tau_fast(k, m))`; at
-    k = 2 those coordinates are the direct tau[2] (provenance "direct").
+    term order of `derive_identity(k, m, point, solve_tau_fast(k, m))`.  At
+    k = 2 the record is that of the direct tau[2], which computed it.  The
+    point is checked by `derive_identity` at k = 2 and by `log_part` past it.
     """
-    if point not in (1, -1):
-        raise ValueError("point must be +1 or -1")
+    if k == 2:
+        return derive_identity(2, m, point, tausolver.solve_tau_direct(2, m))
     known, cof = _accumulate(k, m, point, tausolver.log_part(k, m, point),
                              tausolver.tail(k, m))
-    return _close(k, m, point, known, cof, "direct" if k == 2 else "fast")
+    return _close(k, m, point, known, cof, "fast")
 
 
 def _accumulate(k: int, m: int, point: int, known: SymNumber, entries):

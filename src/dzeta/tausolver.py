@@ -31,10 +31,15 @@ Fraction-free (Bareiss) elimination of an assembled square system stays as
 a second route, for the tests and the toy example: textbook Bareiss on
 SymNumber entries, with `SymNumber.exact_div` for every division and each
 row's residual recomputed as a SymNumber sum.
-The fast path is the observed coefficient rule plus the zero-mode row in
-closed form (the heads are one Bernoulli convolution, `log_part`, and the
-entries i >= k-1 come from the direct tau[2] through `tail`); it is marked
-conjectural until cross-checked against the direct solver.
+
+The fast route is the direct solve's back substitution fed with y in closed
+form (`y`, derived from the same scaled rows with the invariant top entries):
+one Bernoulli convolution gives the heads (`log_part`) and the entries
+i >= k-1 (`tail`), with no solve and no moment read past k = 2.  Its
+entries 1..k and its top entries are the direct solve's whenever the system
+is nonsingular (`y`); tau_0 from the same convolution, which is the n = 0
+row or the theta-lift rule, is observed, not derived, so the fast vectors
+are marked conjectural until cross-checked against the direct solver.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from typing import NamedTuple
 
 from . import circle
 from .pfseries import operator_order, upper_block_specs
-from .symfield import ExactDivisionError, SymNumber, _mono_sort_key, bernoulli
+from .symfield import ExactDivisionError, SymNumber, _mono_sort_key, bernoulli, zeta_value
 
 
 class SingularSystem(Exception):
@@ -291,24 +296,68 @@ _direct_cache_info = solve_tau_direct.cache_info
 
 
 @functools.cache
-def tail(k: int, m: int) -> tuple[tuple[int, SymNumber], ...]:
-    """The pairs (i, tau[k][i]) for i >= k-1, from the direct tau[2]:
-    tau[k][i] = (-1)^k (i-k+2)!/i! tau[2][i-k+2]."""
-    base = solve_tau_direct(2, m).entries
-    return tuple((i, base[i - k + 2] * Fraction((-1) ** k * factorial(i - k + 2),
-                                                 factorial(i)))
-                 for i in range(k - 1, operator_order(k, m)))
+def y(j: int, m: int) -> SymNumber:
+    """y(j) = y_r at j = k - r, the coefficient of n^j in Q(n), in closed form
+    for every k > j: with s = j + m,
+      y(j) = [j >= 1] c zeta(s) - [s even] P^s/(s+1)!,
+      c = (-1)^(s+1) at m = 1 and (-1)^s (j+1) at m = 2.
+
+    Derivation.  Q(n) = B(n) - sum_top A_t(n) tau_t on the scaled rows
+    n >= 1 (`circle.scaled_columns`), with B(n) = -H_{n,m} + n^-m and the
+    top entries of the invariant: T = (-1)^(k+m-1)/(order-1)! on column
+    i = k+m, and 0 on column k+1 at m = 2, so only column k+m enters.
+    - Its log power gives T sum_r c_r P^(i-r) n^(k-r), c_r of
+      `circle.log_moment_poly(i)`.  At r = k+m, T c_r = 1: the n^-m of B
+      cancels.  At r <= k, j = k-r, T c_r is 1/(s+1)! for even s = i-r and
+      0 for odd s: the -P^s/(s+1)! of y(j).
+    - Each series block (d, scale, p) adds scale c_r P^(d-r) n^k S(n, p, r)
+      for the r of `circle.log_moment_poly(d)`, and the split of
+      `circle._partial_fractions` (w = p + r, a_1 + b_1 = 0) reads n^k S =
+      sum_t n^(k-w+t) (a_t zeta(t) + b_t (zeta(t) - H_{n,t})) over t >= 2,
+      plus a_1 n^(k-w+1) H_{n,1}.  At m = 1 the block is (1, (k+1)!, k) with
+      c_1 = 1: T scale = (-1)^k and a_t = (-1)^(k-t) give (-1)^t zeta(t)
+      n^(t-1), and -H_{n,1}, which cancels B's.  At m = 2 the blocks are
+      (2, (k+2)!/2, k) with c_2 = -2 and (1, -(k+2) k (k+1)!, k+1) with
+      c_1 = 1, so T carries (-1)^k and (-1)^k k onto a_t = (-1)^(k-t) (k+1-t)
+      and (-1)^(k+1-t): (-1)^t (1-t) zeta(t) n^(t-2) for t >= 3.  b_2 =
+      (-1)^k brings -H_{n,2}, which cancels B's, and the two a_1 terms
+      H_{n,1}/n cancel each other.
+    With the sign of Q = B - T A and t = s, y(j) takes -(-1)^s zeta(s) at
+    m = 1 and (-1)^s (j+1) zeta(s) at m = 2, over t >= 2 at m = 1 and t >= 3
+    at m = 2: j >= 1 in both.
+    At m = 2, t = 2 the first block's zeta(2) coefficient is a_2 + b_2 =
+    (-1)^k k, not a_2 alone as at t >= 3, since b_2 zeta(2) comes with the
+    -H_{n,2} of sum_q (q+n)^-2 = zeta(2) - H_{n,2}.  The two blocks' zeta(2)
+    terms, k and -k, cancel, so y(0) is the log term -P^2/3! = zeta(2)
+    alone; the t >= 3 pattern would add a second zeta(2), 2 zeta(2) in all.
+    At m = 1, y(0) = 0 (t = 1 is H_{n,1}: there is no zeta(1)), and y(1) =
+    -zeta(2) - P^2/3! = 0.  Every class of y is derived; none is observed.
+    The derivation takes the top entries from the invariant.  With them Q
+    is a polynomial in n of degree < k, so they solve the rows n >= 1, and
+    a nonzero witness (`solve_tau_direct`) makes them the only solution.
+    """
+    s = j + m
+    c = (-1) ** (s + 1) if m == 1 else (-1) ** s * (j + 1)
+    out = zeta_value(s) * c if j else SymNumber.zero()
+    return out - SymNumber.p_power(s, Fraction(1, factorial(s + 1))) if s % 2 == 0 else out
+
+
+def _top_entry(k: int, m: int) -> Fraction:
+    """The invariant last entry (-1)^(k+m-1)/(order-1)! of tau[k]."""
+    return Fraction((-1) ** (k + m - 1), factorial(operator_order(k, m) - 1))
 
 
 @functools.cache
-def zero_mode_source(j: int, m: int) -> SymNumber:
-    """g(j) = -sum_{i >= j-1} tau[j][i] * (zero moment of basis element i), one
-    or two terms; g(2) = tau[2][0] in value and term order (zero-moment row)."""
-    g = SymNumber.zero()
-    for i, entry in tail(j, m):
-        if not entry.is_zero():
-            g = g - entry * circle.basis_moment(j, m, i, 0)
-    return g
+def tail(k: int, m: int) -> tuple[tuple[int, SymNumber], ...]:
+    """The pairs (i, tau[k][i]) for i >= k-1: back substitution at i = k-1
+    and k reads tau[k][k-1] = (-1)^k y(1)/(k-1)! and tau[k][k] =
+    (-1)^(k+1) y(0)/k! (w(1) = 0), and the top entries are the invariant
+    ones (`check_tau_invariants`): 0 at k+1 for m = 2, then `_top_entry`."""
+    top = _top_entry(k, m)  # which also checks k and m
+    return tuple(enumerate([y(1, m) * Fraction((-1) ** k, factorial(k - 1)),
+                            y(0, m) * Fraction((-1) ** (k + 1), factorial(k)),
+                            *[SymNumber.zero()] * (m - 1),
+                            SymNumber.from_rational(top)], k - 1))
 
 
 @functools.cache
@@ -322,27 +371,37 @@ def _weight(point: int, d: int) -> Fraction:
 
 @functools.cache
 def log_part(k: int, m: int, point: int) -> SymNumber:
-    """sum_{i <= k-2} tau[k][i] log(point)^i = sum_{j=2..k} g(j) w_point(k-j),
-    over ascending j: the head h(k) = tau[k][0] at +1, and at -1
-    g(k) - P g(k-1) - 2 sum_{even d >= 2} zeta(d) g(k-d).  Only the nonzero
-    weights (d = 0, d = 1 at -1, even d >= 2) are multiplied."""
+    """sum_{i <= k-2} tau[k][i] log(point)^i: the convolution
+    -sum_{j=0..k} w_point(k-j) P^(k-j) y(j), over ascending j, is
+    sum_{i <= k} tau[k][i] log(point)^i, since (Pt/sinh Pt) e^(-Pt) =
+    2Pt/(e^(2Pt) - 1).  At +1 it is the head h(k) = tau[k][0]; at -1 the
+    pure-log terms of entries k-1 and k (`tail`) are taken off.  tau[k][0]
+    is read from the same convolution (`solve_tau_fast`).  Only the
+    nonzero weights (d = 0, d = 1 at -1, even d >= 2) are multiplied."""
     if point not in (1, -1):
         raise ValueError("point must be +1 or -1")
-    weights = ((j, _weight(point, k - j)) for j in range(2, k + 1))
-    return circle.weighted_sum((w, k - j, zero_mode_source(j, m))
-                               for j, w in weights if w)
+    pure_log = tail(k, m)[:2]  # which also checks k and m
+    weights = ((j, _weight(point, k - j)) for j in range(k + 1))
+    total = -circle.weighted_sum((w, k - j, y(j, m)) for j, w in weights if w)
+    if point == -1:
+        for i, entry in pure_log:
+            total = total - entry * SymNumber.p_power(i)
+    return total
 
 
 def solve_tau_fast(k: int, m: int) -> TauVector:
-    """Closed-form coordinates: the coefficient rule plus the zero mode, unrolled.
+    """Closed-form coordinates: back substitution fed with closed-form y.
 
-    The rule tau[k][i] = -tau[k-1][i-1]/i gives tau[k][i] = (-1)^i h(k-i)/i!
-    for i <= k-2, with heads h(j) = tau[j][0], and ties the entries i >= k-1
-    to the base k = 2.  The zero moment of basis element i < k is P^i/(i+1)
-    for even i and 0 for odd i, so the n = 0 moment row convolves the heads
-    with sinh(Pt)/(Pt); `log_part` at +1 inverts it.  Nothing recurses and no
-    vector is kept.  Conjectural (the rule is verified, not proven) except
-    for the base k = 2, the direct solution.
+    For 1 <= i <= k the direct solve's step 3 reads tau[k][i] =
+    (-1)^(i+1)/i! sum_d w(d) P^d y(k-i-d), w(d) = `_weight(1, d)`, and `y`
+    gives every y(j) in closed form.  The sum depends on k - i alone, so
+    with the heads h(j) = `log_part(j, m, 1)` it is (-1)^i h(k-i)/i! for
+    i <= k-2, and `tail` holds the entries i >= k-1.  Conjectural:
+    tau[k][0] = h(k), the same convolution at i = 0, where the direct solve
+    reads the n = 0 row; with the entries above it is the theta-lift rule
+    tau[k][i] = -tau[k-1][i-1]/i, verified, not proven.  Nothing recurses
+    and no vector is kept; for k >= 3 no direct solve and no moment is read.
+    The base k = 2 is the direct solution.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -371,7 +430,7 @@ def check_tau_invariants(tau: TauVector) -> list[str]:
     for i in zero_at:
         if not tau.entries[i].is_zero():
             problems.append(f"entry {i} should vanish")
-    top = Fraction((-1) ** (k + m - 1), factorial(order - 1))
+    top = _top_entry(k, m)
     if tau.entries[-1] != SymNumber.from_rational(top):
         problems.append(f"top entry differs from {top}")
     return problems

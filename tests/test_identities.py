@@ -220,8 +220,9 @@ def test_fast_identity_at_k2_is_the_direct_record():
 
 
 def test_fast_identity_rejects_an_invalid_point():
-    with pytest.raises(ValueError):
-        derive_identity_fast(3, 1, 0)
+    for k in (2, 3):
+        with pytest.raises(ValueError, match="point must be"):
+            derive_identity_fast(k, 1, 0)
 
 
 # -- rendering ----------------------------------------------------------------

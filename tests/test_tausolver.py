@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from dzeta import circle
 from dzeta import tausolver as ts
+from dzeta.identities import derive_identity_fast
 from dzeta.pfseries import operator_order
 from dzeta.symfield import ExactDivisionError, SymNumber, _mono_sort_key
 from reference_data import TAU_TABLES, q, z
@@ -194,22 +195,6 @@ def test_mutated_solve_fails_with_a_system_error(name, m):
         assert "residual is nonzero" in str(err.value)
     if name in ("nodes shifted by one", "weight off by one", "top entry perturbed after Q"):
         assert err.type is mutant.InconsistentSystem
-
-
-@pytest.mark.parametrize("m", [1, 2])
-def test_each_monomial_of_q_is_one_power_of_n(m):
-    # the premise of the solve's read of y: Q(n) = B(n) - sum_t A_t(n) tau_t,
-    # built as the solve builds it, has every monomial's column equal to
-    # c n^(k-r) on rows n = 1..order-1, with r = k+m-weight in 1..k
-    for k in range(2, 31):
-        _, tops, rhs = ts._moment_rows(k, m)
-        entries = ts.solve_tau_direct(k, m).entries
-        q = circle.combine([(rhs, SymNumber.from_rational(1)),
-                            *((col, -entries[t]) for t, col in enumerate(tops, k + 1))])
-        for mono, (den, col) in q.items():
-            r = k + m - mono.weight
-            assert 1 <= r <= k, (k, mono)
-            assert col == [col[0] * n ** (k - r) for n in range(1, len(col) + 1)], (k, mono)
 
 
 def test_invariant_problems_are_named(monkeypatch):
@@ -396,6 +381,64 @@ def test_indivisible_monomial_is_named():
         ts.fraction_free_solve(system)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_closed_form_y_is_c_tau(m):
+    # y(k - r, m) is y_r = (C tau)_r of the direct solution, through the
+    # forward weights c_{i,r} of the log-power moments
+    for k in range(2, 41):
+        entries = ts.solve_tau_direct(k, m).entries
+        for r in range(1, k + 1):
+            c_tau = circle.weighted_sum((circle.log_moment_poly(i)[r], i - r, entries[i])
+                                        for i in range(r, k + 1))
+            assert ts.y(k - r, m) == c_tau, (k, r)
+
+
+@functools.cache
+def _tail_reference(k, m):
+    """The entries i >= k-1 as the fast route read them before the closed
+    form: tau[k][i] = (-1)^k (i-k+2)!/i! tau[2][i-k+2], from the direct
+    tau[2]."""
+    base = ts.solve_tau_direct(2, m).entries
+    return tuple((i, base[i - k + 2] * Fraction((-1) ** k * factorial(i - k + 2),
+                                                 factorial(i)))
+                 for i in range(k - 1, operator_order(k, m)))
+
+
+@functools.cache
+def _zero_mode_source_reference(j, m):
+    """g(j) = -sum_{i >= j-1} tau[j][i] (zero moment of basis element i), the
+    source the heads were convolved from before the closed form."""
+    g = SymNumber.zero()
+    for i, entry in _tail_reference(j, m):
+        if not entry.is_zero():
+            g = g - entry * circle.basis_moment(j, m, i, 0)
+    return g
+
+
+def _log_part_reference(k, m, point):
+    """sum_{j=2..k} g(j) w_point(k-j), over ascending j."""
+    weights = ((j, ts._weight(point, k - j)) for j in range(2, k + 1))
+    return circle.weighted_sum((w, k - j, _zero_mode_source_reference(j, m))
+                               for j, w in weights if w)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_closed_form_matches_the_zero_mode_sources(m):
+    # values and term order; at -1 only the even-P terms keep their order,
+    # since the odd-P terms cancel against the tail and reach no record
+    def terms(x, parity=None):
+        return [t for t in x._terms.items() if parity is None or t[0].pi_exp % 2 == parity]
+
+    for k in range(2, 201):
+        assert ([(i, terms(e)) for i, e in ts.tail(k, m)]
+                == [(i, terms(e)) for i, e in _tail_reference(k, m)]), k
+        plus, ref = ts.log_part(k, m, 1), _log_part_reference(k, m, 1)
+        assert terms(plus) == terms(ref), k
+        minus, ref = ts.log_part(k, m, -1), _log_part_reference(k, m, -1)
+        assert minus == ref, k
+        assert terms(minus, 0) == terms(ref, 0), k
+
+
 def test_fast_base_case_is_direct():
     fast = ts.solve_tau_fast(2, 1)
     assert fast.provenance == "direct"
@@ -568,3 +611,19 @@ def test_fast_path_depth_does_not_grow_with_k():
     order, peak_kb = proc.stdout.split()
     assert order == str(operator_order(200, 1))
     assert int(peak_kb) < 60 * 1024, f"peak RSS {int(peak_kb) // 1024} MB"
+
+
+def test_fast_route_reads_no_direct_solve_and_no_moment(monkeypatch):
+    # last in the file, so that no later test recomputes the memos it clears
+    def forbidden(*args):
+        raise AssertionError("the fast route read a direct solve or a moment")
+
+    for memo in (ts.y, ts.tail, ts.log_part):
+        memo.cache_clear()
+    monkeypatch.setattr(ts, "solve_tau_direct", forbidden)
+    monkeypatch.setattr(circle, "basis_moment", forbidden)
+    for m in (1, 2):
+        for k in range(3, 61):
+            assert ts.solve_tau_fast(k, m).provenance == "fast"
+            for point in (-1, 1):
+                assert derive_identity_fast(k, m, point).provenance == "fast"
