@@ -2,28 +2,20 @@
 
 The direct solve reads the moment system M tau = b (rows n = 0..N, N =
 order - 1) through its structure.  Columns i <= k carry no series block, so
-for n >= 1 their moments are (-1)^n times polynomials in 1/n, and column 0
-is 1 at n = 0 and 0 below it; only the one or two top columns i > k carry
-series blocks.  Scaling row n >= 1 by (-1)^n n^k turns the columns i <= k
-into a Vandermonde block in n^(k-r) times a triangular matrix C.  A k-th
-difference leaves a 1x1 or 2x2 system for the top entries, and the rest of
-the scaled row, Q(n) = sum_r y_r n^(k-r), gives the other entries' images
-y = C tau.  Column i's scaled moment is sum_r c_r P^(i-r) n^(k-r) and tau_i
-has weight k+m-i, so the coefficient y_r of n^(k-r) is homogeneous of weight
-k+m-r: each monomial of Q is one power of n, set by its weight, and is read
-at n = 1.  The n = 0 row gives tau_0: O(k^2) ring operations.  C is a
-diagonal times the Toeplitz matrix of sinh(Pt)/(Pt), so the convolution with
-Pt/sinh(Pt) that `log_part` runs at +1 inverts it.  The system is
-nonsingular exactly when the top entries' 1x1 or 2x2 determinant is
-nonzero: M is block triangular around tau_0, the row scaling is invertible,
-the Vandermonde block has full column rank and the k-th differences span its
-left null space, and C is invertible.  The read of y is also the
-certificate: scaled row n >= 1 of M tau - b is sum_r n^(k-r) ((C tau)_r -
-y_r) once Q(n) = sum_r y_r n^(k-r), so each monomial of Q is checked on
-every row, C tau = y through the forward entries of C, and row 0 directly.
-Rows n >= 1 of the top columns and the right side are integer columns with
-one denominator per monomial, built once per (k, m) from the closed forms of
-the circle moments (`circle.scaled_columns`); the n = 0 row is read from
+scaling row n >= 1 by (-1)^n n^k turns them into a Vandermonde block in
+n^(k-r) times a triangular matrix C; only the one or two top columns i > k
+carry series blocks.  A k-th difference leaves a 1x1 or 2x2 system for the
+top entries, whose determinant is nonzero exactly when M is nonsingular, and
+the rest of the scaled row, Q(n) = sum_r y_r n^(k-r), gives y = C tau: y_r
+is homogeneous of weight k+m-r, so each monomial of Q is one power of n, read
+at n = 1.  The solve does not work the entries out: entries 1..k and the
+top entries come in closed form (`y`, `log_part`, `tail`), and it certifies
+them.  The top entries must solve the differenced rows, Q is built from them
+and checked monomial by monomial on every row, C tau = y is checked through
+the forward entries of C, which compares the closed form with the system,
+and the n = 0 row gives tau_0 and is checked directly.  Rows n >= 1 of the
+top columns and the right side are integer columns with one denominator per
+monomial (`circle.scaled_columns`); the n = 0 row is read from
 `circle.basis_moment`, and every sum of ring values with rational weights
 goes through `circle.combine`.
 
@@ -32,14 +24,12 @@ a second route, for the tests and the toy example: textbook Bareiss on
 SymNumber entries, with `SymNumber.exact_div` for every division and each
 row's residual recomputed as a SymNumber sum.
 
-The fast route is the direct solve's back substitution fed with y in closed
-form (`y`, derived from the same scaled rows with the invariant top entries):
-one Bernoulli convolution gives the heads (`log_part`) and the entries
-i >= k-1 (`tail`), with no solve and no moment read past k = 2.  Its
-entries 1..k and its top entries are the direct solve's whenever the system
-is nonsingular (`y`); tau_0 from the same convolution, which is the n = 0
-row or the theta-lift rule, is observed, not derived, so the fast vectors
-are marked conjectural until cross-checked against the direct solver.
+The fast route is the same closed form: one Bernoulli convolution of `y`
+gives the heads (`log_part`) and the entries i >= k-1 (`tail`), with no
+solve and no moment read past k = 2.  Its tau_0 from the same convolution,
+which is the n = 0 row or the theta-lift rule, is observed, not derived, so
+the fast vectors are marked conjectural until cross-checked against the
+direct solver.
 """
 
 from __future__ import annotations
@@ -52,7 +42,7 @@ from typing import NamedTuple
 
 from . import circle
 from .pfseries import operator_order, upper_block_specs
-from .symfield import ExactDivisionError, SymNumber, _mono_sort_key, bernoulli, zeta_value
+from .symfield import SymNumber, _mono_sort_key, bernoulli, zeta_value
 
 
 class SingularSystem(Exception):
@@ -182,7 +172,8 @@ def _det(rows) -> SymNumber:
 
 @functools.cache
 def solve_tau_direct(k: int, m: int) -> TauVector:
-    """Solve the square moment system on rows n = 0..N through its structure.
+    """Solve the square moment system on rows n = 0..N through its structure:
+    certify the closed-form entries 1..order-1 and read tau_0.
 
     With N = order - 1, scaled by (-1)^n n^k, row n >= 1 reads
     Q(n) + sum_top A_t(n) tau_t = B(n), with Q(n) = sum_{r=1..k} y_r n^(k-r)
@@ -193,40 +184,41 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
     (`circle.scaled_columns`); the n = 0 row is read from
     `circle.basis_moment`.  The steps:
     1. the k-th forward differences of rows s..s+k, s = 1..N-k, annihilate
-       Q and leave one (m = 1) or two (m = 2) equations for the top entries,
-       solved by Cramer's rule with exact ring division;
-    2. Q(n) = B(n) - sum_top A_t(n) tau_t, built once from the top entries
-       as returned, gives y_1..y_k by weight: column i's scaled moment is
+       Q and leave one (m = 1) or two (m = 2) equations for the top entries;
+       their 1x1 or 2x2 determinant is the witness, and zero raises
+       SingularSystem;
+    2. entries 1..order-1 are the closed-form ones (`_closed_entries`), and
+       the invariant top entries must solve the differenced rows, which with
+       a nonzero witness makes them the only solution; this also ties the
+       witness to the rows, since differences that do not annihilate Q give
+       other equations, which the top entries do not solve;
+    3. Q(n) = B(n) - sum_top A_t(n) tau_t, built once from the top entries,
+       gives y_1..y_k by weight: column i's scaled moment is
        sum_r c_{i,r} P^(i-r) n^(k-r) and tau_i has weight k+m-i, so y_r, the
        coefficient of n^(k-r), has weight k+m-r.  Each monomial of Q must
        be c n^(k-r), r = k+m-weight, on every row n = 1..N, and its value at
        n = 1 is its term of y_r; r outside 1..k, or a column of another
        form, raises InconsistentSystem;
-    3. with u_i = i! tau_i and v_r = (-1)^(r-1) y_r, y = C tau reads v = T u
-       for the upper triangular Toeplitz matrix T of sinh(Pt)/(Pt) =
-       sum_{even d} (Pt)^d/(d+1)!.  Such matrices multiply as power series
-       in t cut past t^k, so T^-1 is the one of Pt/sinh(Pt), and
-       u_r = sum_{d=0..k-r} w(d) P^d v_(r+d), w(d) = `_weight(1, d)`;
-    4. the n = 0 row, whose tau_0 coefficient is 1, gives tau_0.
+    4. the n = 0 row, whose tau_0 coefficient is 1, gives tau_0, not the
+       conjectural rule tau_0 = h(k) of `solve_tau_fast`.
 
     Nonsingularity: the matrix is block triangular around tau_0 (column 0 is
     1 at n = 0 and 0 below it); the row scaling is invertible; the N x k
     Vandermonde block in n^(k-r) on distinct nodes has full column rank,
     and the k-th differences span exactly its left null space; C is
-    invertible.  So the system is nonsingular if and only if the 1x1 or 2x2
-    determinant of step 1 is nonzero: that determinant is the witness, and
-    zero raises SingularSystem.
+    invertible.  So the system is nonsingular if and only if the witness of
+    step 1 is nonzero.
 
-    Residual: scaled by (-1)^n n^k, row n >= 1 of M tau - b is
-    sum_r n^(k-r) (C tau)_r - Q(n), so once step 2 has checked
+    Certificate: scaled by (-1)^n n^k, row n >= 1 of M tau - b is
+    sum_r n^(k-r) (C tau)_r - Q(n), so once step 3 has checked
     Q(n) = sum_r y_r n^(k-r) on every row it is sum_r n^(k-r) ((C tau)_r -
     y_r).  After step 4, row 0 is checked directly and (C tau)_r = y_r for
-    r = 1..k through the forward weights c_{i,r}, not step 3's inverse ones,
-    so every row is zero.  The premise, checked by `_moment_rows`, is that no
+    r = 1..k through the forward weights c_{i,r}, so every row is zero; as
+    entries 1..k come from the closed-form `y`, this also compares it with
+    the y read from Q.  The premise, checked by `_moment_rows`, is that no
     column i <= k carries a series block.  Then `check_tau_invariants` runs;
-    a nonzero residual, a top entry outside the ring or a failed invariant
-    raises InconsistentSystem.  Each entry's terms come by descending
-    `_mono_sort_key`, as from `fraction_free_solve`.
+    a failed check raises InconsistentSystem.  Each entry's terms come by
+    descending `_mono_sort_key`, as from `fraction_free_solve` (`log_part`).
     """
     order = operator_order(k, m)
     (moments, b), tops, rhs = _moment_rows(k, m)
@@ -247,13 +239,10 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
     witness = _det(lhs)
     if witness.is_zero():
         raise SingularSystem(range(order))
-    entries = [SymNumber.zero()] * order
-    try:
-        for j, t in enumerate(top):
-            cramer = [row[:j] + [d] + row[j + 1:] for row, d in zip(lhs, rhs_diff)]
-            entries[t] = _term_sorted(_det(cramer).exact_div(witness))
-    except ExactDivisionError as exc:
-        raise InconsistentSystem(f"top entry outside the ring: {exc}") from exc
+    entries = [SymNumber.zero(), *_closed_entries(k, m)]
+    for row, d in zip(lhs, rhs_diff):
+        if not sum((a * entries[t] for a, t in zip(row, top)), -d).is_zero():
+            raise InconsistentSystem("the top entries do not solve the differenced rows")
     q = circle.combine([(rhs, SymNumber.from_rational(1)),
                         *((col, -entries[t]) for col, t in zip(tops, top))])
     y_terms = [{} for _ in range(k)]
@@ -268,12 +257,6 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
                 raise InconsistentSystem(f"row n={n} residual is nonzero")
         y_terms[r - 1][mono] = Fraction(head, den)
     y = [SymNumber(terms) for terms in y_terms]
-    for r in range(1, k + 1):
-        # w(d) vanishes at odd d, so each nonzero term has v's sign (-1)^(r-1)
-        scale = Fraction((-1) ** (r - 1), factorial(r))
-        inverse = ((d, _weight(1, d)) for d in range(k - r + 1))  # C^-1
-        entries[r] = _term_sorted(circle.weighted_sum((w * scale, d, y[r + d - 1])
-                                                      for d, w in inverse if w))
     entries[0] = _term_sorted(b - sum((a * t for a, t in zip(moments[1:], entries[1:])),
                                       SymNumber.zero()))
     if not sum((a * t for a, t in zip(moments, entries)), -b).is_zero():
@@ -333,8 +316,9 @@ def y(j: int, m: int) -> SymNumber:
     At m = 1, y(0) = 0 (t = 1 is H_{n,1}: there is no zeta(1)), and y(1) =
     -zeta(2) - P^2/3! = 0.  Every class of y is derived; none is observed.
     The derivation takes the top entries from the invariant.  With them Q
-    is a polynomial in n of degree < k, so they solve the rows n >= 1, and
-    a nonzero witness (`solve_tau_direct`) makes them the only solution.
+    is a polynomial in n of degree < k, so they solve the differenced rows;
+    every direct solve checks this, and its forward check (C tau)_r = y_r,
+    on the entries this y gives, compares it with the y read from Q.
     """
     s = j + m
     c = (-1) ** (s + 1) if m == 1 else (-1) ** s * (j + 1)
@@ -349,8 +333,8 @@ def _top_entry(k: int, m: int) -> Fraction:
 
 @functools.cache
 def tail(k: int, m: int) -> tuple[tuple[int, SymNumber], ...]:
-    """The pairs (i, tau[k][i]) for i >= k-1: back substitution at i = k-1
-    and k reads tau[k][k-1] = (-1)^k y(1)/(k-1)! and tau[k][k] =
+    """The pairs (i, tau[k][i]) for i >= k-1: C^-1 (`solve_tau_fast`) at
+    i = k-1 and k reads tau[k][k-1] = (-1)^k y(1)/(k-1)! and tau[k][k] =
     (-1)^(k+1) y(0)/k! (w(1) = 0), and the top entries are the invariant
     ones (`check_tau_invariants`): 0 at k+1 for m = 2, then `_top_entry`."""
     top = _top_entry(k, m)  # which also checks k and m
@@ -374,10 +358,13 @@ def log_part(k: int, m: int, point: int) -> SymNumber:
     """sum_{i <= k-2} tau[k][i] log(point)^i: the convolution
     -sum_{j=0..k} w_point(k-j) P^(k-j) y(j), over ascending j, is
     sum_{i <= k} tau[k][i] log(point)^i, since (Pt/sinh Pt) e^(-Pt) =
-    2Pt/(e^(2Pt) - 1).  At +1 it is the head h(k) = tau[k][0]; at -1 the
-    pure-log terms of entries k-1 and k (`tail`) are taken off.  tau[k][0]
-    is read from the same convolution (`solve_tau_fast`).  Only the
-    nonzero weights (d = 0, d = 1 at -1, even d >= 2) are multiplied."""
+    2Pt/(e^(2Pt) - 1).  At +1 it is the head h(k), C^-1 applied to y
+    (`solve_tau_fast`): entries 1..k-2 of both routes and the fast tau_0;
+    at -1 the pure-log terms of entries k-1 and k (`tail`) are taken off.
+    Only the nonzero weights (d = 0, d = 1 at -1, even d >= 2) are
+    multiplied, so at +1 only y(j) with j = k (mod 2) enter: h(k) is one
+    power of P or odd zeta values by falling powers of P, in descending
+    `_mono_sort_key` order."""
     if point not in (1, -1):
         raise ValueError("point must be +1 or -1")
     pure_log = tail(k, m)[:2]  # which also checks k and m
@@ -389,14 +376,28 @@ def log_part(k: int, m: int, point: int) -> SymNumber:
     return total
 
 
-def solve_tau_fast(k: int, m: int) -> TauVector:
-    """Closed-form coordinates: back substitution fed with closed-form y.
+def _closed_entries(k: int, m: int) -> tuple[SymNumber, ...]:
+    """Entries 1..order-1 of tau[k] in closed form: the heads
+    (-1)^i h(k-i)/i!, h(j) = `log_part(j, m, 1)`, for 1 <= i <= k-2 (none
+    at k = 2), then the entries i >= k-1 of `tail`."""
+    heads = (log_part(k - i, m, 1) / Fraction((-1) ** i * factorial(i))
+             for i in range(1, k - 1))
+    return (*heads, *(entry for _, entry in tail(k, m)))
 
-    For 1 <= i <= k the direct solve's step 3 reads tau[k][i] =
-    (-1)^(i+1)/i! sum_d w(d) P^d y(k-i-d), w(d) = `_weight(1, d)`, and `y`
-    gives every y(j) in closed form.  The sum depends on k - i alone, so
-    with the heads h(j) = `log_part(j, m, 1)` it is (-1)^i h(k-i)/i! for
-    i <= k-2, and `tail` holds the entries i >= k-1.  Conjectural:
+
+def solve_tau_fast(k: int, m: int) -> TauVector:
+    """Closed-form coordinates: the inverse of C applied to closed-form y.
+
+    Over the entries i <= k, y = C tau (`solve_tau_direct`) reads v = T u,
+    with u_i = i! tau_i, v_r = (-1)^(r-1) y_r and T the upper triangular
+    Toeplitz matrix of sinh(Pt)/(Pt) = sum_{even d} (Pt)^d/(d+1)!.  Such
+    matrices multiply as power series in t cut past t^k, so T^-1 is the
+    one of Pt/sinh(Pt), u_r = sum_{d=0..k-r} w(d) P^d v_(r+d), w(d) =
+    `_weight(1, d)`, and tau[k][i] = (-1)^(i+1)/i! sum_d w(d) P^d y(k-i-d)
+    for 1 <= i <= k, with y in closed form (`y`).  The sum depends on k - i
+    alone, so with the heads h(j) = `log_part(j, m, 1)` it is (-1)^i
+    h(k-i)/i! for i <= k-2, and `tail` holds the entries i >= k-1
+    (`_closed_entries`); every direct solve certifies them.  Conjectural:
     tau[k][0] = h(k), the same convolution at i = 0, where the direct solve
     reads the n = 0 row; with the entries above it is the theta-lift rule
     tau[k][i] = -tau[k-1][i-1]/i, verified, not proven.  Nothing recurses
@@ -407,10 +408,8 @@ def solve_tau_fast(k: int, m: int) -> TauVector:
         raise ValueError("k must be >= 2")
     if k == 2:
         return solve_tau_direct(2, m)
-    entries = [log_part(k - i, m, 1) / Fraction((-1) ** i * factorial(i))
-               for i in range(k - 1)]
-    entries += [entry for _, entry in tail(k, m)]
-    return TauVector(k, m, tuple(entries), provenance="fast", conjectural=True)
+    return TauVector(k, m, (log_part(k, m, 1), *_closed_entries(k, m)),
+                     provenance="fast", conjectural=True)
 
 
 def check_tau_invariants(tau: TauVector) -> list[str]:

@@ -152,8 +152,13 @@ def _mutant(*edits):
 _CERTIFICATE = "    if not sum((a * t for a, t in zip(moments, entries)), -b).is_zero():"
 _Y_READ = "    y_terms = [{} for _ in range(k)]"
 _MUTANTS = {
+    # the differenced rows no longer annihilate Q; without the check that
+    # the closed-form top entries solve them, this mutant survives
     "difference order k-1": [("comb(k, j) for j in range(k + 1)]",
                               "comb(k - 1, j) for j in range(k)]")],
+    # the closed form's top entry is off the invariant
+    "top entry off the invariant": [("SymNumber.from_rational(top)]",
+                                     "SymNumber.from_rational(top + 1)]")],
     # the zeta-value piece of every partial fraction one power of n off (the
     # H_{n,1} pieces cancel in column k+2 and column k+1 meets tau_{k+1} = 0
     # at m = 2, so an H_{n,1} mutant there is equivalent to the original)
@@ -164,11 +169,9 @@ _MUTANTS = {
     "nodes shifted by one": [("head = col[0]", "head = col[1]")],
     "weight off by one": [("r = k + m - mono.weight", "r = k + m - mono.weight + 1")],
     "zeroed witness": [("witness = _det(lhs)", "witness = SymNumber.zero()")],
-    # the convolution's d = 0 term dropped; dropping its last term, d = k - r,
-    # instead is equivalent at m = 1, where that term is w(k - r) v_k and
-    # v_k = +-k! tau_k vanishes
+    # the one convolution's d = 0 term dropped, in every head of tau
     "back substitution without its first term": [
-        ("_weight(1, d)) for d in range(k - r + 1)", "_weight(1, d)) for d in range(1, k - r + 1)")],
+        ("for j in range(k + 1))", "for j in range(k))")],
     # entries 0, 3, k-1, k and the top ones (-1 is 9 at m = 1, 10 at m = 2)
     # changed after tau_0 is read, before the certificate checks them
     **{f"entry {i} perturbed": [
@@ -193,6 +196,9 @@ def test_mutated_solve_fails_with_a_system_error(name, m):
         assert err.type is mutant.SingularSystem
     if name.startswith(("entry", "back substitution")):
         assert "residual is nonzero" in str(err.value)
+    if name in ("difference order k-1", "top entry off the invariant"):
+        assert err.type is mutant.InconsistentSystem
+        assert "the top entries do not solve the differenced rows" in str(err.value)
     if name in ("nodes shifted by one", "weight off by one", "top entry perturbed after Q"):
         assert err.type is mutant.InconsistentSystem
 
