@@ -5,15 +5,13 @@ order - 1) through its structure.  Columns i <= k carry no series block, so
 scaling row n >= 1 by (-1)^n n^k turns them into a Vandermonde block in
 n^(k-r) times a triangular matrix C; only the one or two top columns i > k
 carry series blocks.  A k-th difference leaves a 1x1 or 2x2 system for the
-top entries, whose determinant is nonzero exactly when M is nonsingular, and
-the rest of the scaled row, Q(n) = sum_r y_r n^(k-r), gives y = C tau: y_r
-is homogeneous of weight k+m-r, so each monomial of Q is one power of n, read
-at n = 1.  The solve does not work the entries out: entries 1..k and the
-top entries come in closed form (`y`, `log_part`, `tail`), and it certifies
-them.  The top entries must solve the differenced rows, Q is built from them
-and checked monomial by monomial on every row, C tau = y is checked through
-the forward entries of C, which compares the closed form with the system,
-and the n = 0 row gives tau_0 and is checked directly.  Rows n >= 1 of the
+top entries, whose determinant is nonzero exactly when M is nonsingular.
+The solve does not work the entries out: entries 1..k and the top entries
+come in closed form (`y`, `log_part`, `tail`), and it certifies them.  The
+top entries must solve the differenced rows, the n = 0 row gives tau_0 and
+is checked directly, and the certificate of rows n >= 1 is their residual:
+the right side, the top columns times their entries and the powers n^(k-r)
+times (C tau)_r, summed as integer columns, must vanish.  Rows n >= 1 of the
 top columns and the right side are integer columns with one denominator per
 monomial (`circle.scaled_columns`); the n = 0 row is read from
 `circle.basis_moment`, and every sum of ring values with rational weights
@@ -42,7 +40,7 @@ from typing import NamedTuple
 
 from . import circle
 from .pfseries import operator_order, upper_block_specs
-from .symfield import SymNumber, _mono_sort_key, bernoulli, zeta_value
+from .symfield import ONE_MONO, SymNumber, _mono_sort_key, bernoulli, zeta_value
 
 
 class SingularSystem(Exception):
@@ -176,30 +174,22 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
     certify the closed-form entries 1..order-1 and read tau_0.
 
     With N = order - 1, scaled by (-1)^n n^k, row n >= 1 reads
-    Q(n) + sum_top A_t(n) tau_t = B(n), with Q(n) = sum_{r=1..k} y_r n^(k-r)
-    and y = C tau over the entries i <= k: y_r = sum_{i=r..k} c_{i,r}
-    P^(i-r) tau_i, with c_{i,r} = (-1)^(r-1) i!/(i-r+1)! for even i - r and
-    0 otherwise (`circle.log_moment_poly(i)`).  The A_t and B are integer
-    columns built from the closed forms of the circle moments
-    (`circle.scaled_columns`); the n = 0 row is read from
-    `circle.basis_moment`.  The steps:
+    sum_{r=1..k} (C tau)_r n^(k-r) + sum_top A_t(n) tau_t = B(n), with C over
+    the entries i <= k: (C tau)_r = sum_{i=r..k} c_{i,r} P^(i-r) tau_i,
+    with c_{i,r} = (-1)^(r-1) i!/(i-r+1)! for even i - r and 0 otherwise
+    (`circle.log_moment_poly(i)`).  The A_t and B are integer columns built
+    from the closed forms of the circle moments (`circle.scaled_columns`);
+    the n = 0 row is read from `circle.basis_moment`.  The steps:
     1. the k-th forward differences of rows s..s+k, s = 1..N-k, annihilate
-       Q and leave one (m = 1) or two (m = 2) equations for the top entries;
-       their 1x1 or 2x2 determinant is the witness, and zero raises
-       SingularSystem;
+       the powers n^(k-r) and leave one (m = 1) or two (m = 2) equations for
+       the top entries; their 1x1 or 2x2 determinant is the witness, and
+       zero raises SingularSystem;
     2. entries 1..order-1 are the closed-form ones (`_closed_entries`), and
        the invariant top entries must solve the differenced rows, which with
        a nonzero witness makes them the only solution; this also ties the
-       witness to the rows, since differences that do not annihilate Q give
-       other equations, which the top entries do not solve;
-    3. Q(n) = B(n) - sum_top A_t(n) tau_t, built once from the top entries,
-       gives y_1..y_k by weight: column i's scaled moment is
-       sum_r c_{i,r} P^(i-r) n^(k-r) and tau_i has weight k+m-i, so y_r, the
-       coefficient of n^(k-r), has weight k+m-r.  Each monomial of Q must
-       be c n^(k-r), r = k+m-weight, on every row n = 1..N, and its value at
-       n = 1 is its term of y_r; r outside 1..k, or a column of another
-       form, raises InconsistentSystem;
-    4. the n = 0 row, whose tau_0 coefficient is 1, gives tau_0, not the
+       witness to the rows, since differences that do not annihilate the
+       powers give other equations, which the top entries do not solve;
+    3. the n = 0 row, whose tau_0 coefficient is 1, gives tau_0, not the
        conjectural rule tau_0 = h(k) of `solve_tau_fast`.
 
     Nonsingularity: the matrix is block triangular around tau_0 (column 0 is
@@ -209,16 +199,16 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
     invertible.  So the system is nonsingular if and only if the witness of
     step 1 is nonzero.
 
-    Certificate: scaled by (-1)^n n^k, row n >= 1 of M tau - b is
-    sum_r n^(k-r) (C tau)_r - Q(n), so once step 3 has checked
-    Q(n) = sum_r y_r n^(k-r) on every row it is sum_r n^(k-r) ((C tau)_r -
-    y_r).  After step 4, row 0 is checked directly and (C tau)_r = y_r for
-    r = 1..k through the forward weights c_{i,r}, so every row is zero; as
-    entries 1..k come from the closed-form `y`, this also compares it with
-    the y read from Q.  The premise, checked by `_moment_rows`, is that no
-    column i <= k carries a series block.  Then `check_tau_invariants` runs;
-    a failed check raises InconsistentSystem.  Each entry's terms come by
-    descending `_mono_sort_key`, as from `fraction_free_solve` (`log_part`).
+    Certificate: row 0 of M tau - b is checked directly.  Scaled by
+    (-1)^n n^k, row n >= 1 of M tau - b is sum_r n^(k-r) (C tau)_r +
+    sum_top A_t(n) tau_t - B(n): (C tau)_r is summed through the forward
+    weights c_{i,r}, and one `circle.combine` of the power columns n^(k-r)
+    times (C tau)_r, the top columns times their entries and the right side
+    times -1 must leave no column; else the first nonzero row is named.  The
+    premise, checked by `_moment_rows`, is that no column i <= k carries a
+    series block.  Then `check_tau_invariants` runs; a failed check raises
+    InconsistentSystem.  Each entry's terms come by descending
+    `_mono_sort_key`, as from `fraction_free_solve` (`log_part`).
     """
     order = operator_order(k, m)
     (moments, b), tops, rhs = _moment_rows(k, m)
@@ -243,29 +233,19 @@ def solve_tau_direct(k: int, m: int) -> TauVector:
     for row, d in zip(lhs, rhs_diff):
         if not sum((a * entries[t] for a, t in zip(row, top)), -d).is_zero():
             raise InconsistentSystem("the top entries do not solve the differenced rows")
-    q = circle.combine([(rhs, SymNumber.from_rational(1)),
-                        *((col, -entries[t]) for col, t in zip(tops, top))])
-    y_terms = [{} for _ in range(k)]
-    for mono, (den, col) in q.items():
-        r = k + m - mono.weight
-        if not 1 <= r <= k:
-            raise InconsistentSystem(f"Q has a term of weight {mono.weight}, "
-                                     f"outside {m}..{k + m - 1}")
-        head = col[0]  # c n^(k-r) at n = 1
-        for n, x in enumerate(col, 1):
-            if x != head * n ** (k - r):
-                raise InconsistentSystem(f"row n={n} residual is nonzero")
-        y_terms[r - 1][mono] = Fraction(head, den)
-    y = [SymNumber(terms) for terms in y_terms]
     entries[0] = _term_sorted(b - sum((a * t for a, t in zip(moments[1:], entries[1:])),
                                       SymNumber.zero()))
     if not sum((a * t for a, t in zip(moments, entries)), -b).is_zero():
         raise InconsistentSystem("row n=0 residual is nonzero")
-    for r in range(1, k + 1):
-        forward = ((circle.log_moment_poly(i)[r], i - r, entries[i])
-                   for i in range(r, k + 1))  # C
-        if not circle.weighted_sum([*forward, (-1, 0, y[r - 1])]).is_zero():
-            raise InconsistentSystem(f"rows n >= 1 residual is nonzero: (C tau)_{r} != y_{r}")
+    c_tau = (circle.weighted_sum((circle.log_moment_poly(i)[r], i - r, entries[i])
+                                 for i in range(r, k + 1)) for r in range(1, k + 1))  # C
+    residual = circle.combine([(rhs, SymNumber.from_rational(-1)),
+                               *((col, entries[t]) for col, t in zip(tops, top)),
+                               *(({ONE_MONO: (1, [n ** (k - r) for n in range(1, order)])}, x)
+                                 for r, x in enumerate(c_tau, 1))])
+    if residual:
+        row = min(next(n for n, x in enumerate(col, 1) if x) for _, col in residual.values())
+        raise InconsistentSystem(f"row n={row} residual is nonzero")
     tau = TauVector(k, m, tuple(entries))
     problems = check_tau_invariants(tau)
     if problems:
@@ -317,8 +297,9 @@ def y(j: int, m: int) -> SymNumber:
     -zeta(2) - P^2/3! = 0.  Every class of y is derived; none is observed.
     The derivation takes the top entries from the invariant.  With them Q
     is a polynomial in n of degree < k, so they solve the differenced rows;
-    every direct solve checks this, and its forward check (C tau)_r = y_r,
-    on the entries this y gives, compares it with the y read from Q.
+    every direct solve checks this, and its residual on the entries this y
+    gives is zero only if C tau = y there, since the N >= k powers n^(k-r)
+    on distinct nodes are independent.
     """
     s = j + m
     c = (-1) ** (s + 1) if m == 1 else (-1) ** s * (j + 1)
@@ -367,13 +348,10 @@ def log_part(k: int, m: int, point: int) -> SymNumber:
     `_mono_sort_key` order."""
     if point not in (1, -1):
         raise ValueError("point must be +1 or -1")
-    pure_log = tail(k, m)[:2]  # which also checks k and m
+    pure_log = [(1, i, entry) for i, entry in tail(k, m)[:2]]  # which also checks k and m
     weights = ((j, _weight(point, k - j)) for j in range(k + 1))
-    total = -circle.weighted_sum((w, k - j, y(j, m)) for j, w in weights if w)
-    if point == -1:
-        for i, entry in pure_log:
-            total = total - entry * SymNumber.p_power(i)
-    return total
+    return -circle.weighted_sum([*((w, k - j, y(j, m)) for j, w in weights if w),
+                                 *(pure_log if point == -1 else ())])
 
 
 def _closed_entries(k: int, m: int) -> tuple[SymNumber, ...]:

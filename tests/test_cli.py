@@ -514,7 +514,8 @@ def test_reader_closing_stdout_keeps_a_failure_code():
 
 
 # the injected failure: the direct solve's nonsingularity witness is zero, or
-# every weighted sum is 1, so the certificate's (C tau)_1 - y_1 is nonzero
+# every weighted sum is 1, so each (C tau)_r is 1 and the residual of the
+# scaled rows n >= 1 is nonzero
 @pytest.mark.parametrize("error,code,kind", [
     ((tausolver, "_det", lambda rows: SymNumber.zero()), cli.EXIT_SINGULAR,
      "singular system"),

@@ -150,10 +150,11 @@ def _mutant(*edits):
 
 
 _CERTIFICATE = "    if not sum((a * t for a, t in zip(moments, entries)), -b).is_zero():"
-_Y_READ = "    y_terms = [{} for _ in range(k)]"
+_RESIDUAL = "    residual = circle.combine(["
 _MUTANTS = {
-    # the differenced rows no longer annihilate Q; without the check that
-    # the closed-form top entries solve them, this mutant survives
+    # the differenced rows no longer annihilate the powers n^(k-r); without
+    # the check that the closed-form top entries solve them, this mutant
+    # survives
     "difference order k-1": [("comb(k, j) for j in range(k + 1)]",
                               "comb(k - 1, j) for j in range(k)]")],
     # the closed form's top entry is off the invariant
@@ -164,10 +165,13 @@ _MUTANTS = {
     # at m = 2, so an H_{n,1} mutant there is equivalent to the original)
     "column n-exponent off by one": [("append((f * (a + b) * z, e, 0))",
                                       "append((f * (a + b) * z, e + 1, 0))")],
-    # y read at node 2 in place of node 1, and each monomial placed one
-    # power of n too low (at r = k + 1 it falls outside y)
-    "nodes shifted by one": [("head = col[0]", "head = col[1]")],
-    "weight off by one": [("r = k + m - mono.weight", "r = k + m - mono.weight + 1")],
+    # the residual's power columns on rows n = 2..N+1 in place of 1..N
+    "nodes shifted by one": [("for n in range(1, order)])}", "for n in range(2, order + 1)])}")],
+    # each (C tau)_r put on n^(k-r+1) in place of n^(k-r)
+    "power of n off by one": [("[n ** (k - r) for n", "[n ** (k - r + 1) for n")],
+    # C's weights c_{i,r} read one place early
+    "forward weight off by one": [("log_moment_poly(i)[r], i - r",
+                                   "log_moment_poly(i)[r - 1], i - r")],
     "zeroed witness": [("witness = _det(lhs)", "witness = SymNumber.zero()")],
     # the one convolution's d = 0 term dropped, in every head of tau
     "back substitution without its first term": [
@@ -177,11 +181,10 @@ _MUTANTS = {
     **{f"entry {i} perturbed": [
         (_CERTIFICATE, f"    entries[{i}] = entries[{i}] + 1\n{_CERTIFICATE}")]
        for i in (0, 3, 7, 8, 9, -1)},
-    # the certificate assumes Q is built from the returned top entries; one
-    # changed after Q is built is caught by `check_tau_invariants`, which
-    # pins both top entries
-    "top entry perturbed after Q": [
-        (_Y_READ, f"    entries[k + 1] = entries[k + 1] + 1\n{_Y_READ}")],
+    # a top entry changed after the differenced rows and row 0 are checked:
+    # the residual sums the returned entries, so it is caught there
+    "top entry +1 before residual": [
+        (_RESIDUAL, f"    entries[k + 1] = entries[k + 1] + 1\n{_RESIDUAL}")],
 }
 
 
@@ -199,8 +202,10 @@ def test_mutated_solve_fails_with_a_system_error(name, m):
     if name in ("difference order k-1", "top entry off the invariant"):
         assert err.type is mutant.InconsistentSystem
         assert "the top entries do not solve the differenced rows" in str(err.value)
-    if name in ("nodes shifted by one", "weight off by one", "top entry perturbed after Q"):
+    if name in ("nodes shifted by one", "power of n off by one", "forward weight off by one",
+                "top entry +1 before residual"):
         assert err.type is mutant.InconsistentSystem
+        assert "residual is nonzero" in str(err.value)
 
 
 def test_invariant_problems_are_named(monkeypatch):
